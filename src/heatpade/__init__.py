@@ -36,10 +36,8 @@ from .mc_oracle import McConfig, simulate_survival
 from .pade import (
     PadeApproximant,
     PadeSolution,
-    SpectralEstimate,
     build_residuals,
     ladder,
-    lambda1_from_solution,
     poles,
     prony_moments,
     rational_series,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,11 +175,6 @@ class ArcMeasures:
     def __post_init__(self):
         if not (self.perimeter > 0 and self.area > 0):
             raise ValueError("perimeter and area must be positive")
-
-
-def eval_boundary(curve: BoundaryCurve, phi):
-    """r(phi) and its first two derivatives with respect to phi."""
-    return curve.radius(phi)
 
 
 def curvature(curve: BoundaryCurve, phi):

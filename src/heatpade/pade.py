@@ -8,9 +8,12 @@ A monic [n/n+2] rational P(s)/Q(s) is fitted simultaneously to
   d_1, d_3, ..., d_(2n-1) must vanish.
 
 This yields 2n+2 polynomial equations for the n numerator and n+2
-denominator coefficients, solved by damped Newton iteration from
-continuation and random starts.  The denominator root pair closest to the
-origin estimates the lowest Dirichlet eigenvalue via lambda_1 = Im[s]^2.
+denominator coefficients.  The large-s equations are affine and are
+eliminated; Levenberg-Marquardt with an exact Jacobian solves the n
+remaining ones from continuation and random starts, and Newton in the n
+numerator unknowns polishes the plausible roots in extended precision.
+The denominator root pair closest to the origin estimates the lowest
+Dirichlet eigenvalue via lambda_1 = Im[s]^2.
 
 A moment-truncation estimator (Prony-type, by Gauss quadrature) recovering
 (lambda_j, gamma_j^2) pairs from the even Maclaurin coefficients is also
@@ -20,7 +23,7 @@ provided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -28,7 +31,6 @@ from scipy import linalg
 from .errors import (
     DegenerateDenominator,
     IllConditioned,
-    NoComplexPole,
     NoSolutionFound,
 )
 from .heat_content import LargeSSeries
@@ -62,14 +64,6 @@ class PadeApproximant:
 
     def denominator(self):
         return np.append(self.q, 1.0)
-
-
-@dataclass(frozen=True)
-class SpectralEstimate:
-    lambda1: float
-    pole_re: float
-    pole_im: float
-    pole_abs_sq: float
 
 
 @dataclass(frozen=True)
@@ -113,29 +107,57 @@ def build_residuals(c: LargeSSeries, n: int):
         qm = np.convolve(q_full, m_asc)
         F = shifted - qm
         large = F[n + 2 : 2 * n + 4]
-        return np.concatenate([large, _odd_maclaurin(p_full.tolist(), q_full.tolist(), n)])
+        return np.concatenate([large, _maclaurin(p_full.tolist(), q_full.tolist(), 2 * n)[1::2]])
 
     return residuals
 
 
-def _odd_maclaurin(p, q, n):
-    """Odd Maclaurin coefficients d_1, d_3, ..., d_(2n-1) of P/Q.
+def _maclaurin(p, q, K):
+    """Maclaurin coefficients d_0, ..., d_(K-1) of P/Q by recursive division.
 
     ``p`` and ``q`` are ascending coefficient lists including the leading
     1s, of Python floats, complex or mpmath numbers.  On floats the
     division d_k = (p_k - sum q_i d_(k-i)) / q0 does the same IEEE
     operations as on numpy scalars at a fraction of the overhead.  An
-    overflow anywhere leaves d_(2n-1) non-finite.
+    overflow anywhere leaves d_(K-1) non-finite.
     """
     if q[0] == 0:
         raise DegenerateDenominator("q0 = 0 during small-s evaluation")
     d = []
-    for k in range(2 * n):
-        acc = p[k] if k <= n else 0.0
-        for i in range(1, min(k, n + 2) + 1):
+    for k in range(K):
+        acc = p[k] if k < len(p) else 0.0
+        for i in range(1, min(k, len(q) - 1) + 1):
             acc = acc - q[i] * d[k - i]
         d.append(acc / q[0])
-    return d[1::2]
+    return d
+
+
+def _lower_toeplitz(a):
+    """Lower-triangular Toeplitz matrix T(a) of a series: (T(a) b)_k = sum_(j<=k) a_(k-j) b_j."""
+    K = len(a)
+    T = np.zeros((K, K), dtype=a.dtype)
+    for j in range(K):
+        T[j:, j] = a[: K - j]
+    return T
+
+
+def _small_s_jacobian(d, u, dp, dq):
+    """Exact Jacobian of the odd Maclaurin coefficients d_1, d_3, ..., d_(2n-1) of P/Q.
+
+    ``d`` and ``u`` hold the first 2n Maclaurin coefficients of P/Q and of
+    1/Q; ``dp`` (n rows) and ``dq`` (n+2 rows) are the derivatives of
+    p_0..p_(n-1) and q_0..q_(n+1) with respect to the unknowns.  From
+    Q D = P (mod s^2n), dD = U (dP - D dQ), so the Jacobian is the odd
+    rows of T(u) (E_p dp - T(d) E_q dq), where E_p and E_q place the
+    coefficient rows at their degrees; degrees from 2n up drop out.
+    Float arrays and object arrays of mpmath numbers both work.
+    """
+    K = len(d)
+    m = min(K, len(dq))
+    V = np.zeros((K, dp.shape[1]), dtype=dq.dtype)
+    V[: len(dp)] = dp
+    V = V - _lower_toeplitz(d)[:, :m] @ dq[:m]
+    return _lower_toeplitz(u)[1::2] @ V
 
 
 def rational_series(approx: PadeApproximant, direction: str, K: int):
@@ -290,20 +312,23 @@ def _affine_reduction(c: LargeSSeries, n: int):
     return x_p, nullspace
 
 
-def _residual_list(x, c_list, n):
-    """List-based twin of build_residuals for extended-precision arithmetic."""
-    p_full = list(x[:n]) + [1]
-    q_full = list(x[n:]) + [1]
-    m_desc = [1] + list(c_list[: n + 2])
-    m_asc = m_desc[::-1]
-    qm = [0] * (2 * n + 5)
-    for i, qi in enumerate(q_full):
-        for j, mj in enumerate(m_asc):
-            qm[i + j] += qi * mj
-    F = [-v for v in qm]
-    for k, pk in enumerate(p_full):
-        F[n + 4 + k] += pk
-    return F[n + 2 : 2 * n + 4] + _odd_maclaurin(p_full, q_full, n)
+def _large_s_denominator(m_asc, p, top):
+    """Denominator q_0..q_(n+2) fixed by the large-s conditions for numerator p_0..p_(n-1).
+
+    ``m_asc`` holds c_(n+2), ..., c_1, 1.  The condition at degree n+2+j
+    of P s^(n+4) - Q M reads p_(j-2) = sum_(i>=j) q_i m_(n+2+j-i), and its
+    coefficient of q_j is m_(n+2) = 1, so back-substitution from j = n+1
+    down to 0 gives q = b + T p exactly, in any arithmetic.  ``top`` is
+    q_(n+2): 1 for the monic denominator, 0 for the linear part T p alone.
+    """
+    n = len(p)
+    q = [0] * (n + 2) + [top]
+    for j in range(n + 1, -1, -1):
+        acc = p[j - 2] if j >= 2 else 0
+        for i in range(j + 1, n + 3):
+            acc = acc - q[i] * m_asc[n + 2 + j - i]
+        q[j] = acc
+    return q
 
 
 def _polish_extended(c: LargeSSeries, n: int, x0, dps: int = 50, max_iter: int = 40):
@@ -311,37 +336,43 @@ def _polish_extended(c: LargeSSeries, n: int, x0, dps: int = 50, max_iter: int =
 
     Near the larger orders the Jacobian is poorly conditioned and
     double-precision iterations stall at a noise plateau around the true
-    solution; a few 50-digit Newton steps settle it.
+    solution; a few 50-digit Newton steps settle it.  Newton runs in the n
+    numerator unknowns p, with q = b + T p fixed by the large-s conditions
+    and the exact n x n Jacobian of the odd Maclaurin coefficients.
+    Newton is affine-invariant, so these are the iterates of Newton on all
+    2n+2 conditions once the affine ones hold.
     """
     from mpmath import mp, mpf
 
     with mp.workdps(dps):
-        cvals = [mpf(v) for v in c.c]
-        x = [mpf(v) for v in x0]
-        dim = 2 * n + 2
-        h = mpf(10) ** (-dps // 2)
+        m_asc = [mpf(v) for v in c.c[: n + 2]][::-1] + [mpf(1)]
+        unit = np.identity(n, dtype=object)
+        dq = np.array([_large_s_denominator(m_asc, list(e), 0)[:-1] for e in unit], dtype=object).T
+        p = [mpf(v) for v in x0[:n]]
         try:
-            r = _residual_list(x, cvals, n)
+            q = _large_s_denominator(m_asc, p, 1)
+            d = _maclaurin(p + [1], q, 2 * n)
+            x = p + q[:-1]
             for _ in range(max_iter):
-                rnorm = max(abs(v) for v in r)
-                if rnorm < mpf(10) ** (-dps + 10):
+                r = d[1::2]
+                if max(abs(v) for v in r) < mpf(10) ** (-dps + 10):
                     break
-                J = mp.matrix(dim, dim)
-                for i in range(dim):
-                    xs = list(x)
-                    xs[i] += h
-                    rs = _residual_list(xs, cvals, n)
-                    for k in range(dim):
-                        J[k, i] = (rs[k] - r[k]) / h
-                rhs = mp.matrix([-v for v in r])
+                u = _maclaurin([1], q, 2 * n)
+                J = _small_s_jacobian(
+                    np.array(d, dtype=object), np.array(u, dtype=object), unit, dq
+                )
                 try:
-                    step = mp.lu_solve(J, rhs)
+                    step = mp.lu_solve(mp.matrix(J.tolist()), mp.matrix([-v for v in r]))
                 except (ZeroDivisionError, TypeError):
                     # mpmath signals a singular pivot either way.
                     return None
-                x = [xi + si for xi, si in zip(x, step)]
-                r = _residual_list(x, cvals, n)
-                if max(abs(v) for v in step) < mpf(10) ** (-dps + 12) * (1 + max(abs(v) for v in x)):
+                p = [pi + si for pi, si in zip(p, step)]
+                q = _large_s_denominator(m_asc, p, 1)
+                d = _maclaurin(p + [1], q, 2 * n)
+                x_old, x = x, p + q[:-1]
+                if max(abs(a - b) for a, b in zip(x, x_old)) < mpf(10) ** (-dps + 12) * (
+                    1 + max(abs(v) for v in x)
+                ):
                     break
             else:
                 return None
@@ -389,20 +420,18 @@ def solve_interpolation(
     seed: int = 0,
     n_multistart: int = 300,
     warm_start: PadeSolution | None = None,
-    polish: bool = True,
 ):
     """All distinct real interpolants found from continuation and random starts.
 
     The large-s conditions are eliminated exactly (they are affine in the
-    coefficients) and a damped Gauss-Newton iteration runs on the odd
-    small-s conditions from continuation seeds and random multistarts over
-    several magnitude scales.  Candidates are clustered, polished in
-    extended precision, kept when the scaled residual norm is below 1e-10,
-    deduplicated at relative coefficient distance 1e-8 and ordered by
-    ascending |Re| of the closest complex pole (solutions without one come
-    last).  A fixed seed fixes the starts; the LM iterates are not
-    bit-reproducible, so the accepted set can differ by a solution
-    between runs.
+    coefficients) and Levenberg-Marquardt, with the exact Jacobian of
+    ``_small_s_jacobian``, runs on the odd small-s conditions from
+    continuation seeds and random multistarts over several magnitude
+    scales.  Candidates are clustered, polished in extended precision
+    (``_polish_extended``), kept when the scaled residual norm is below
+    1e-10, deduplicated at relative coefficient distance 1e-8 and ordered
+    by ascending |Re| of the closest complex pole (solutions without one
+    come last).  A fixed seed fixes the starts.
 
     The LM variable scaling is pinned to unit scale (``x_scale=1.0``): the
     start magnitudes and continuation lifts assume it, and scipy >= 1.16
@@ -416,18 +445,37 @@ def solve_interpolation(
 
     # The reduced map needs only the small-s rows: x_p + N y satisfies the
     # large-s rows identically.
-    def reduced(y):
+    def small_s(y):
+        """(q, d_0..d_(2n-1)) at x_p + N y, or None where the residual is not finite."""
         with np.errstate(over="raise", invalid="raise"):
             try:
                 x = (x_p + nullspace @ y).tolist()
             except FloatingPointError:
-                return np.full(n, 1e6)
+                return None
+        q = x[n:] + [1.0]
         try:
-            d = _odd_maclaurin(x[:n] + [1.0], x[n:] + [1.0], n)
+            d = _maclaurin(x[:n] + [1.0], q, 2 * n)
         except DegenerateDenominator:
-            return np.full(n, 1e6)
+            return None
         # An overflow anywhere in the division shows in d_(2n-1).
-        return np.array(d) if math.isfinite(d[-1]) else np.full(n, 1e6)
+        return (q, d) if math.isfinite(d[-1]) else None
+
+    def reduced(y):
+        at = small_s(y)
+        return np.full(n, 1e6) if at is None else np.array(at[1][1::2])
+
+    # Exact Jacobian in y; zero where the residual is the constant fill or
+    # the Jacobian overflows.
+    def reduced_jac(y):
+        at = small_s(y)
+        if at is None:
+            return np.zeros((n, n))
+        q, d = at
+        with np.errstate(all="ignore"):
+            J = _small_s_jacobian(
+                np.array(d), np.array(_maclaurin([1.0], q, 2 * n)), nullspace[:n], nullspace[n:]
+            )
+        return J if np.isfinite(J).all() else np.zeros((n, n))
 
     rng = np.random.default_rng(seed)
     seeds = []
@@ -445,6 +493,7 @@ def solve_interpolation(
         fit = least_squares(
             reduced,
             y0,
+            jac=reduced_jac,
             method="lm",
             x_scale=1.0,
             xtol=1e-15,
@@ -483,7 +532,7 @@ def solve_interpolation(
 
     accepted = []
     for idx, (x, _) in enumerate(reps):
-        if polish and idx < _POLISH_LIMIT:
+        if idx < _POLISH_LIMIT:
             refined = _polish_extended(c, n, x)
             if refined is not None:
                 x = refined
@@ -513,7 +562,6 @@ def ladder(
     n_max: int,
     seed: int = 0,
     n_multistart: int = 200,
-    polish: bool = True,
 ):
     """Selected physical solution at each order n = 1..n_max, warm-starting upward.
 
@@ -526,9 +574,7 @@ def ladder(
     out = []
     warm = None
     for n in range(1, n_max + 1):
-        sols = solve_interpolation(
-            c, n, seed=seed, n_multistart=n_multistart, warm_start=warm, polish=polish
-        )
+        sols = solve_interpolation(c, n, seed=seed, n_multistart=n_multistart, warm_start=warm)
         warm = select_solution(sols)
         out.append(warm)
     return out
@@ -560,19 +606,6 @@ def select_solution(solutions, re_slack: float = 1e-3) -> PadeSolution:
     if not survivors:
         raise NoSolutionFound("no accepted solution passes the physical filter")
     return min(survivors, key=lambda s: abs(s.closest_pole.real))
-
-
-def lambda1_from_solution(sol: PadeSolution) -> SpectralEstimate:
-    """lambda_1 = Im[closest pole]^2; |s|^2 is reported as a secondary diagnostic."""
-    if sol.closest_pole is None:
-        raise NoComplexPole("all denominator roots are real")
-    z = sol.closest_pole
-    return SpectralEstimate(
-        lambda1=z.imag**2,
-        pole_re=z.real,
-        pole_im=z.imag,
-        pole_abs_sq=abs(z) ** 2,
-    )
 
 
 def prony_moments(d, m: int):

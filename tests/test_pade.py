@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from heatpade.errors import (
     DegenerateDenominator,
     IllConditioned,
-    NoComplexPole,
     NoSolutionFound,
 )
 from heatpade.geometry import Disk
@@ -17,8 +16,13 @@ from heatpade.pade import (
     DOUBLET_GAP,
     PadeApproximant,
     build_residuals,
+    _affine_reduction,
+    _large_s_denominator,
+    _maclaurin,
+    _make_solution,
+    _polish_extended,
+    _small_s_jacobian,
     ladder,
-    lambda1_from_solution,
     pole_zero_gap,
     poles,
     prony_moments,
@@ -187,15 +191,75 @@ class TestSelection:
 
     def test_lambda1_extraction(self):
         lam = 5.783186
-        approx = PadeApproximant(n=0, p=(), q=(lam, 0.0))
-        est = lambda1_from_solution(_fake_solution(approx))
-        assert est.lambda1 == pytest.approx(lam, rel=1e-12)
-        assert est.pole_abs_sq == pytest.approx(lam, rel=1e-12)
+        sol = _make_solution(None, 0, np.array([lam, 0.0]), 0.0)
+        assert sol.lambda1 == pytest.approx(lam, rel=1e-12)
+        assert sol.lambda1 == sol.closest_pole.imag**2
+        assert abs(sol.closest_pole) ** 2 == pytest.approx(lam, rel=1e-12)
 
     def test_no_complex_pole(self):
-        approx = PadeApproximant(n=0, p=(), q=(-1.0, 0.0))  # roots +-1, real
-        with pytest.raises(NoComplexPole):
-            lambda1_from_solution(_fake_solution(approx))
+        sol = _make_solution(None, 0, np.array([-1.0, 0.0]), 0.0)  # roots +-1, real
+        assert sol.closest_pole is None
+        assert sol.lambda1 is None
+        with pytest.raises(NoSolutionFound):
+            select_solution([sol])
+
+
+class TestExactDerivatives:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_reduced_jacobian_matches_central_differences(self, disk_series, n):
+        # At n = 1 the series has 2n = 2 terms, fewer than the n + 3
+        # denominator coefficients, so the Toeplitz product is truncated.
+        # The differences are taken in 40 digits, where a step of 1e-15
+        # leaves neither truncation nor rounding error in double precision.
+        from mpmath import mp, mpf
+
+        x_p, N = _affine_reduction(disk_series, n)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            y = rng.normal(size=n)
+            x = (x_p + N @ y).tolist()
+            q = x[n:] + [1.0]
+            d = _maclaurin(x[:n] + [1.0], q, 2 * n)
+            J = _small_s_jacobian(np.array(d), np.array(_maclaurin([1.0], q, 2 * n)), N[:n], N[n:])
+            assert J.shape == (n, n)
+            with mp.workdps(40):
+                h = mpf(10) ** -15
+
+                def odd(yy):
+                    xx = [
+                        mpf(a) + sum(mpf(N[i, j]) * yy[j] for j in range(n))
+                        for i, a in enumerate(x_p)
+                    ]
+                    return _maclaurin(xx[:n] + [1], xx[n:] + [1], 2 * n)[1::2]
+
+                ym = [mpf(v) for v in y]
+                for j in range(n):
+                    up = odd([v + h if i == j else v for i, v in enumerate(ym)])
+                    down = odd([v - h if i == j else v for i, v in enumerate(ym)])
+                    fd = np.array([float((a - b) / (2 * h)) for a, b in zip(up, down)])
+                    assert np.allclose(J[:, j], fd, rtol=1e-8, atol=1e-8 * np.max(np.abs(fd)))
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_large_s_denominator_is_exact(self, disk_series, n):
+        from mpmath import mp, mpf
+
+        with mp.workdps(50):
+            m_asc = [mpf(v) for v in disk_series.c[: n + 2]][::-1] + [mpf(1)]
+            p = [mpf(v) for v in np.random.default_rng(n).normal(scale=10.0, size=n)]
+            q = _large_s_denominator(m_asc, p, 1)
+            assert q[-1] == 1
+            x = np.array(p + q[:-1], dtype=object)
+            large = build_residuals(disk_series, n)(x)[: n + 2]
+            assert max(abs(v) for v in large) < mpf(10) ** -40 * (1 + max(abs(v) for v in x))
+
+    def test_polish_returns_the_row(self, disk_series, disk_ladder):
+        sol = select_solution(
+            solve_interpolation(disk_series, 4, seed=0, n_multistart=40, warm_start=disk_ladder[2])
+        )
+        assert sol.closest_pole.imag == pytest.approx(2.1775, rel=1e-4)
+        x = np.array(sol.approximant.p + sol.approximant.q)
+        start = x * (1.0 + 1e-6 * np.random.default_rng(0).normal(size=x.size))
+        assert np.array_equal(_polish_extended(disk_series, 4, start), x)
 
 
 def _doublet(sol, a):
