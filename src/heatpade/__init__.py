@@ -4,7 +4,6 @@ from .errors import (
     DegenerateDenominator,
     HeatPadeError,
     IllConditioned,
-    NoComplexPole,
     NoSolutionFound,
     QuadratureNotConverged,
     SeriesNotConverged,

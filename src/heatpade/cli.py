@@ -134,14 +134,19 @@ def cmd_coeffs(args):
     return 0
 
 
+def _resolve_method(args, curve, what):
+    """``--method`` with "auto" resolved: exact for a disk, the expansion otherwise."""
+    if args.method == "auto":
+        return "exact" if isinstance(curve, Disk) else "expansion"
+    if args.method == "exact" and not isinstance(curve, Disk):
+        raise UsageError(f"exact {what} are available for disks only")
+    return args.method
+
+
 def cmd_survival(args):
     curve = _load_curve(args)
     times = _floats(args.times)
-    method = args.method
-    if method == "auto":
-        method = "exact" if isinstance(curve, Disk) else "expansion"
-    if method == "exact" and not isinstance(curve, Disk):
-        raise UsageError("exact survival curves are available for disks only")
+    method = _resolve_method(args, curve, "survival curves")
     if method == "exact":
         rows = [(t, survival_disk(t, curve.R) if t > 0 else 1.0) for t in times]
     else:
@@ -157,11 +162,7 @@ def cmd_tau(args):
     s_values = _floats(args.s)
     if any(s <= 0 for s in s_values):
         raise UsageError("Laplace variable values must be positive")
-    method = args.method
-    if method == "auto":
-        method = "exact" if isinstance(curve, Disk) else "expansion"
-    if method == "exact" and not isinstance(curve, Disk):
-        raise UsageError("exact Laplace transforms are available for disks only")
+    method = _resolve_method(args, curve, "Laplace transforms")
     if method == "exact":
         rows = [(s, tau_disk(s, curve.R)) for s in s_values]
     else:

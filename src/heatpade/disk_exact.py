@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 
+from scipy import special
+
 from .errors import SeriesNotConverged
-from .series import bessel_I, bessel_ratio, j0_zeros
+from .series import bessel_ratio, j0_zeros
 
 _zero_cache: list[float] = []
 
@@ -38,7 +40,9 @@ def tau_disk_local(s: float, r: float, R: float = 1.0) -> float:
         raise ValueError("Laplace variable must be positive")
     if not 0.0 <= r <= R:
         raise ValueError("radial coordinate must lie in [0, R]")
-    return (1.0 - bessel_I(0, s * r) / bessel_I(0, s * R)) / (s * s)
+    # I0(sr)/I0(sR) from the exponentially scaled I0, which cannot overflow.
+    ratio = float(special.i0e(s * r) / special.i0e(s * R)) * math.exp(s * (r - R))
+    return (1.0 - ratio) / (s * s)
 
 
 def survival_disk(t: float, R: float = 1.0, N: int | None = None) -> float:

@@ -22,11 +22,7 @@ class DegenerateDenominator(HeatPadeError):
 
 
 class NoSolutionFound(HeatPadeError):
-    """No Newton start converged below the residual acceptance tolerance."""
-
-
-class NoComplexPole(HeatPadeError):
-    """All denominator roots are real; no spectral estimate can be extracted."""
+    """No candidate polished to a root, or no root passed the physical filter."""
 
 
 class IllConditioned(HeatPadeError):

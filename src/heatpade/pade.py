@@ -10,8 +10,10 @@ A monic [n/n+2] rational P(s)/Q(s) is fitted simultaneously to
 This yields 2n+2 polynomial equations for the n numerator and n+2
 denominator coefficients.  The large-s equations are affine and are
 eliminated; Levenberg-Marquardt with an exact Jacobian solves the n
-remaining ones from continuation and random starts, and Newton in the n
-numerator unknowns polishes the plausible roots in extended precision.
+remaining ones from continuation and random starts.  A candidate becomes
+a solution only when 50-digit Newton in the n numerator unknowns
+converges from it.  Every solution is thus a confirmed root of the
+reduced system of n quadratics, which has at most 2^n isolated roots.
 The denominator root pair closest to the origin estimates the lowest
 Dirichlet eigenvalue via lambda_1 = Im[s]^2.
 
@@ -39,9 +41,11 @@ RESIDUAL_ACCEPT = 1e-10
 # A pole and a numerator zero closer than this, relative to 1 + |pole|,
 # form a Froissart doublet: a lower-order interpolant in disguise.
 DOUBLET_GAP = 1e-6
-_NEWTON_TOL = 1e-12
-_STEP_TOL = 1e-14
 _DEDUP_TOL = 1e-8
+_POLISH_DPS = 50
+_POLISH_MAX_ITER = 40
+# Largest Re of a pole a physical solution may have.
+_RE_SLACK = 1e-3
 
 
 @dataclass(frozen=True)
@@ -166,29 +170,13 @@ def rational_series(approx: PadeApproximant, direction: str, K: int):
     At infinity the list starts at the 1/s^2 term, whose coefficient is 1
     by monicity, so entry j is the coefficient of 1/s^(j+2).
     """
-    P = approx.numerator()
-    Q = approx.denominator()
+    P = approx.numerator().tolist()
+    Q = approx.denominator().tolist()
     if direction == "zero":
-        if Q[0] == 0:
-            raise DegenerateDenominator("constant denominator term vanishes")
-        d = np.zeros(K + 1)
-        for k in range(K + 1):
-            acc = P[k] if k < len(P) else 0.0
-            for i in range(1, min(k, len(Q) - 1) + 1):
-                acc -= Q[i] * d[k - i]
-            d[k] = acc / Q[0]
-        return d
+        return np.array(_maclaurin(P, Q, K + 1))
     if direction == "infinity":
         # Divide reversed polynomials: P/Q in 1/s starts at (1/s)^2.
-        Pr = P[::-1]
-        Qr = Q[::-1]
-        e = np.zeros(K + 1)
-        for k in range(K + 1):
-            acc = Pr[k] if k < len(Pr) else 0.0
-            for i in range(1, min(k, len(Qr) - 1) + 1):
-                acc -= Qr[i] * e[k - i]
-            e[k] = acc / Qr[0]
-        return e
+        return np.array(_maclaurin(P[::-1], Q[::-1], K + 1))
     raise ValueError("direction must be 'zero' or 'infinity'")
 
 
@@ -251,7 +239,7 @@ def pole_zero_gap(sol: PadeSolution) -> float:
     )
 
 
-def _make_solution(c: LargeSSeries, n: int, x, residual_norm: float) -> PadeSolution:
+def _make_solution(n: int, x, residual_norm: float) -> PadeSolution:
     approx = PadeApproximant(n=n, p=tuple(x[:n]), q=tuple(x[n:]))
     pole_list = poles(approx)
     closest = _closest_complex_pole(pole_list)
@@ -331,7 +319,7 @@ def _large_s_denominator(m_asc, p, top):
     return q
 
 
-def _polish_extended(c: LargeSSeries, n: int, x0, dps: int = 50, max_iter: int = 40):
+def _polish_extended(c: LargeSSeries, n: int, x0):
     """Newton-polish a candidate in extended precision; returns refined doubles or None.
 
     Near the larger orders the Jacobian is poorly conditioned and
@@ -341,22 +329,32 @@ def _polish_extended(c: LargeSSeries, n: int, x0, dps: int = 50, max_iter: int =
     and the exact n x n Jacobian of the odd Maclaurin coefficients.
     Newton is affine-invariant, so these are the iterates of Newton on all
     2n+2 conditions once the affine ones hold.
+
+    Started near a genuine root Newton contracts quadratically, so the
+    residual max |d_odd| falls at every step.  The polish gives up (None)
+    as soon as it does not, which stops runaway LM iterates, whose
+    coefficients grow without bound, within a few steps.
     """
     from mpmath import mp, mpf
 
-    with mp.workdps(dps):
+    with mp.workdps(_POLISH_DPS):
         m_asc = [mpf(v) for v in c.c[: n + 2]][::-1] + [mpf(1)]
         unit = np.identity(n, dtype=object)
         dq = np.array([_large_s_denominator(m_asc, list(e), 0)[:-1] for e in unit], dtype=object).T
         p = [mpf(v) for v in x0[:n]]
+        prev = mp.inf
         try:
             q = _large_s_denominator(m_asc, p, 1)
             d = _maclaurin(p + [1], q, 2 * n)
             x = p + q[:-1]
-            for _ in range(max_iter):
+            for _ in range(_POLISH_MAX_ITER):
                 r = d[1::2]
-                if max(abs(v) for v in r) < mpf(10) ** (-dps + 10):
+                res = max(abs(v) for v in r)
+                if res < mpf(10) ** (-_POLISH_DPS + 10):
                     break
+                if not res < prev:
+                    return None
+                prev = res
                 u = _maclaurin([1], q, 2 * n)
                 J = _small_s_jacobian(
                     np.array(d, dtype=object), np.array(u, dtype=object), unit, dq
@@ -370,9 +368,8 @@ def _polish_extended(c: LargeSSeries, n: int, x0, dps: int = 50, max_iter: int =
                 q = _large_s_denominator(m_asc, p, 1)
                 d = _maclaurin(p + [1], q, 2 * n)
                 x_old, x = x, p + q[:-1]
-                if max(abs(a - b) for a, b in zip(x, x_old)) < mpf(10) ** (-dps + 12) * (
-                    1 + max(abs(v) for v in x)
-                ):
+                step_tol = mpf(10) ** (-_POLISH_DPS + 12) * (1 + max(abs(v) for v in x))
+                if max(abs(a - b) for a, b in zip(x, x_old)) < step_tol:
                     break
             else:
                 return None
@@ -411,7 +408,6 @@ def _continuation_seeds(warm: PadeSolution, n: int):
 
 
 _START_SCALES = (1.0, 10.0, 100.0, 1000.0, 10000.0)
-_POLISH_LIMIT = 12
 
 
 def solve_interpolation(
@@ -427,11 +423,15 @@ def solve_interpolation(
     coefficients) and Levenberg-Marquardt, with the exact Jacobian of
     ``_small_s_jacobian``, runs on the odd small-s conditions from
     continuation seeds and random multistarts over several magnitude
-    scales.  Candidates are clustered, polished in extended precision
-    (``_polish_extended``), kept when the scaled residual norm is below
-    1e-10, deduplicated at relative coefficient distance 1e-8 and ordered
-    by ascending |Re| of the closest complex pole (solutions without one
-    come last).  A fixed seed fixes the starts.
+    scales.  Candidates are clustered at relative distance 1e-3 and every
+    cluster representative is polished in extended precision
+    (``_polish_extended``).  A representative is accepted only when the
+    polish converges and the polished point's scaled residual norm is
+    below ``RESIDUAL_ACCEPT``; accepted roots are deduplicated at relative
+    coefficient distance 1e-8 and ordered by ascending |Re| of the
+    closest complex pole (solutions without one come last).  Every
+    solution is thus a root of the reduced system of n quadratics, which
+    has at most 2^n isolated roots.  A fixed seed fixes the starts.
 
     The LM variable scaling is pinned to unit scale (``x_scale=1.0``): the
     start magnitudes and continuation lifts assume it, and scipy >= 1.16
@@ -513,29 +513,18 @@ def solve_interpolation(
     # best-converged representative of each cluster.
     candidates.sort(key=lambda t: t[1])
     reps = []
-    for x, rn in candidates:
-        if any(np.linalg.norm(x - y) <= 1e-3 * (1.0 + np.linalg.norm(y)) for y, _ in reps):
+    for x, _ in candidates:
+        if any(np.linalg.norm(x - y) <= 1e-3 * (1.0 + np.linalg.norm(y)) for y in reps):
             continue
-        reps.append((x, rn))
+        reps.append(x)
 
-    # Extended-precision polish is costly, so it is spent only on the
-    # physically plausible front: candidates whose poles are stable and
-    # include a complex pair, ordered by |Re| of the nearest pair.
-    def plausibility(x):
-        roots = np.roots(np.concatenate([x[n:], [1.0]])[::-1])
-        cplx = [z for z in roots if z.imag > 1e-8]
-        if not cplx or max(z.real for z in roots) > 1e-2:
-            return math.inf
-        return abs(min(cplx, key=abs).real)
-
-    reps.sort(key=lambda t: plausibility(t[0]))
-
+    # A solution is a representative that the extended-precision Newton
+    # confirms as a root.
     accepted = []
-    for idx, (x, _) in enumerate(reps):
-        if idx < _POLISH_LIMIT:
-            refined = _polish_extended(c, n, x)
-            if refined is not None:
-                x = refined
+    for x in reps:
+        x = _polish_extended(c, n, x)
+        if x is None:
+            continue
         try:
             rnorm = _scaled_norm(residuals(x), x)
         except DegenerateDenominator:
@@ -549,8 +538,10 @@ def solve_interpolation(
             continue
         accepted.append((x, rnorm))
     if not accepted:
-        raise NoSolutionFound(f"no Newton start converged below {RESIDUAL_ACCEPT} at order {n}")
-    solutions = [_make_solution(c, n, x, rnorm) for x, rnorm in accepted]
+        raise NoSolutionFound(
+            f"no candidate polished to a root below {RESIDUAL_ACCEPT} at order {n}"
+        )
+    solutions = [_make_solution(n, x, rnorm) for x, rnorm in accepted]
     solutions.sort(
         key=lambda s: abs(s.closest_pole.real) if s.closest_pole is not None else math.inf
     )
@@ -580,7 +571,7 @@ def ladder(
     return out
 
 
-def select_solution(solutions, re_slack: float = 1e-3) -> PadeSolution:
+def select_solution(solutions) -> PadeSolution:
     """Physical-solution filter: positive tau(0), stable poles, a complex pole pair, no doublet.
 
     A solution is a Froissart doublet, and is rejected, when some
@@ -598,7 +589,7 @@ def select_solution(solutions, re_slack: float = 1e-3) -> PadeSolution:
             continue
         if sol.closest_pole is None:
             continue
-        if any(z.real > re_slack for z in sol.poles):
+        if any(z.real > _RE_SLACK for z in sol.poles):
             continue
         if pole_zero_gap(sol) < DOUBLET_GAP:
             continue

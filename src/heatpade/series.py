@@ -15,8 +15,6 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-_BESSEL_CROSSOVER = 15.0
-
 
 @lru_cache(maxsize=None)
 def _ratio_coeffs_cached(K: int):
@@ -40,60 +38,22 @@ def asymptotic_ratio_coeffs(K: int):
     return list(_ratio_coeffs_cached(K))
 
 
-def _bessel_i_series(order: int, x: float) -> float:
-    # All-positive Maclaurin series; no cancellation, terminate on term size.
-    y = 0.25 * x * x
-    term = 1.0 if order == 0 else 0.5 * x
-    total = term
-    k = 1
-    while True:
-        term *= y / (k * (k + order))
-        total += term
-        if term <= 1e-17 * total:
-            return total
-        k += 1
-        if k > 1000:  # pragma: no cover - unreachable for finite x
-            raise RuntimeError("Bessel series did not terminate")
-
-
-def _bessel_i_asymptotic(order: int, x: float) -> float:
-    # I_nu(x) ~ e^x / sqrt(2 pi x) * sum_k (-1)^k a_k(nu) / x^k with
-    # a_k(nu) = prod_{j=1..k} (4 nu^2 - (2j-1)^2) / (k! 8^k); truncated at
-    # the smallest term (optimal truncation).
-    mu = 4 * order * order
-    term = 1.0
-    total = term
-    prev = math.inf
-    for k in range(1, 40):
-        term *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if abs(term) >= prev:
-            break
-        total += term
-        prev = abs(term)
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * total
-
-
 def bessel_I(order: int, x: float) -> float:
     """Modified Bessel function I0 or I1 for x >= 0."""
     if order not in (0, 1):
         raise ValueError("only orders 0 and 1 are supported")
     if x < 0:
         raise ValueError("argument must be non-negative")
-    if x <= _BESSEL_CROSSOVER:
-        return _bessel_i_series(order, x)
-    return _bessel_i_asymptotic(order, x)
+    return float(special.iv(order, x))
 
 
 def bessel_ratio(x: float) -> float:
-    """I1(x)/I0(x); lies in (0, 1) for x > 0 and increases to 1."""
-    if x == 0.0:
-        return 0.0
-    if x <= _BESSEL_CROSSOVER:
-        return _bessel_i_series(1, x) / _bessel_i_series(0, x)
-    # Beyond the crossover the exponential prefactors cancel exactly.
-    mu_top = _bessel_i_asymptotic(1, x) / (math.exp(x) / math.sqrt(2.0 * math.pi * x))
-    mu_bot = _bessel_i_asymptotic(0, x) / (math.exp(x) / math.sqrt(2.0 * math.pi * x))
-    return mu_top / mu_bot
+    """I1(x)/I0(x); lies in (0, 1) for x > 0 and increases to 1.
+
+    The exponentially scaled functions share the factor e^-x, so the
+    ratio cannot overflow.
+    """
+    return float(special.i1e(x) / special.i0e(x))
 
 
 def j0_zeros(N: int):

@@ -26,9 +26,9 @@ class TestTauDisk:
         assert tau_disk(s) == pytest.approx(series, rel=1e-10)
 
     def test_large_s_decay(self):
-        # tau ~ 1/s^2 - 2/s^3 at large s.
-        s = 200.0
-        assert tau_disk(s) == pytest.approx(1.0 / s**2 - 2.0 / s**3, rel=1e-3)
+        # tau ~ 1/s^2 - 2/s^3 at large s; I0(800) and I1(800) overflow a double.
+        for s in (200.0, 800.0):
+            assert tau_disk(s) == pytest.approx(1.0 / s**2 - 2.0 / s**3, rel=1e-3)
 
     def test_positive_and_decreasing(self):
         ss = np.linspace(0.05, 30.0, 120)
@@ -51,6 +51,8 @@ class TestTauDisk:
 class TestTauDiskLocal:
     def test_boundary_vanishes(self):
         assert tau_disk_local(1.0, 1.0, 1.0) == 0.0
+        # I0(800) overflows a double; the boundary value must not turn into NaN.
+        assert tau_disk_local(800.0, 1.0) == 0.0
 
     def test_center_exceeds_average(self):
         s = 1.0

@@ -14,6 +14,7 @@ from heatpade.geometry import Disk
 from heatpade.heat_content import LargeSSeries, tau_large_s_series
 from heatpade.pade import (
     DOUBLET_GAP,
+    RESIDUAL_ACCEPT,
     PadeApproximant,
     build_residuals,
     _affine_reduction,
@@ -21,6 +22,7 @@ from heatpade.pade import (
     _maclaurin,
     _make_solution,
     _polish_extended,
+    _scaled_norm,
     _small_s_jacobian,
     ladder,
     pole_zero_gap,
@@ -41,6 +43,17 @@ def disk_series():
 @pytest.fixture(scope="module")
 def disk_ladder(disk_series):
     return ladder(disk_series, 3, seed=0, n_multistart=120)
+
+
+@pytest.fixture(scope="module")
+def disk_solution_sets(disk_series):
+    """Every solution at n = 1..3, each order warm-started from the selection below it."""
+    out, warm = [], None
+    for n in range(1, 4):
+        sols = solve_interpolation(disk_series, n, seed=0, n_multistart=120, warm_start=warm)
+        warm = select_solution(sols)
+        out.append(sols)
+    return out
 
 
 class TestBuildResiduals:
@@ -191,13 +204,13 @@ class TestSelection:
 
     def test_lambda1_extraction(self):
         lam = 5.783186
-        sol = _make_solution(None, 0, np.array([lam, 0.0]), 0.0)
+        sol = _make_solution(0, np.array([lam, 0.0]), 0.0)
         assert sol.lambda1 == pytest.approx(lam, rel=1e-12)
         assert sol.lambda1 == sol.closest_pole.imag**2
         assert abs(sol.closest_pole) ** 2 == pytest.approx(lam, rel=1e-12)
 
     def test_no_complex_pole(self):
-        sol = _make_solution(None, 0, np.array([-1.0, 0.0]), 0.0)  # roots +-1, real
+        sol = _make_solution(0, np.array([-1.0, 0.0]), 0.0)  # roots +-1, real
         assert sol.closest_pole is None
         assert sol.lambda1 is None
         with pytest.raises(NoSolutionFound):
@@ -251,6 +264,56 @@ class TestExactDerivatives:
             x = np.array(p + q[:-1], dtype=object)
             large = build_residuals(disk_series, n)(x)[: n + 2]
             assert max(abs(v) for v in large) < mpf(10) ** -40 * (1 + max(abs(v) for v in x))
+
+    def test_polish_confirms_every_solution(self, disk_series, disk_solution_sets):
+        # The reduced system is n quadratics in n unknowns: at most 2^n
+        # isolated roots (Bezout).  Every solution must be one the
+        # extended-precision Newton confirms, so polishing it again
+        # returns it unchanged.
+        for n, sols in enumerate(disk_solution_sets, start=1):
+            assert 1 <= len(sols) <= 2**n
+            for sol in sols:
+                x = np.array(sol.approximant.p + sol.approximant.q)
+                assert np.array_equal(_polish_extended(disk_series, n, x), x)
+
+    def test_polish_rejects_runaway_quickly(self, disk_series, monkeypatch):
+        import scipy.optimize
+        from mpmath import mp
+
+        # Collect the end points of the LM runs of an n = 2 solve.
+        x_p, N = _affine_reduction(disk_series, 2)
+        ends = []
+        lm = scipy.optimize.least_squares
+
+        def recording_lm(*args, **kwargs):
+            fit = lm(*args, **kwargs)
+            ends.append(x_p + N @ fit.x)
+            return fit
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", recording_lm)
+        solve_interpolation(disk_series, 2, seed=0, n_multistart=20)
+        res = build_residuals(disk_series, 2)
+        # Runaways: coefficients grown without bound while the residual,
+        # scaled by 1 + ||x||, passes the acceptance tolerance.
+        runaways = [
+            x
+            for x in ends
+            if np.linalg.norm(x) > 1e12 and _scaled_norm(res(x), x) < RESIDUAL_ACCEPT
+        ]
+        assert runaways
+
+        lu_solve = type(mp).lu_solve
+        calls = []
+
+        def counting_lu_solve(ctx, *args, **kwargs):
+            calls.append(1)
+            return lu_solve(ctx, *args, **kwargs)
+
+        monkeypatch.setattr(type(mp), "lu_solve", counting_lu_solve)
+        for x in runaways:
+            calls.clear()
+            assert _polish_extended(disk_series, 2, x) is None
+            assert 1 <= len(calls) <= 10
 
     def test_polish_returns_the_row(self, disk_series, disk_ladder):
         sol = select_solution(
