@@ -8,12 +8,13 @@ A monic [n/n+2] rational P(s)/Q(s) is fitted simultaneously to
   d_1, d_3, ..., d_(2n-1) must vanish.
 
 This yields 2n+2 polynomial equations for the n numerator and n+2
-denominator coefficients.  The large-s equations are affine and are
-eliminated; Levenberg-Marquardt with an exact Jacobian solves the n
-remaining ones from continuation and random starts.  A candidate becomes
-a solution only when 50-digit Newton in the n numerator unknowns
-converges from it.  Every solution is thus a confirmed root of the
-reduced system of n quadratics, which has at most 2^n isolated roots.
+denominator coefficients.  The large-s equations fix the denominator as
+an affine function q = b + T p of the numerator, which leaves n
+equations in the n numerator unknowns p.  Levenberg-Marquardt with an
+exact Jacobian solves them from continuation and random starts, and a
+candidate becomes a solution only when 50-digit Newton on the same
+system converges from it.  Every solution is thus a confirmed root of
+the reduced system of n quadratics, which has at most 2^n isolated roots.
 The denominator root pair closest to the origin estimates the lowest
 Dirichlet eigenvalue via lambda_1 = Im[s]^2.
 
@@ -92,8 +93,6 @@ def build_residuals(c: LargeSSeries, n: int):
     n+2 .. 2n+3 (the top degree cancels by monicity).  The small-s
     conditions are the odd Maclaurin coefficients d_1, d_3, ..., d_(2n-1)
     of P/Q, obtained by recursive division (q0 must stay nonzero).
-    The map is polynomial/rational in the unknowns and complex-safe, so a
-    complex-step Jacobian is exact to machine precision.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -270,36 +269,6 @@ def _scaled_norm(r, x):
     return float(np.linalg.norm(r) / (1.0 + np.linalg.norm(x)))
 
 
-def _affine_reduction(c: LargeSSeries, n: int):
-    """Eliminate the large-s conditions, which are affine in the unknowns.
-
-    Returns (x_particular, nullspace) such that x = x_p + N y satisfies
-    the n+2 large-s matching conditions identically for every y in R^n;
-    the Newton iteration then runs on the n odd-coefficient conditions
-    only.
-    """
-    dim = 2 * n + 2
-    m_asc = np.concatenate([[1.0], np.asarray(c.c[: n + 2])])[::-1].copy()
-
-    def large(x):
-        p_full = np.concatenate([x[:n], [1.0]])
-        q_full = np.concatenate([x[n:], [1.0]])
-        shifted = np.concatenate([np.zeros(n + 4), p_full])
-        F = shifted - np.convolve(q_full, m_asc)
-        return F[n + 2 : 2 * n + 4]
-
-    b = -large(np.zeros(dim))
-    A = np.empty((n + 2, dim))
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        A[:, i] = large(e) + b
-    x_p, *_ = np.linalg.lstsq(A, b, rcond=None)
-    _, _, Vt = np.linalg.svd(A)
-    nullspace = Vt[n + 2 :].T
-    return x_p, nullspace
-
-
 def _large_s_denominator(m_asc, p, top):
     """Denominator q_0..q_(n+2) fixed by the large-s conditions for numerator p_0..p_(n-1).
 
@@ -319,16 +288,45 @@ def _large_s_denominator(m_asc, p, top):
     return q
 
 
+def _reduced_system(c: LargeSSeries, n: int, num):
+    """The n small-s conditions in the numerator unknowns p, in ``num`` arithmetic.
+
+    ``num`` is ``float`` or mpmath's ``mpf`` (then built and called under
+    the working precision).  The large-s conditions fix q = b + T p
+    (``_large_s_denominator``); T is built once from the unit vectors.
+    Returns ``at(p)`` -> (q, d), with q including the leading 1 and d the
+    Maclaurin coefficients d_0..d_(2n-1) of P/Q, whose odd entries are the
+    residual, and ``jac(q, d)`` -> the exact n x n Jacobian of those odd
+    entries in p (``_small_s_jacobian`` with dp = I and dq = T).  ``p`` is
+    a list of ``num`` values.
+    """
+    dtype = float if num is float else object
+    one = num(1)
+    m_asc = [num(v) for v in c.c[: n + 2]][::-1] + [one]
+    unit = np.identity(n, dtype=dtype)
+    T = np.array([_large_s_denominator(m_asc, e, 0)[:-1] for e in unit.tolist()], dtype=dtype).T
+
+    def at(p):
+        q = _large_s_denominator(m_asc, p, one)
+        return q, _maclaurin(p + [one], q, 2 * n)
+
+    def jac(q, d):
+        u = _maclaurin([one], q, 2 * n)
+        return _small_s_jacobian(np.array(d, dtype=dtype), np.array(u, dtype=dtype), unit, T)
+
+    return at, jac
+
+
 def _polish_extended(c: LargeSSeries, n: int, x0):
     """Newton-polish a candidate in extended precision; returns refined doubles or None.
 
     Near the larger orders the Jacobian is poorly conditioned and
     double-precision iterations stall at a noise plateau around the true
-    solution; a few 50-digit Newton steps settle it.  Newton runs in the n
-    numerator unknowns p, with q = b + T p fixed by the large-s conditions
-    and the exact n x n Jacobian of the odd Maclaurin coefficients.
-    Newton is affine-invariant, so these are the iterates of Newton on all
-    2n+2 conditions once the affine ones hold.
+    solution; a few 50-digit Newton steps settle it.  Newton runs on the
+    ``_reduced_system`` in the n numerator unknowns p of ``x0``, with
+    q = b + T p fixed by the large-s conditions.  Newton is
+    affine-invariant, so these are the iterates of Newton on all 2n+2
+    conditions once the affine ones hold.
 
     Started near a genuine root Newton contracts quadratically, so the
     residual max |d_odd| falls at every step.  The polish gives up (None)
@@ -338,14 +336,11 @@ def _polish_extended(c: LargeSSeries, n: int, x0):
     from mpmath import mp, mpf
 
     with mp.workdps(_POLISH_DPS):
-        m_asc = [mpf(v) for v in c.c[: n + 2]][::-1] + [mpf(1)]
-        unit = np.identity(n, dtype=object)
-        dq = np.array([_large_s_denominator(m_asc, list(e), 0)[:-1] for e in unit], dtype=object).T
+        at, jac = _reduced_system(c, n, mpf)
         p = [mpf(v) for v in x0[:n]]
         prev = mp.inf
         try:
-            q = _large_s_denominator(m_asc, p, 1)
-            d = _maclaurin(p + [1], q, 2 * n)
+            q, d = at(p)
             x = p + q[:-1]
             for _ in range(_POLISH_MAX_ITER):
                 r = d[1::2]
@@ -355,18 +350,13 @@ def _polish_extended(c: LargeSSeries, n: int, x0):
                 if not res < prev:
                     return None
                 prev = res
-                u = _maclaurin([1], q, 2 * n)
-                J = _small_s_jacobian(
-                    np.array(d, dtype=object), np.array(u, dtype=object), unit, dq
-                )
                 try:
-                    step = mp.lu_solve(mp.matrix(J.tolist()), mp.matrix([-v for v in r]))
+                    step = mp.lu_solve(mp.matrix(jac(q, d).tolist()), mp.matrix([-v for v in r]))
                 except (ZeroDivisionError, TypeError):
                     # mpmath signals a singular pivot either way.
                     return None
                 p = [pi + si for pi, si in zip(p, step)]
-                q = _large_s_denominator(m_asc, p, 1)
-                d = _maclaurin(p + [1], q, 2 * n)
+                q, d = at(p)
                 x_old, x = x, p + q[:-1]
                 step_tol = mpf(10) ** (-_POLISH_DPS + 12) * (1 + max(abs(v) for v in x))
                 if max(abs(a - b) for a, b in zip(x, x_old)) < step_tol:
@@ -378,33 +368,21 @@ def _polish_extended(c: LargeSSeries, n: int, x0):
         return np.array([float(v) for v in x])
 
 
-def _continuation_seeds(warm: PadeSolution, n: int):
-    """Lift an order n-1 solution to order n by multiplying P and Q by linear factors.
+def _continuation_seeds(warm: PadeSolution):
+    """Numerators p of an order n-1 solution lifted to order n: P(s) (s + a) on a grid of a.
 
     The accepted solutions gain one extra real denominator root roughly at
     the depth of the outermost existing pole, nearly cancelled by a new
-    numerator zero, so the lift factors (s + a) for P and (s + b) for Q
-    are placed on a grid scaled by the warm solution's pole magnitudes,
-    including asymmetric a != b combinations.
+    numerator zero, so the factors a are scaled by the warm solution's
+    largest pole magnitude.  Only P is lifted: the large-s conditions fix
+    the denominator from it.
     """
-    seeds = []
-    P_old = warm.approximant.numerator()
-    Q_old = warm.approximant.denominator()
-    pmax = max((abs(z) for z in warm.poles), default=1.0)
-    pmax = max(pmax, 1e-3)
-
-    def lift(a, b):
-        P_new = np.convolve(P_old, [a, 1.0])
-        Q_new = np.convolve(Q_old, [b, 1.0])
-        seeds.append(np.concatenate([P_new[:-1][:n], Q_new[:-1]]))
-
-    for f in (0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.1, 1.25, 1.5, 2.0):
-        lift(f * pmax, f * pmax)
-    for fa in (0.5, 0.75, 1.0, 1.1, 1.25):
-        for fb in (0.5, 0.75, 1.0, 1.1, 1.25):
-            if fa != fb:
-                lift(fa * pmax, fb * pmax)
-    return seeds
+    P = warm.approximant.numerator()
+    pmax = max(max((abs(z) for z in warm.poles), default=1.0), 1e-3)
+    return [
+        np.convolve(P, [f * pmax, 1.0])[:-1]
+        for f in (0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.1, 1.25, 1.5, 2.0)
+    ]
 
 
 _START_SCALES = (1.0, 10.0, 100.0, 1000.0, 10000.0)
@@ -414,24 +392,24 @@ def solve_interpolation(
     c: LargeSSeries,
     n: int,
     seed: int = 0,
-    n_multistart: int = 300,
+    n_multistart: int = 200,
     warm_start: PadeSolution | None = None,
 ):
     """All distinct real interpolants found from continuation and random starts.
 
-    The large-s conditions are eliminated exactly (they are affine in the
-    coefficients) and Levenberg-Marquardt, with the exact Jacobian of
-    ``_small_s_jacobian``, runs on the odd small-s conditions from
-    continuation seeds and random multistarts over several magnitude
-    scales.  Candidates are clustered at relative distance 1e-3 and every
-    cluster representative is polished in extended precision
-    (``_polish_extended``).  A representative is accepted only when the
-    polish converges and the polished point's scaled residual norm is
-    below ``RESIDUAL_ACCEPT``; accepted roots are deduplicated at relative
-    coefficient distance 1e-8 and ordered by ascending |Re| of the
-    closest complex pole (solutions without one come last).  Every
-    solution is thus a root of the reduced system of n quadratics, which
-    has at most 2^n isolated roots.  A fixed seed fixes the starts.
+    Levenberg-Marquardt, with the exact Jacobian, solves the
+    ``_reduced_system`` in the n numerator unknowns p (the large-s
+    conditions fix the denominator) from continuation seeds and random
+    multistarts over several magnitude scales.  Candidates are clustered
+    at relative distance 1e-3 and every cluster representative is
+    polished in extended precision (``_polish_extended``).  A
+    representative is accepted only when the polish converges and the
+    polished point's scaled residual norm is below ``RESIDUAL_ACCEPT``;
+    accepted roots are deduplicated at relative coefficient distance 1e-8
+    and ordered by ascending |Re| of the closest complex pole (solutions
+    without one come last).  Every solution is thus a root of the reduced
+    system of n quadratics, which has at most 2^n isolated roots.  A fixed
+    seed fixes the starts.
 
     The LM variable scaling is pinned to unit scale (``x_scale=1.0``): the
     start magnitudes and continuation lifts assume it, and scipy >= 1.16
@@ -441,58 +419,45 @@ def solve_interpolation(
     from scipy.optimize import least_squares
 
     residuals = build_residuals(c, n)
-    x_p, nullspace = _affine_reduction(c, n)
+    at, jac = _reduced_system(c, n, float)
 
-    # The reduced map needs only the small-s rows: x_p + N y satisfies the
-    # large-s rows identically.
-    def small_s(y):
-        """(q, d_0..d_(2n-1)) at x_p + N y, or None where the residual is not finite."""
-        with np.errstate(over="raise", invalid="raise"):
-            try:
-                x = (x_p + nullspace @ y).tolist()
-            except FloatingPointError:
-                return None
-        q = x[n:] + [1.0]
+    def finite_at(p):
+        """(q, d) at p, or None where they are not finite."""
         try:
-            d = _maclaurin(x[:n] + [1.0], q, 2 * n)
+            q, d = at(p.tolist())
         except DegenerateDenominator:
             return None
         # An overflow anywhere in the division shows in d_(2n-1).
-        return (q, d) if math.isfinite(d[-1]) else None
+        return (q, d) if math.isfinite(d[-1]) and all(map(math.isfinite, q)) else None
 
-    def reduced(y):
-        at = small_s(y)
-        return np.full(n, 1e6) if at is None else np.array(at[1][1::2])
+    def reduced(p):
+        qd = finite_at(p)
+        return np.full(n, 1e6) if qd is None else np.array(qd[1][1::2])
 
-    # Exact Jacobian in y; zero where the residual is the constant fill or
-    # the Jacobian overflows.
-    def reduced_jac(y):
-        at = small_s(y)
-        if at is None:
+    # Zero where the residual is the constant fill or the Jacobian overflows.
+    def reduced_jac(p):
+        qd = finite_at(p)
+        if qd is None:
             return np.zeros((n, n))
-        q, d = at
         with np.errstate(all="ignore"):
-            J = _small_s_jacobian(
-                np.array(d), np.array(_maclaurin([1.0], q, 2 * n)), nullspace[:n], nullspace[n:]
-            )
+            J = jac(*qd)
         return J if np.isfinite(J).all() else np.zeros((n, n))
 
     rng = np.random.default_rng(seed)
     seeds = []
     if warm_start is not None and warm_start.n == n - 1:
-        for x0 in _continuation_seeds(warm_start, n):
-            seeds.append(nullspace.T @ (x0 - x_p))
+        seeds.extend(_continuation_seeds(warm_start))
     per_scale = max(n_multistart // len(_START_SCALES), 1)
     for scale in _START_SCALES:
         for _ in range(per_scale):
             seeds.append(scale * rng.normal(size=n))
 
     candidates = []
-    for y0 in seeds:
+    for p0 in seeds:
         # Unit scaling as the starts assume; scipy >= 1.16 defaults "lm" to 'jac'.
         fit = least_squares(
             reduced,
-            y0,
+            p0,
             jac=reduced_jac,
             method="lm",
             x_scale=1.0,
@@ -501,8 +466,9 @@ def solve_interpolation(
             gtol=1e-15,
             max_nfev=1500,
         )
-        x = x_p + nullspace @ fit.x
+        p = fit.x.tolist()
         try:
+            x = np.array(p + at(p)[0][:-1])
             r = residuals(x)
         except DegenerateDenominator:
             continue

@@ -17,13 +17,11 @@ from heatpade.pade import (
     RESIDUAL_ACCEPT,
     PadeApproximant,
     build_residuals,
-    _affine_reduction,
     _large_s_denominator,
-    _maclaurin,
     _make_solution,
     _polish_extended,
+    _reduced_system,
     _scaled_norm,
-    _small_s_jacobian,
     ladder,
     pole_zero_gap,
     poles,
@@ -166,6 +164,12 @@ class TestSolveInterpolation:
         ims = [sol.closest_pole.imag for sol in disk_ladder]
         assert all(b > a for a, b in zip(ims, ims[1:]))
 
+    @pytest.mark.parametrize("seed", range(1, 5))
+    def test_selection_is_seed_independent(self, disk_series, disk_ladder, seed):
+        rows = ladder(disk_series, 3, seed=seed, n_multistart=120)
+        for got, ref in zip(rows, disk_ladder):
+            assert got.lambda1 == pytest.approx(ref.lambda1, rel=1e-12)
+
     def test_re_shrinks_with_order(self, disk_ladder):
         res = [abs(sol.closest_pole.real) for sol in disk_ladder]
         assert res[2] < res[1]
@@ -226,31 +230,45 @@ class TestExactDerivatives:
         # leaves neither truncation nor rounding error in double precision.
         from mpmath import mp, mpf
 
-        x_p, N = _affine_reduction(disk_series, n)
+        at, jac = _reduced_system(disk_series, n, float)
         rng = np.random.default_rng(n)
         for _ in range(3):
-            y = rng.normal(size=n)
-            x = (x_p + N @ y).tolist()
-            q = x[n:] + [1.0]
-            d = _maclaurin(x[:n] + [1.0], q, 2 * n)
-            J = _small_s_jacobian(np.array(d), np.array(_maclaurin([1.0], q, 2 * n)), N[:n], N[n:])
+            p = rng.normal(size=n).tolist()
+            J = jac(*at(p))
             assert J.shape == (n, n)
             with mp.workdps(40):
+                at_mp, _ = _reduced_system(disk_series, n, mpf)
                 h = mpf(10) ** -15
-
-                def odd(yy):
-                    xx = [
-                        mpf(a) + sum(mpf(N[i, j]) * yy[j] for j in range(n))
-                        for i, a in enumerate(x_p)
-                    ]
-                    return _maclaurin(xx[:n] + [1], xx[n:] + [1], 2 * n)[1::2]
-
-                ym = [mpf(v) for v in y]
+                pm = [mpf(v) for v in p]
                 for j in range(n):
-                    up = odd([v + h if i == j else v for i, v in enumerate(ym)])
-                    down = odd([v - h if i == j else v for i, v in enumerate(ym)])
+                    up = at_mp([v + h if i == j else v for i, v in enumerate(pm)])[1][1::2]
+                    down = at_mp([v - h if i == j else v for i, v in enumerate(pm)])[1][1::2]
                     fd = np.array([float((a - b) / (2 * h)) for a, b in zip(up, down)])
                     assert np.allclose(J[:, j], fd, rtol=1e-8, atol=1e-8 * np.max(np.abs(fd)))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_reduced_system_float_matches_mpf(self, disk_series, n):
+        # One formulation serves both stages: the double-precision system
+        # the LM solves is the 50-digit one the polish solves, rounded.
+        from mpmath import mp, mpf
+
+        at, jac = _reduced_system(disk_series, n, float)
+        rng = np.random.default_rng(100 + n)
+        for scale in (1.0, 100.0):
+            p = (scale * rng.normal(size=n)).tolist()
+            q, d = at(p)
+            with mp.workdps(50):
+                at_mp, jac_mp = _reduced_system(disk_series, n, mpf)
+                q_mp, d_mp = at_mp([mpf(v) for v in p])
+                pairs = [
+                    (q, q_mp),
+                    (d, d_mp),
+                    (jac(q, d).ravel(), jac_mp(q_mp, d_mp).ravel()),
+                ]
+            for got, ref in pairs:
+                ref = np.array([float(v) for v in ref])
+                assert len(got) == len(ref)
+                assert np.max(np.abs(np.array(got) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_large_s_denominator_is_exact(self, disk_series, n):
@@ -280,14 +298,15 @@ class TestExactDerivatives:
         import scipy.optimize
         from mpmath import mp
 
-        # Collect the end points of the LM runs of an n = 2 solve.
-        x_p, N = _affine_reduction(disk_series, 2)
+        # Collect the end points x = p + q(p) of the LM runs of an n = 2 solve.
+        at, _ = _reduced_system(disk_series, 2, float)
         ends = []
         lm = scipy.optimize.least_squares
 
         def recording_lm(*args, **kwargs):
             fit = lm(*args, **kwargs)
-            ends.append(x_p + N @ fit.x)
+            p = fit.x.tolist()
+            ends.append(np.array(p + at(p)[0][:-1]))
             return fit
 
         monkeypatch.setattr(scipy.optimize, "least_squares", recording_lm)
