@@ -18,12 +18,10 @@ from heatpade.series import j0_zeros, maclaurin_tau_disk
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n-max", type=int, default=7)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--multistarts", type=int, default=200)
     args = ap.parse_args()
 
     c = tau_large_s_series(Disk(), args.n_max + 2)
-    sols = ladder(c, args.n_max, seed=args.seed, n_multistart=args.multistarts)
+    sols = ladder(c, args.n_max)
 
     print(f"{'order':>8} {'d0':>10} {'d2':>10} {'d4':>10} {'d6':>12} {'Im[s]':>8} {'Re[s]':>10}")
     for sol in sols:

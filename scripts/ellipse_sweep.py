@@ -19,8 +19,6 @@ def main():
     ap.add_argument("--eps", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8")
     ap.add_argument("--n", default="3,4")
     ap.add_argument("--b", type=float, default=1.0)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--multistarts", type=int, default=150)
     args = ap.parse_args()
 
     eps_list = [float(v) for v in args.eps.split(",")]
@@ -34,7 +32,7 @@ def main():
         lam = {}
         for mode in ExpansionMode:
             c = tau_large_s_series(curve, max(n_list) + 2, mode)
-            sols = ladder(c, max(n_list), seed=args.seed, n_multistart=args.multistarts)
+            sols = ladder(c, max(n_list))
             lam[mode] = {s.n: s.lambda1 for s in sols}
         for n in n_list:
             a = lam[ExpansionMode.CURVATURE_APPROX][n]

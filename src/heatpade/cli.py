@@ -31,7 +31,7 @@ from .heat_content import (
     tau_large_s_series,
 )
 from .mc_oracle import McConfig, simulate_survival
-from .pade import ladder
+from .pade import ladder, select_solution, solve_interpolation
 from .series import j0_zeros, maclaurin_tau_disk
 
 
@@ -176,7 +176,7 @@ def cmd_tau(args):
 def cmd_pade(args):
     curve = _load_curve(args)
     c = tau_large_s_series(curve, args.n + 2, args.mode)
-    sol = ladder(c, args.n, seed=args.seed, n_multistart=args.multistarts)[-1]
+    sol = select_solution(solve_interpolation(c, args.n))
     manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)))
     _write_json(args.out, manifest, {"solution": _solution_record(sol)})
     return 0
@@ -185,7 +185,7 @@ def cmd_pade(args):
 def cmd_lambda1(args):
     curve = _load_curve(args)
     c = tau_large_s_series(curve, args.n_max + 2, args.mode)
-    sols = ladder(c, args.n_max, seed=args.seed, n_multistart=args.multistarts)
+    sols = ladder(c, args.n_max)
     rows = [
         (sol.n, sol.closest_pole.imag, sol.closest_pole.real, sol.lambda1) for sol in sols
     ]
@@ -195,15 +195,11 @@ def cmd_lambda1(args):
 
 
 def _sweep_cell(task):
-    b, eps, n_list, mode, seed, multistarts = task
+    b, eps, n_list, mode = task
     curve = Disk(R=b) if eps == 0.0 else curve_from_json({"kind": "ellipse", "b": b, "eps": eps})
     c = tau_large_s_series(curve, max(n_list) + 2, mode)
-    sols = ladder(c, max(n_list), seed=seed, n_multistart=multistarts)
-    return [
-        (eps, sol.n, sol.lambda1, sol.closest_pole.imag, sol.closest_pole.real)
-        for sol in sols
-        if sol.n in n_list
-    ]
+    sols = [select_solution(solve_interpolation(c, n)) for n in n_list]
+    return [(eps, sol.n, sol.lambda1, sol.closest_pole.imag, sol.closest_pole.real) for sol in sols]
 
 
 def _worker_cap(n_cells):
@@ -222,7 +218,7 @@ def cmd_sweep(args):
     mode = ExpansionMode(args.mode)
     if mode is ExpansionMode.SAVO_EXACT and max(n_list) > 4:
         raise UnsupportedOrder("exact-coefficient mode supports n <= 4 (series order n+2 <= 6)")
-    tasks = [(args.b, e, n_list, mode.value, args.seed, args.multistarts) for e in eps_list]
+    tasks = [(args.b, e, n_list, mode.value) for e in eps_list]
     workers = _worker_cap(len(tasks))
     if workers == 1:
         results = [_sweep_cell(t) for t in tasks]
@@ -237,7 +233,7 @@ def cmd_sweep(args):
 
 def cmd_table1(args):
     c = tau_large_s_series(Disk(), args.n_max + 2)
-    sols = ladder(c, args.n_max, seed=args.seed, n_multistart=args.multistarts)
+    sols = ladder(c, args.n_max)
     rows = []
     for sol in sols:
         d = sol.small_s_coeffs
@@ -290,28 +286,20 @@ def build_parser():
     p.add_argument("--shape", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("curvature", "savo"), default="curvature")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--multistarts", type=int, default=200)
 
     p = add("lambda1", cmd_lambda1, "pole trajectory and lambda_1 estimates for n = 1..N")
     p.add_argument("--shape", required=True)
     p.add_argument("--n-max", type=int, default=4)
     p.add_argument("--mode", choices=("curvature", "savo"), default="curvature")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--multistarts", type=int, default=200)
 
     p = add("sweep", cmd_sweep, "lambda_1 over an ellipse eccentricity grid")
     p.add_argument("--eps", required=True, help="comma-separated eccentricities")
     p.add_argument("--n", required=True, help="comma-separated orders")
     p.add_argument("--b", type=float, default=1.0, help="minor semiaxis")
     p.add_argument("--mode", choices=("curvature", "savo"), default="curvature")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--multistarts", type=int, default=200)
 
     p = add("table1", cmd_table1, "disk small-s coefficients and pole imaginary parts by order")
     p.add_argument("--n-max", type=int, default=4)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--multistarts", type=int, default=200)
 
     p = add("mc", cmd_mc, "Monte-Carlo survival curve")
     p.add_argument("--shape", required=True)

@@ -10,13 +10,13 @@ A monic [n/n+2] rational P(s)/Q(s) is fitted simultaneously to
 This yields 2n+2 polynomial equations for the n numerator and n+2
 denominator coefficients.  The large-s equations fix the denominator as
 an affine function q = b + T p of the numerator, which leaves n
-equations in the n numerator unknowns p.  Levenberg-Marquardt with an
-exact Jacobian solves them from continuation and random starts, and a
-candidate becomes a solution only when 50-digit Newton on the same
-system converges from it.  Every solution is thus a confirmed root of
-the reduced system of n quadratics, which has at most 2^n isolated roots.
-The denominator root pair closest to the origin estimates the lowest
-Dirichlet eigenvalue via lambda_1 = Im[s]^2.
+equations in the n numerator unknowns p.  Cleared of division they are
+n quadratics, with at most 2^n isolated roots, and a total-degree
+homotopy tracks one path to each of them, with no randomness and no
+starting guess.  A real endpoint becomes a solution only when 50-digit
+Newton on the reduced system converges from it.  The denominator root
+pair closest to the origin estimates the lowest Dirichlet eigenvalue via
+lambda_1 = Im[s]^2.
 
 A moment-truncation estimator (Prony-type, by Gauss quadrature) recovering
 (lambda_j, gamma_j^2) pairs from the even Maclaurin coefficients is also
@@ -25,6 +25,7 @@ provided.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +48,17 @@ _POLISH_DPS = 50
 _POLISH_MAX_ITER = 40
 # Largest Re of a pole a physical solution may have.
 _RE_SLACK = 1e-3
+# Total-degree homotopy (``_homotopy_endpoints``).  Only finitely many
+# phases of gamma let a path pass through a singular point for t < 1; a
+# fixed gamma away from the real axis makes the tracking reproducible.
+_GAMMA = 0.6 + 0.8j
+_MAX_STEP = 0.05
+_MIN_STEP = 1e-14
+_CORRECTOR_STEPS = 3
+_CORRECTOR_TOL = 1e-8
+_AT_INFINITY = 1e12
+# Endpoints this close to real, relative to 1 + |p|, are polished.
+_REAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -330,8 +342,9 @@ def _polish_extended(c: LargeSSeries, n: int, x0):
 
     Started near a genuine root Newton contracts quadratically, so the
     residual max |d_odd| falls at every step.  The polish gives up (None)
-    as soon as it does not, which stops runaway LM iterates, whose
-    coefficients grow without bound, within a few steps.
+    as soon as it does not, which stops a start far from every root, such
+    as a point whose coefficients have run off towards infinity, within a
+    few steps.
     """
     from mpmath import mp, mpf
 
@@ -368,24 +381,100 @@ def _polish_extended(c: LargeSSeries, n: int, x0):
         return np.array([float(v) for v in x])
 
 
-def _continuation_seeds(warm: PadeSolution):
-    """Numerators p of an order n-1 solution lifted to order n: P(s) (s + a) on a grid of a.
+def _division_free_system(c: LargeSSeries, n: int):
+    """F(p) and its Jacobian in p, batched over rows of complex numerators p_0..p_(n-1).
 
-    The accepted solutions gain one extra real denominator root roughly at
-    the depth of the outermost existing pole, nearly cancelled by a new
-    numerator zero, so the factors a are scaled by the warm solution's
-    largest pole magnitude.  Only P is lifted: the large-s conditions fix
-    the denominator from it.
+    F is the odd coefficients 1, 3, ..., 2n-1 of P(s) Q(-s), with
+    q = b + T p from ``_large_s_denominator``.  Since
+    P(s)/Q(s) - P(-s)/Q(-s) = 2 odd(P(s) Q(-s)) / (Q(s) Q(-s)), F vanishes
+    exactly where the small-s conditions hold, as long as q0 != 0; unlike
+    d_odd it has no division, so it is n quadratics in p.  Returns
+    ``at(p)`` -> (F, J) for p of shape (paths, n).
     """
-    P = warm.approximant.numerator()
-    pmax = max(max((abs(z) for z in warm.poles), default=1.0), 1e-3)
-    return [
-        np.convolve(P, [f * pmax, 1.0])[:-1]
-        for f in (0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.1, 1.25, 1.5, 2.0)
-    ]
+    m_asc = [float(v) for v in c.c[: n + 2]][::-1] + [1.0]
+    sign = (-1.0) ** np.arange(n + 3)
+    # Coefficients of Q(-s) = b' + T' p, of degrees 0..n+2.
+    b = sign * np.array(_large_s_denominator(m_asc, [0.0] * n, 1.0))
+    T = sign[:, None] * np.array(
+        [_large_s_denominator(m_asc, e, 0.0) for e in np.identity(n).tolist()]
+    ).T
+
+    def at(p):
+        Q = b + p @ T.T
+        R = np.zeros((len(p), 2 * n + 3), dtype=complex)
+        J = np.zeros((len(p), 2 * n + 3, n), dtype=complex)
+        for i in range(n):
+            R[:, i : i + n + 3] += p[:, i : i + 1] * Q
+            J[:, i : i + n + 3] += p[:, i, None, None] * T
+            J[:, i : i + n + 3, i] += Q
+        # The monic term s^n of P.
+        R[:, n:] += Q
+        J[:, n:] += T
+        return R[:, 1 : 2 * n : 2], J[:, 1 : 2 * n : 2]
+
+    return at
 
 
-_START_SCALES = (1.0, 10.0, 100.0, 1000.0, 10000.0)
+def _homotopy_endpoints(c: LargeSSeries, n: int):
+    """Finite roots of ``_division_free_system``, one per path of a total-degree homotopy.
+
+    The 2^n paths of H = (1 - t) gamma (p_i^2 - 1) + t F(p) start at
+    (+-1, ..., +-1) at t = 0.  With the complex gamma of Morgan's trick
+    every path is regular for t < 1, so the paths reach every isolated
+    root of F at t = 1 (A. Morgan, "Solving Polynomial Systems Using
+    Continuation", 1987).  All paths advance together: an Euler predictor
+    and ``_CORRECTOR_STEPS`` Newton steps, each a batched
+    ``np.linalg.solve``.  A step succeeds when the last Newton correction
+    is within ``_CORRECTOR_TOL`` of 1 + |p|; each path's step then grows
+    by 1.5 up to ``_MAX_STEP``, and halves on failure.  A path whose |p|
+    passes ``_AT_INFINITY`` goes to a root at infinity and is dropped.
+    ``NoSolutionFound`` is raised when a path's step falls below
+    ``_MIN_STEP`` short of that, or when two endpoints coincide within
+    ``_DEDUP_TOL``, which means a path jumped to another: the root set
+    would be incomplete.  Returns the endpoints, shape (roots, n).
+    """
+    at = _division_free_system(c, n)
+    p = np.array(list(itertools.product((1.0, -1.0), repeat=n)), dtype=complex)
+    t = np.zeros(len(p))
+    h = np.full(len(p), _MAX_STEP)
+    live = np.ones(len(p), dtype=bool)
+    diag = np.identity(n)
+
+    def homotopy(p, t):
+        """H, dH/dp and dH/dt at each row of p."""
+        F, J = at(p)
+        G = _GAMMA * (p**2 - 1.0)
+        s = t[:, None]
+        dG = (_GAMMA * 2.0 * p)[:, :, None] * diag
+        return (1.0 - s) * G + s * F, (1.0 - s)[:, :, None] * dG + s[:, :, None] * J, F - G
+
+    while live.any():
+        k = np.flatnonzero(live)
+        dt = np.minimum(h[k], 1.0 - t[k])
+        with np.errstate(all="ignore"):
+            _, Hp, Ht = homotopy(p[k], t[k])
+            x = p[k] - dt[:, None] * np.linalg.solve(Hp, Ht[..., None])[..., 0]
+            for _ in range(_CORRECTOR_STEPS):
+                H, Hp, _ = homotopy(x, t[k] + dt)
+                dx = np.linalg.solve(Hp, H[..., None])[..., 0]
+                x = x - dx
+            size = np.linalg.norm(x, axis=1)
+            ok = np.isfinite(size) & (np.linalg.norm(dx, axis=1) <= _CORRECTOR_TOL * (1.0 + size))
+        p[k[ok]] = x[ok]
+        t[k[ok]] += dt[ok]
+        h[k] = np.where(ok, np.minimum(1.5 * h[k], _MAX_STEP), 0.5 * h[k])
+        infinite = np.linalg.norm(p[k], axis=1) > _AT_INFINITY
+        if np.any((h[k] < _MIN_STEP) & ~infinite):
+            raise NoSolutionFound(f"a homotopy path stalled at a finite point at order {n}")
+        live[k[infinite | (t[k] >= 1.0)]] = False
+
+    ends = p[t >= 1.0]
+    size = 1.0 + np.linalg.norm(ends, axis=1)
+    for i in range(len(ends) - 1):
+        gap = np.linalg.norm(ends[i + 1 :] - ends[i], axis=1)
+        if np.any(gap <= _DEDUP_TOL * np.maximum(size[i + 1 :], size[i])):
+            raise NoSolutionFound(f"two homotopy paths ended at the same root at order {n}")
+    return ends
 
 
 def solve_interpolation(
@@ -395,100 +484,28 @@ def solve_interpolation(
     n_multistart: int = 200,
     warm_start: PadeSolution | None = None,
 ):
-    """All distinct real interpolants found from continuation and random starts.
+    """Every real interpolant of order n, from all roots of the reduced system.
 
-    Levenberg-Marquardt, with the exact Jacobian, solves the
-    ``_reduced_system`` in the n numerator unknowns p (the large-s
-    conditions fix the denominator) from continuation seeds and random
-    multistarts over several magnitude scales.  Candidates are clustered
-    at relative distance 1e-3 and every cluster representative is
-    polished in extended precision (``_polish_extended``).  A
-    representative is accepted only when the polish converges and the
-    polished point's scaled residual norm is below ``RESIDUAL_ACCEPT``;
-    accepted roots are deduplicated at relative coefficient distance 1e-8
-    and ordered by ascending |Re| of the closest complex pole (solutions
-    without one come last).  Every solution is thus a root of the reduced
-    system of n quadratics, which has at most 2^n isolated roots.  A fixed
-    seed fixes the starts.
+    The reduced system is n quadratics in the n numerator unknowns p (the
+    large-s conditions fix the denominator), so it has at most 2^n
+    isolated roots, and ``_homotopy_endpoints`` finds all of them.  Each
+    endpoint with |Im p| below ``_REAL_TOL`` (1 + |p|) is polished in
+    extended precision (``_polish_extended``) and accepted only when the
+    polish converges and the polished point's scaled residual norm is
+    below ``RESIDUAL_ACCEPT``.  Accepted roots are deduplicated at
+    relative coefficient distance 1e-8 and ordered by ascending |Re| of
+    the closest complex pole (solutions without one come last).
 
-    The LM variable scaling is pinned to unit scale (``x_scale=1.0``): the
-    start magnitudes and continuation lifts assume it, and scipy >= 1.16
-    changed the ``"lm"`` default to the adaptive ``'jac'`` scaling, under
-    which the n = 7 disk solve misses the physical root.
+    The search has no randomness and no starting guess: ``seed``,
+    ``n_multistart`` and ``warm_start`` are accepted for compatibility and
+    have no effect.
     """
-    from scipy.optimize import least_squares
-
     residuals = build_residuals(c, n)
-    at, jac = _reduced_system(c, n, float)
-
-    def finite_at(p):
-        """(q, d) at p, or None where they are not finite."""
-        try:
-            q, d = at(p.tolist())
-        except DegenerateDenominator:
-            return None
-        # An overflow anywhere in the division shows in d_(2n-1).
-        return (q, d) if math.isfinite(d[-1]) and all(map(math.isfinite, q)) else None
-
-    def reduced(p):
-        qd = finite_at(p)
-        return np.full(n, 1e6) if qd is None else np.array(qd[1][1::2])
-
-    # Zero where the residual is the constant fill or the Jacobian overflows.
-    def reduced_jac(p):
-        qd = finite_at(p)
-        if qd is None:
-            return np.zeros((n, n))
-        with np.errstate(all="ignore"):
-            J = jac(*qd)
-        return J if np.isfinite(J).all() else np.zeros((n, n))
-
-    rng = np.random.default_rng(seed)
-    seeds = []
-    if warm_start is not None and warm_start.n == n - 1:
-        seeds.extend(_continuation_seeds(warm_start))
-    per_scale = max(n_multistart // len(_START_SCALES), 1)
-    for scale in _START_SCALES:
-        for _ in range(per_scale):
-            seeds.append(scale * rng.normal(size=n))
-
-    candidates = []
-    for p0 in seeds:
-        # Unit scaling as the starts assume; scipy >= 1.16 defaults "lm" to 'jac'.
-        fit = least_squares(
-            reduced,
-            p0,
-            jac=reduced_jac,
-            method="lm",
-            x_scale=1.0,
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-            max_nfev=1500,
-        )
-        p = fit.x.tolist()
-        try:
-            x = np.array(p + at(p)[0][:-1])
-            r = residuals(x)
-        except DegenerateDenominator:
-            continue
-        if _scaled_norm(r, x) < 1e-8:
-            candidates.append((x, float(np.linalg.norm(r))))
-
-    # Cluster double-precision noise copies of the same root; keep the
-    # best-converged representative of each cluster.
-    candidates.sort(key=lambda t: t[1])
-    reps = []
-    for x, _ in candidates:
-        if any(np.linalg.norm(x - y) <= 1e-3 * (1.0 + np.linalg.norm(y)) for y in reps):
-            continue
-        reps.append(x)
-
-    # A solution is a representative that the extended-precision Newton
-    # confirms as a root.
+    ends = _homotopy_endpoints(c, n)
+    real = np.abs(ends.imag).max(axis=1) <= _REAL_TOL * (1.0 + np.linalg.norm(ends, axis=1))
     accepted = []
-    for x in reps:
-        x = _polish_extended(c, n, x)
+    for p in ends[real].real:
+        x = _polish_extended(c, n, p)
         if x is None:
             continue
         try:
@@ -504,9 +521,7 @@ def solve_interpolation(
             continue
         accepted.append((x, rnorm))
     if not accepted:
-        raise NoSolutionFound(
-            f"no candidate polished to a root below {RESIDUAL_ACCEPT} at order {n}"
-        )
+        raise NoSolutionFound(f"no real root polished to below {RESIDUAL_ACCEPT} at order {n}")
     solutions = [_make_solution(n, x, rnorm) for x, rnorm in accepted]
     solutions.sort(
         key=lambda s: abs(s.closest_pole.real) if s.closest_pole is not None else math.inf
@@ -520,22 +535,14 @@ def ladder(
     seed: int = 0,
     n_multistart: int = 200,
 ):
-    """Selected physical solution at each order n = 1..n_max, warm-starting upward.
+    """Selected physical solution at each order n = 1..n_max.
 
-    Continuation from the accepted order n-1 solution is what keeps the
-    solver on the physical branch at the larger orders, so the ladder is
-    always climbed from the bottom even when only the top order is wanted.
+    Each order is solved on its own, since ``solve_interpolation`` finds
+    every root; ``seed`` and ``n_multistart`` have no effect.
     """
     if n_max < 1:
         raise ValueError("order must be >= 1")
-    out = []
-    warm = None
-    for n in range(1, n_max + 1):
-        sols = solve_interpolation(c, n, seed=seed, n_multistart=n_multistart, warm_start=warm)
-        warm = select_solution(sols)
-        out.append(warm)
-    return out
-
+    return [select_solution(solve_interpolation(c, n)) for n in range(1, n_max + 1)]
 
 def select_solution(solutions) -> PadeSolution:
     """Physical-solution filter: positive tau(0), stable poles, a complex pole pair, no doublet.

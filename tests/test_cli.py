@@ -66,7 +66,7 @@ class TestSurvivalAndTau:
 class TestPadeAndLambda1:
     def test_pade_solution_json(self, tmp_path):
         out = tmp_path / "sol.json"
-        code = main(["pade", "--shape", DISK, "--n", "1", "--multistarts", "60", "--out", str(out)])
+        code = main(["pade", "--shape", DISK, "--n", "1", "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
         sol = doc["solution"]
@@ -78,7 +78,7 @@ class TestPadeAndLambda1:
     def test_lambda1_ladder(self, tmp_path):
         out = tmp_path / "lam.csv"
         code = main(
-            ["lambda1", "--shape", DISK, "--n-max", "2", "--multistarts", "60", "--out", str(out)]
+            ["lambda1", "--shape", DISK, "--n-max", "2", "--out", str(out)]
         )
         assert code == 0
         _, header, rows = read_csv(out)
@@ -94,7 +94,7 @@ class TestSweep:
         lam_out = tmp_path / "lam.csv"
         assert (
             main(
-                ["sweep", "--eps", "0", "--n", "2", "--multistarts", "60", "--out", str(sweep_out)]
+                ["sweep", "--eps", "0", "--n", "2", "--out", str(sweep_out)]
             )
             == 0
         )
@@ -106,8 +106,6 @@ class TestSweep:
                     DISK,
                     "--n-max",
                     "2",
-                    "--multistarts",
-                    "60",
                     "--out",
                     str(lam_out),
                 ]
@@ -122,7 +120,7 @@ class TestSweep:
         monkeypatch.setenv("HEATPADE_THREADS", "1")
         out = tmp_path / "sweep.csv"
         code = main(
-            ["sweep", "--eps", "0.3,0.1", "--n", "2,1", "--multistarts", "60", "--out", str(out)]
+            ["sweep", "--eps", "0.3,0.1", "--n", "2,1", "--out", str(out)]
         )
         assert code == 0
         _, _, rows = read_csv(out)
@@ -143,7 +141,7 @@ class TestSweep:
 class TestTable1:
     def test_first_row(self, tmp_path):
         out = tmp_path / "t1.csv"
-        assert main(["table1", "--n-max", "1", "--multistarts", "60", "--out", str(out)]) == 0
+        assert main(["table1", "--n-max", "1", "--out", str(out)]) == 0
         _, header, rows = read_csv(out)
         assert header == ["pade", "d0", "d2", "d4", "d6", "im_s"]
         assert rows[0][0] == "[1/3]"

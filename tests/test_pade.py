@@ -5,18 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatpade import pade
 from heatpade.errors import (
     DegenerateDenominator,
     IllConditioned,
     NoSolutionFound,
 )
-from heatpade.geometry import Disk
-from heatpade.heat_content import LargeSSeries, tau_large_s_series
+from heatpade.geometry import Disk, Ellipse
+from heatpade.heat_content import ExpansionMode, LargeSSeries, tau_large_s_series
 from heatpade.pade import (
     DOUBLET_GAP,
     RESIDUAL_ACCEPT,
     PadeApproximant,
     build_residuals,
+    _division_free_system,
+    _homotopy_endpoints,
     _large_s_denominator,
     _make_solution,
     _polish_extended,
@@ -40,18 +43,13 @@ def disk_series():
 
 @pytest.fixture(scope="module")
 def disk_ladder(disk_series):
-    return ladder(disk_series, 3, seed=0, n_multistart=120)
+    return ladder(disk_series, 3)
 
 
 @pytest.fixture(scope="module")
 def disk_solution_sets(disk_series):
-    """Every solution at n = 1..3, each order warm-started from the selection below it."""
-    out, warm = [], None
-    for n in range(1, 4):
-        sols = solve_interpolation(disk_series, n, seed=0, n_multistart=120, warm_start=warm)
-        warm = select_solution(sols)
-        out.append(sols)
-    return out
+    """Every solution at n = 1..3."""
+    return [solve_interpolation(disk_series, n) for n in range(1, 4)]
 
 
 class TestBuildResiduals:
@@ -141,22 +139,35 @@ class TestSolveInterpolation:
         assert sol.closest_pole.imag == pytest.approx(1.756, rel=1e-2)
 
     def test_ordering_and_acceptance(self, disk_series):
-        sols = solve_interpolation(disk_series, 2, seed=0, n_multistart=100)
+        sols = solve_interpolation(disk_series, 2)
         res = [abs(s.closest_pole.real) if s.closest_pole else math.inf for s in sols]
         assert res == sorted(res)
         assert all(s.residual_norm < 1e-10 for s in sols)
 
-    def test_deterministic(self, disk_series):
-        a = solve_interpolation(disk_series, 2, seed=3, n_multistart=60)
-        b = solve_interpolation(disk_series, 2, seed=3, n_multistart=60)
-        assert [s.approximant for s in a] == [s.approximant for s in b]
+    def test_deterministic(self):
+        # The case where the former random multistart gave a different
+        # solution set from run to run.
+        c = tau_large_s_series(Ellipse(b=1.0, eps=0.4), 6, ExpansionMode.SAVO_EXACT)
+        runs = [
+            solve_interpolation(c, 4),
+            solve_interpolation(c, 4),
+            solve_interpolation(c, 4, seed=0, n_multistart=200),
+            solve_interpolation(c, 4, seed=42, n_multistart=120),
+        ]
+
+        def bits(sols):
+            return [[v.hex() for v in s.approximant.p + s.approximant.q] for s in sols]
+
+        assert len(runs[0]) == 4
+        for sols in runs[1:]:
+            assert bits(sols) == bits(runs[0])
 
     def test_scale_covariance(self):
         # Poles for R=2 are exactly half the R=1 poles.
         c2 = tau_large_s_series(Disk(R=2.0), 5)
         c1 = tau_large_s_series(Disk(R=1.0), 5)
-        s1 = select_solution(solve_interpolation(c1, 2, seed=0, n_multistart=80))
-        s2 = select_solution(solve_interpolation(c2, 2, seed=0, n_multistart=80))
+        s1 = select_solution(solve_interpolation(c1, 2))
+        s2 = select_solution(solve_interpolation(c2, 2))
         assert s2.closest_pole == pytest.approx(s1.closest_pole / 2.0, rel=1e-9)
         assert s2.lambda1 == pytest.approx(s1.lambda1 / 4.0, rel=1e-9)
 
@@ -166,9 +177,9 @@ class TestSolveInterpolation:
 
     @pytest.mark.parametrize("seed", range(1, 5))
     def test_selection_is_seed_independent(self, disk_series, disk_ladder, seed):
+        # seed and n_multistart are accepted and have no effect.
         rows = ladder(disk_series, 3, seed=seed, n_multistart=120)
-        for got, ref in zip(rows, disk_ladder):
-            assert got.lambda1 == pytest.approx(ref.lambda1, rel=1e-12)
+        assert [r.approximant for r in rows] == [r.approximant for r in disk_ladder]
 
     def test_re_shrinks_with_order(self, disk_ladder):
         res = [abs(sol.closest_pole.real) for sol in disk_ladder]
@@ -177,7 +188,7 @@ class TestSolveInterpolation:
 
 class TestSelection:
     def test_physical_filter(self, disk_series):
-        sols = solve_interpolation(disk_series, 2, seed=0, n_multistart=100)
+        sols = solve_interpolation(disk_series, 2)
         chosen = select_solution(sols)
         assert chosen.approximant.p[0] > 0
         assert chosen.approximant.q[0] > 0
@@ -295,31 +306,24 @@ class TestExactDerivatives:
                 assert np.array_equal(_polish_extended(disk_series, n, x), x)
 
     def test_polish_rejects_runaway_quickly(self, disk_series, monkeypatch):
-        import scipy.optimize
         from mpmath import mp
 
-        # Collect the end points x = p + q(p) of the LM runs of an n = 2 solve.
+        # Numerators p where a local least-squares solve of the n = 2 disk
+        # system ended after its coefficients ran away.
         at, _ = _reduced_system(disk_series, 2, float)
-        ends = []
-        lm = scipy.optimize.least_squares
-
-        def recording_lm(*args, **kwargs):
-            fit = lm(*args, **kwargs)
-            p = fit.x.tolist()
-            ends.append(np.array(p + at(p)[0][:-1]))
-            return fit
-
-        monkeypatch.setattr(scipy.optimize, "least_squares", recording_lm)
-        solve_interpolation(disk_series, 2, seed=0, n_multistart=20)
-        res = build_residuals(disk_series, 2)
+        runaways = []
+        for p in (
+            ("-0x1.8954edd430df8p+49", "-0x1.22b608834c230p+49"),
+            ("-0x1.2c68fd45d1f46p+51", "-0x1.bc10c94d187c1p+50"),
+            ("-0x1.5947d8f91dfa2p+49", "-0x1.fe64a288d0bf6p+48"),
+        ):
+            p = [float.fromhex(v) for v in p]
+            runaways.append(np.array(p + at(p)[0][:-1]))
         # Runaways: coefficients grown without bound while the residual,
         # scaled by 1 + ||x||, passes the acceptance tolerance.
-        runaways = [
-            x
-            for x in ends
-            if np.linalg.norm(x) > 1e12 and _scaled_norm(res(x), x) < RESIDUAL_ACCEPT
-        ]
-        assert runaways
+        res = build_residuals(disk_series, 2)
+        for x in runaways:
+            assert np.linalg.norm(x) > 1e12 and _scaled_norm(res(x), x) < RESIDUAL_ACCEPT
 
         lu_solve = type(mp).lu_solve
         calls = []
@@ -334,14 +338,79 @@ class TestExactDerivatives:
             assert _polish_extended(disk_series, 2, x) is None
             assert 1 <= len(calls) <= 10
 
-    def test_polish_returns_the_row(self, disk_series, disk_ladder):
-        sol = select_solution(
-            solve_interpolation(disk_series, 4, seed=0, n_multistart=40, warm_start=disk_ladder[2])
-        )
+    def test_polish_returns_the_row(self, disk_series):
+        sol = select_solution(solve_interpolation(disk_series, 4))
         assert sol.closest_pole.imag == pytest.approx(2.1775, rel=1e-4)
         x = np.array(sol.approximant.p + sol.approximant.q)
         start = x * (1.0 + 1e-6 * np.random.default_rng(0).normal(size=x.size))
         assert np.array_equal(_polish_extended(disk_series, 4, start), x)
+
+
+class TestHomotopy:
+    @pytest.mark.parametrize("n, n_real", [(1, 2), (2, 2), (3, 2), (4, 4), (5, 4), (6, 8)])
+    def test_every_path_ends_at_a_distinct_root(self, disk_series, n, n_real):
+        ends = _homotopy_endpoints(disk_series, n)
+        assert ends.shape == (2**n, n)
+        assert np.isfinite(ends).all()
+        size = 1.0 + np.linalg.norm(ends, axis=1)
+        gap = np.linalg.norm(ends[:, None] - ends[None], axis=2) / np.maximum.outer(size, size)
+        assert np.min(gap + np.identity(len(ends))) > 1e-3
+        real = np.abs(ends.imag).max(axis=1) <= 1e-6 * size
+        assert real.sum() == n_real
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_system_vanishes_at_every_solution(self, disk_series, n):
+        at = _division_free_system(disk_series, n)
+        for sol in solve_interpolation(disk_series, n):
+            p, q = np.array(sol.approximant.p), np.array(sol.approximant.q)
+            F, _ = at(p[None].astype(complex))
+            assert np.linalg.norm(F) <= 1e-10 * (1.0 + np.linalg.norm(p)) * (1.0 + np.linalg.norm(q))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_jacobian_matches_central_differences(self, disk_series, n):
+        at = _division_free_system(disk_series, n)
+        rng = np.random.default_rng(n)
+        p = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        _, J = at(p)
+        h = 1e-6
+        for j in range(n):
+            e = h * np.identity(n)[j]
+            fd = (at(p + e)[0] - at(p - e)[0]) / (2 * h)
+            assert np.allclose(J[:, :, j], fd, rtol=1e-7, atol=1e-7 * np.max(np.abs(fd)))
+
+    def test_stalled_path_raises(self, disk_series, monkeypatch):
+        # No corrector step can pass, so every step size collapses short of t = 1.
+        monkeypatch.setattr(pade, "_CORRECTOR_TOL", -1.0)
+        with pytest.raises(NoSolutionFound):
+            solve_interpolation(disk_series, 2)
+
+    def test_path_past_the_bound_goes_to_infinity(self, disk_series, monkeypatch):
+        monkeypatch.setattr(pade, "_AT_INFINITY", 10.0)
+        ends = _homotopy_endpoints(disk_series, 3)
+        assert 0 < len(ends) < 8
+        assert np.all(np.linalg.norm(ends, axis=1) <= 10.0)
+
+    def test_solver_does_not_load_scipy_optimize(self):
+        import os
+        import subprocess
+        import sys
+
+        import heatpade
+
+        code = (
+            "import sys\n"
+            "from heatpade.geometry import Disk\n"
+            "from heatpade.heat_content import tau_large_s_series\n"
+            "from heatpade.pade import ladder\n"
+            "ladder(tau_large_s_series(Disk(), 4), 2)\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(heatpade.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 def _doublet(sol, a):
