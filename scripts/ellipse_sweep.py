@@ -2,15 +2,16 @@
 """Lowest-eigenvalue estimates across ellipse eccentricities in both coefficient modes.
 
 Emits CSV rows (eps, n, lambda1_curvature, lambda1_exact, rel_gap) for the
-requested orders; the exact-coefficient mode is limited to n <= 4 because
-the closed-form boundary coefficients stop at order six.
+requested orders; the exact-coefficient mode is limited to
+n <= SAVO_MAX_ORDER - 2 because the closed-form boundary coefficients stop
+at order SAVO_MAX_ORDER.
 """
 
 import argparse
 import sys
 
 from heatpade.geometry import Ellipse
-from heatpade.heat_content import ExpansionMode, tau_large_s_series
+from heatpade.heat_content import SAVO_MAX_ORDER, ExpansionMode, tau_large_s_series
 from heatpade.pade import ladder
 
 
@@ -23,8 +24,8 @@ def main():
 
     eps_list = [float(v) for v in args.eps.split(",")]
     n_list = sorted(int(v) for v in args.n.split(","))
-    if max(n_list) > 4:
-        sys.exit("exact-coefficient mode requires n <= 4")
+    if max(n_list) > SAVO_MAX_ORDER - 2:
+        sys.exit(f"exact-coefficient mode requires n <= {SAVO_MAX_ORDER - 2}")
 
     print("eps,n,lambda1_curvature,lambda1_exact,rel_gap")
     for eps in eps_list:

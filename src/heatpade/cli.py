@@ -23,6 +23,7 @@ from .disk_exact import survival_disk, tau_disk
 from .errors import HeatPadeError, UnsupportedOrder
 from .geometry import Disk, curve_from_json, curve_to_json
 from .heat_content import (
+    SAVO_MAX_ORDER,
     ExpansionMode,
     sigma_curvature,
     sigma_savo,
@@ -127,7 +128,7 @@ def cmd_coeffs(args):
     curve = _load_curve(args)
     rows = []
     for j in range(1, args.j_max + 1):
-        exact = sigma_savo(curve, j) if j <= 6 else None
+        exact = sigma_savo(curve, j) if j <= SAVO_MAX_ORDER else None
         rows.append((j, sigma_curvature(curve, j), exact))
     manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)))
     _write_csv(args.out, manifest, ["j", "sigma_curvature", "sigma_exact"], rows)
@@ -216,8 +217,11 @@ def cmd_sweep(args):
     if any(n < 1 for n in n_list):
         raise UsageError("orders must be >= 1")
     mode = ExpansionMode(args.mode)
-    if mode is ExpansionMode.SAVO_EXACT and max(n_list) > 4:
-        raise UnsupportedOrder("exact-coefficient mode supports n <= 4 (series order n+2 <= 6)")
+    if mode is ExpansionMode.SAVO_EXACT and max(n_list) > SAVO_MAX_ORDER - 2:
+        raise UnsupportedOrder(
+            f"exact-coefficient mode supports n <= {SAVO_MAX_ORDER - 2}"
+            f" (series order n+2 <= {SAVO_MAX_ORDER})"
+        )
     tasks = [(args.b, e, n_list, mode.value) for e in eps_list]
     workers = _worker_cap(len(tasks))
     if workers == 1:

@@ -22,7 +22,7 @@ class DegenerateDenominator(HeatPadeError):
 
 
 class NoSolutionFound(HeatPadeError):
-    """No candidate polished to a root, or no root passed the physical filter."""
+    """No root was real, no real root polished to a root, or none passed the physical filter."""
 
 
 class IllConditioned(HeatPadeError):

@@ -4,8 +4,8 @@ Two coefficient families are provided for a star-shaped domain:
 
 * the local-curvature approximation, available at any order j as a
   boundary integral of k^(j-1) weighted by an exact rational prefactor;
-* the exact coefficients up to order 6, which additionally involve
-  arc-length derivatives of the curvature at orders 5 and 6.
+* the exact coefficients up to order ``SAVO_MAX_ORDER`` (6), which at
+  orders 5 and 6 also involve arc-length derivatives of the curvature.
 
 Both feed the large-s coefficient list c_j = Gamma(j/2 + 1) sigma_j
 consumed by the rational-interpolation solver.  Half-integer Gamma values
@@ -26,6 +26,8 @@ from .geometry import BoundaryCurve
 from .series import asymptotic_ratio_coeffs
 
 SQRT_PI = math.sqrt(math.pi)
+# Highest order of the exact ("savo") coefficients.
+SAVO_MAX_ORDER = 6
 
 
 class ExpansionMode(Enum):
@@ -60,8 +62,10 @@ class SmallTimeExpansion:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", tuple(float(s) for s in self.sigma))
-        if self.mode is ExpansionMode.SAVO_EXACT and len(self.sigma) > 6:
-            raise UnsupportedOrder("exact coefficients are available only up to order 6")
+        if self.mode is ExpansionMode.SAVO_EXACT and len(self.sigma) > SAVO_MAX_ORDER:
+            raise UnsupportedOrder(
+                f"exact coefficients are available only up to order {SAVO_MAX_ORDER}"
+            )
 
 
 @dataclass(frozen=True)
@@ -99,9 +103,9 @@ def sigma_curvature(curve: BoundaryCurve, j: int) -> float:
 
 
 def sigma_savo(curve: BoundaryCurve, j: int) -> float:
-    """Exact coefficient for 1 <= j <= 6; orders 5 and 6 carry curvature-derivative terms."""
-    if not 1 <= j <= 6:
-        raise UnsupportedOrder(f"exact coefficients stop at order 6, got {j}")
+    """Exact coefficient for 1 <= j <= SAVO_MAX_ORDER; orders 5, 6 add curvature-derivative terms."""
+    if not 1 <= j <= SAVO_MAX_ORDER:
+        raise UnsupportedOrder(f"exact coefficients stop at order {SAVO_MAX_ORDER}, got {j}")
     if j <= 4:
         return sigma_curvature(curve, j)
     measures = geometry.arc_measures(curve)
@@ -117,8 +121,8 @@ def small_time_expansion(curve: BoundaryCurve, J: int, mode=ExpansionMode.CURVAT
     """sigma_1..sigma_J for a curve in the requested mode."""
     mode = ExpansionMode(mode)
     if mode is ExpansionMode.SAVO_EXACT:
-        if J > 6:
-            raise UnsupportedOrder("exact coefficients stop at order 6")
+        if J > SAVO_MAX_ORDER:
+            raise UnsupportedOrder(f"exact coefficients stop at order {SAVO_MAX_ORDER}")
         sigma = [sigma_savo(curve, j) for j in range(1, J + 1)]
     else:
         sigma = [sigma_curvature(curve, j) for j in range(1, J + 1)]
@@ -150,8 +154,8 @@ def tau_large_s_series(curve: BoundaryCurve, J: int, mode=ExpansionMode.CURVATUR
     """
     mode = ExpansionMode(mode)
     if mode is ExpansionMode.SAVO_EXACT:
-        if J > 6:
-            raise UnsupportedOrder("exact coefficients stop at order 6")
+        if J > SAVO_MAX_ORDER:
+            raise UnsupportedOrder(f"exact coefficients stop at order {SAVO_MAX_ORDER}")
         return LargeSSeries.from_sigma(small_time_expansion(curve, J, mode))
     measures = geometry.arc_measures(curve)
     a = asymptotic_ratio_coeffs(J - 1)

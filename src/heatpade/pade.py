@@ -14,9 +14,9 @@ equations in the n numerator unknowns p.  Cleared of division they are
 n quadratics, with at most 2^n isolated roots, and a total-degree
 homotopy tracks one path to each of them, with no randomness and no
 starting guess.  A real endpoint becomes a solution only when 50-digit
-Newton on the reduced system converges from it.  The denominator root
-pair closest to the origin estimates the lowest Dirichlet eigenvalue via
-lambda_1 = Im[s]^2.
+Newton on the same quadratics converges from it within 8 steps.  The
+denominator root pair closest to the origin estimates the lowest
+Dirichlet eigenvalue via lambda_1 = Im[s]^2.
 
 A moment-truncation estimator (Prony-type, by Gauss quadrature) recovering
 (lambda_j, gamma_j^2) pairs from the even Maclaurin coefficients is also
@@ -45,7 +45,11 @@ RESIDUAL_ACCEPT = 1e-10
 DOUBLET_GAP = 1e-6
 _DEDUP_TOL = 1e-8
 _POLISH_DPS = 50
-_POLISH_MAX_ITER = 40
+# F is quadratic, so Newton from a point whose coefficients ran off
+# towards infinity roughly halves p at each step and its residual keeps
+# falling: only this cap stops it.  From a double-precision endpoint
+# quadratic convergence reaches 50 digits in at most 4 steps.
+_POLISH_MAX_ITER = 8
 # Largest Re of a pole a physical solution may have.
 _RE_SLACK = 1e-3
 # Total-degree homotopy (``_homotopy_endpoints``).  Only finitely many
@@ -145,34 +149,6 @@ def _maclaurin(p, q, K):
             acc = acc - q[i] * d[k - i]
         d.append(acc / q[0])
     return d
-
-
-def _lower_toeplitz(a):
-    """Lower-triangular Toeplitz matrix T(a) of a series: (T(a) b)_k = sum_(j<=k) a_(k-j) b_j."""
-    K = len(a)
-    T = np.zeros((K, K), dtype=a.dtype)
-    for j in range(K):
-        T[j:, j] = a[: K - j]
-    return T
-
-
-def _small_s_jacobian(d, u, dp, dq):
-    """Exact Jacobian of the odd Maclaurin coefficients d_1, d_3, ..., d_(2n-1) of P/Q.
-
-    ``d`` and ``u`` hold the first 2n Maclaurin coefficients of P/Q and of
-    1/Q; ``dp`` (n rows) and ``dq`` (n+2 rows) are the derivatives of
-    p_0..p_(n-1) and q_0..q_(n+1) with respect to the unknowns.  From
-    Q D = P (mod s^2n), dD = U (dP - D dQ), so the Jacobian is the odd
-    rows of T(u) (E_p dp - T(d) E_q dq), where E_p and E_q place the
-    coefficient rows at their degrees; degrees from 2n up drop out.
-    Float arrays and object arrays of mpmath numbers both work.
-    """
-    K = len(d)
-    m = min(K, len(dq))
-    V = np.zeros((K, dp.shape[1]), dtype=dq.dtype)
-    V[: len(dp)] = dp
-    V = V - _lower_toeplitz(d)[:, :m] @ dq[:m]
-    return _lower_toeplitz(u)[1::2] @ V
 
 
 def rational_series(approx: PadeApproximant, direction: str, K: int):
@@ -300,109 +276,31 @@ def _large_s_denominator(m_asc, p, top):
     return q
 
 
-def _reduced_system(c: LargeSSeries, n: int, num):
-    """The n small-s conditions in the numerator unknowns p, in ``num`` arithmetic.
-
-    ``num`` is ``float`` or mpmath's ``mpf`` (then built and called under
-    the working precision).  The large-s conditions fix q = b + T p
-    (``_large_s_denominator``); T is built once from the unit vectors.
-    Returns ``at(p)`` -> (q, d), with q including the leading 1 and d the
-    Maclaurin coefficients d_0..d_(2n-1) of P/Q, whose odd entries are the
-    residual, and ``jac(q, d)`` -> the exact n x n Jacobian of those odd
-    entries in p (``_small_s_jacobian`` with dp = I and dq = T).  ``p`` is
-    a list of ``num`` values.
-    """
-    dtype = float if num is float else object
-    one = num(1)
-    m_asc = [num(v) for v in c.c[: n + 2]][::-1] + [one]
-    unit = np.identity(n, dtype=dtype)
-    T = np.array([_large_s_denominator(m_asc, e, 0)[:-1] for e in unit.tolist()], dtype=dtype).T
-
-    def at(p):
-        q = _large_s_denominator(m_asc, p, one)
-        return q, _maclaurin(p + [one], q, 2 * n)
-
-    def jac(q, d):
-        u = _maclaurin([one], q, 2 * n)
-        return _small_s_jacobian(np.array(d, dtype=dtype), np.array(u, dtype=dtype), unit, T)
-
-    return at, jac
-
-
-def _polish_extended(c: LargeSSeries, n: int, x0):
-    """Newton-polish a candidate in extended precision; returns refined doubles or None.
-
-    Near the larger orders the Jacobian is poorly conditioned and
-    double-precision iterations stall at a noise plateau around the true
-    solution; a few 50-digit Newton steps settle it.  Newton runs on the
-    ``_reduced_system`` in the n numerator unknowns p of ``x0``, with
-    q = b + T p fixed by the large-s conditions.  Newton is
-    affine-invariant, so these are the iterates of Newton on all 2n+2
-    conditions once the affine ones hold.
-
-    Started near a genuine root Newton contracts quadratically, so the
-    residual max |d_odd| falls at every step.  The polish gives up (None)
-    as soon as it does not, which stops a start far from every root, such
-    as a point whose coefficients have run off towards infinity, within a
-    few steps.
-    """
-    from mpmath import mp, mpf
-
-    with mp.workdps(_POLISH_DPS):
-        at, jac = _reduced_system(c, n, mpf)
-        p = [mpf(v) for v in x0[:n]]
-        prev = mp.inf
-        try:
-            q, d = at(p)
-            x = p + q[:-1]
-            for _ in range(_POLISH_MAX_ITER):
-                r = d[1::2]
-                res = max(abs(v) for v in r)
-                if res < mpf(10) ** (-_POLISH_DPS + 10):
-                    break
-                if not res < prev:
-                    return None
-                prev = res
-                try:
-                    step = mp.lu_solve(mp.matrix(jac(q, d).tolist()), mp.matrix([-v for v in r]))
-                except (ZeroDivisionError, TypeError):
-                    # mpmath signals a singular pivot either way.
-                    return None
-                p = [pi + si for pi, si in zip(p, step)]
-                q, d = at(p)
-                x_old, x = x, p + q[:-1]
-                step_tol = mpf(10) ** (-_POLISH_DPS + 12) * (1 + max(abs(v) for v in x))
-                if max(abs(a - b) for a, b in zip(x, x_old)) < step_tol:
-                    break
-            else:
-                return None
-        except (DegenerateDenominator, OverflowError):
-            return None
-        return np.array([float(v) for v in x])
-
-
-def _division_free_system(c: LargeSSeries, n: int):
-    """F(p) and its Jacobian in p, batched over rows of complex numerators p_0..p_(n-1).
+def _division_free_system(c: LargeSSeries, n: int, num=float):
+    """F(p) and its Jacobian in p, batched over rows of numerators p_0..p_(n-1).
 
     F is the odd coefficients 1, 3, ..., 2n-1 of P(s) Q(-s), with
     q = b + T p from ``_large_s_denominator``.  Since
     P(s)/Q(s) - P(-s)/Q(-s) = 2 odd(P(s) Q(-s)) / (Q(s) Q(-s)), F vanishes
     exactly where the small-s conditions hold, as long as q0 != 0; unlike
-    d_odd it has no division, so it is n quadratics in p.  Returns
-    ``at(p)`` -> (F, J) for p of shape (paths, n).
+    d_odd it has no division, so it is n quadratics in p.  ``num`` is
+    ``float``, for complex rows, or mpmath's ``mpf``, for object arrays
+    (then built and called under the working precision).  Returns
+    ``at(p)`` -> (F, J) for p of shape (rows, n).
     """
-    m_asc = [float(v) for v in c.c[: n + 2]][::-1] + [1.0]
+    dtype = complex if num is float else object
+    zero, one = num(0), num(1)
+    m_asc = [num(v) for v in c.c[: n + 2]][::-1] + [one]
     sign = (-1.0) ** np.arange(n + 3)
+    unit = [[one if i == j else zero for i in range(n)] for j in range(n)]
     # Coefficients of Q(-s) = b' + T' p, of degrees 0..n+2.
-    b = sign * np.array(_large_s_denominator(m_asc, [0.0] * n, 1.0))
-    T = sign[:, None] * np.array(
-        [_large_s_denominator(m_asc, e, 0.0) for e in np.identity(n).tolist()]
-    ).T
+    b = sign * np.array(_large_s_denominator(m_asc, [zero] * n, one))
+    T = sign[:, None] * np.array([_large_s_denominator(m_asc, e, zero) for e in unit]).T
 
     def at(p):
         Q = b + p @ T.T
-        R = np.zeros((len(p), 2 * n + 3), dtype=complex)
-        J = np.zeros((len(p), 2 * n + 3, n), dtype=complex)
+        R = np.zeros((len(p), 2 * n + 3), dtype=dtype)
+        J = np.zeros((len(p), 2 * n + 3, n), dtype=dtype)
         for i in range(n):
             R[:, i : i + n + 3] += p[:, i : i + 1] * Q
             J[:, i : i + n + 3] += p[:, i, None, None] * T
@@ -413,6 +311,54 @@ def _division_free_system(c: LargeSSeries, n: int):
         return R[:, 1 : 2 * n : 2], J[:, 1 : 2 * n : 2]
 
     return at
+
+
+def _polish_extended(c: LargeSSeries, n: int, x0):
+    """Newton-polish a candidate in extended precision; returns refined doubles or None.
+
+    Near the larger orders the Jacobian is poorly conditioned and
+    double-precision iterations stall at a noise plateau around the true
+    solution; a few 50-digit Newton steps settle it.  Newton runs on F of
+    ``_division_free_system``, the system the homotopy tracks, in the n
+    numerator unknowns p of ``x0``; q = b + T p follows from the large-s
+    conditions at the end.  Newton is affine-invariant, so these are the
+    iterates of Newton on all 2n+2 conditions, cleared of division, once
+    the affine ones hold.
+
+    Started near a genuine root Newton contracts quadratically, so the
+    residual max |F| falls at every step and reaches 50 digits within 4
+    steps of a double-precision endpoint.  The polish gives up (None) when
+    the residual does not fall, when the Jacobian is singular, or after
+    ``_POLISH_MAX_ITER`` steps.
+    """
+    from mpmath import mp, mpf
+
+    with mp.workdps(_POLISH_DPS):
+        at = _division_free_system(c, n, mpf)
+        p = [mpf(v) for v in x0[:n]]
+        prev = mp.inf
+        for _ in range(_POLISH_MAX_ITER):
+            F, J = at(np.array([p], dtype=object))
+            r = F[0]
+            res = max(abs(v) for v in r)
+            if res < mpf(10) ** (-_POLISH_DPS + 10):
+                break
+            if not res < prev:
+                return None
+            prev = res
+            try:
+                step = mp.lu_solve(mp.matrix(J[0].tolist()), mp.matrix([-v for v in r]))
+            except (ZeroDivisionError, TypeError):
+                # mpmath signals a singular pivot either way.
+                return None
+            p = [pi + si for pi, si in zip(p, step)]
+            step_tol = mpf(10) ** (-_POLISH_DPS + 12) * (1 + max(abs(v) for v in p))
+            if max(abs(v) for v in step) < step_tol:
+                break
+        else:
+            return None
+        m_asc = [mpf(v) for v in c.c[: n + 2]][::-1] + [mpf(1)]
+        return np.array([float(v) for v in p + _large_s_denominator(m_asc, p, 1)[:-1]])
 
 
 def _homotopy_endpoints(c: LargeSSeries, n: int):
@@ -495,6 +441,8 @@ def solve_interpolation(
     below ``RESIDUAL_ACCEPT``.  Accepted roots are deduplicated at
     relative coefficient distance 1e-8 and ordered by ascending |Re| of
     the closest complex pole (solutions without one come last).
+    ``NoSolutionFound`` says whether no root was real or no real root
+    passed the polish.
 
     The search has no randomness and no starting guess: ``seed``,
     ``n_multistart`` and ``warm_start`` are accepted for compatibility and
@@ -503,6 +451,8 @@ def solve_interpolation(
     residuals = build_residuals(c, n)
     ends = _homotopy_endpoints(c, n)
     real = np.abs(ends.imag).max(axis=1) <= _REAL_TOL * (1.0 + np.linalg.norm(ends, axis=1))
+    if not real.any():
+        raise NoSolutionFound(f"none of the {len(ends)} finite roots of order {n} is real")
     accepted = []
     for p in ends[real].real:
         x = _polish_extended(c, n, p)
@@ -521,7 +471,9 @@ def solve_interpolation(
             continue
         accepted.append((x, rnorm))
     if not accepted:
-        raise NoSolutionFound(f"no real root polished to below {RESIDUAL_ACCEPT} at order {n}")
+        raise NoSolutionFound(
+            f"none of the {real.sum()} real roots of order {n} polished to below {RESIDUAL_ACCEPT}"
+        )
     solutions = [_make_solution(n, x, rnorm) for x, rnorm in accepted]
     solutions.sort(
         key=lambda s: abs(s.closest_pole.real) if s.closest_pole is not None else math.inf

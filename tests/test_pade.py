@@ -23,7 +23,6 @@ from heatpade.pade import (
     _large_s_denominator,
     _make_solution,
     _polish_extended,
-    _reduced_system,
     _scaled_norm,
     ladder,
     pole_zero_gap,
@@ -235,51 +234,44 @@ class TestSelection:
 class TestExactDerivatives:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_reduced_jacobian_matches_central_differences(self, disk_series, n):
-        # At n = 1 the series has 2n = 2 terms, fewer than the n + 3
-        # denominator coefficients, so the Toeplitz product is truncated.
-        # The differences are taken in 40 digits, where a step of 1e-15
-        # leaves neither truncation nor rounding error in double precision.
+        # The Jacobian of the extended-precision system the polish solves.
+        # F is quadratic, so central differences have no truncation error;
+        # taken in 40 digits, a step of 1e-15 leaves no rounding error in
+        # double precision either.
         from mpmath import mp, mpf
 
-        at, jac = _reduced_system(disk_series, n, float)
         rng = np.random.default_rng(n)
-        for _ in range(3):
-            p = rng.normal(size=n).tolist()
-            J = jac(*at(p))
-            assert J.shape == (n, n)
-            with mp.workdps(40):
-                at_mp, _ = _reduced_system(disk_series, n, mpf)
-                h = mpf(10) ** -15
-                pm = [mpf(v) for v in p]
+        with mp.workdps(40):
+            at = _division_free_system(disk_series, n, mpf)
+            h = mpf(10) ** -15
+            for _ in range(3):
+                p = np.array([[mpf(v) for v in rng.normal(size=n)]], dtype=object)
+                J = np.array([[float(v) for v in row] for row in at(p)[1][0]])
+                assert J.shape == (n, n)
                 for j in range(n):
-                    up = at_mp([v + h if i == j else v for i, v in enumerate(pm)])[1][1::2]
-                    down = at_mp([v - h if i == j else v for i, v in enumerate(pm)])[1][1::2]
+                    e = np.array([h if i == j else 0 for i in range(n)], dtype=object)
+                    up, down = at(p + e)[0][0], at(p - e)[0][0]
                     fd = np.array([float((a - b) / (2 * h)) for a, b in zip(up, down)])
-                    assert np.allclose(J[:, j], fd, rtol=1e-8, atol=1e-8 * np.max(np.abs(fd)))
+                    assert np.max(np.abs(J[:, j] - fd)) <= 1e-12 * np.max(np.abs(fd))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_reduced_system_float_matches_mpf(self, disk_series, n):
         # One formulation serves both stages: the double-precision system
-        # the LM solves is the 50-digit one the polish solves, rounded.
+        # the homotopy tracks is the 50-digit one the polish solves, rounded.
         from mpmath import mp, mpf
 
-        at, jac = _reduced_system(disk_series, n, float)
+        at = _division_free_system(disk_series, n)
         rng = np.random.default_rng(100 + n)
         for scale in (1.0, 100.0):
-            p = (scale * rng.normal(size=n)).tolist()
-            q, d = at(p)
+            p = scale * rng.normal(size=(1, n))
+            F, J = at(p.astype(complex))
             with mp.workdps(50):
-                at_mp, jac_mp = _reduced_system(disk_series, n, mpf)
-                q_mp, d_mp = at_mp([mpf(v) for v in p])
-                pairs = [
-                    (q, q_mp),
-                    (d, d_mp),
-                    (jac(q, d).ravel(), jac_mp(q_mp, d_mp).ravel()),
-                ]
-            for got, ref in pairs:
-                ref = np.array([float(v) for v in ref])
-                assert len(got) == len(ref)
-                assert np.max(np.abs(np.array(got) - ref)) <= 1e-12 * np.max(np.abs(ref))
+                at_mp = _division_free_system(disk_series, n, mpf)
+                F_mp, J_mp = at_mp(np.array([[mpf(v) for v in p[0]]], dtype=object))
+            for got, ref in ((F, F_mp), (J, J_mp)):
+                ref = np.array([float(v) for v in ref.ravel()])
+                assert got.size == ref.size
+                assert np.max(np.abs(got.ravel() - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_large_s_denominator_is_exact(self, disk_series, n):
@@ -310,7 +302,7 @@ class TestExactDerivatives:
 
         # Numerators p where a local least-squares solve of the n = 2 disk
         # system ended after its coefficients ran away.
-        at, _ = _reduced_system(disk_series, 2, float)
+        m_asc = list(disk_series.c[:4])[::-1] + [1.0]
         runaways = []
         for p in (
             ("-0x1.8954edd430df8p+49", "-0x1.22b608834c230p+49"),
@@ -318,7 +310,7 @@ class TestExactDerivatives:
             ("-0x1.5947d8f91dfa2p+49", "-0x1.fe64a288d0bf6p+48"),
         ):
             p = [float.fromhex(v) for v in p]
-            runaways.append(np.array(p + at(p)[0][:-1]))
+            runaways.append(np.array(p + _large_s_denominator(m_asc, p, 1.0)[:-1]))
         # Runaways: coefficients grown without bound while the residual,
         # scaled by 1 + ||x||, passes the acceptance tolerance.
         res = build_residuals(disk_series, 2)
@@ -382,6 +374,17 @@ class TestHomotopy:
         # No corrector step can pass, so every step size collapses short of t = 1.
         monkeypatch.setattr(pade, "_CORRECTOR_TOL", -1.0)
         with pytest.raises(NoSolutionFound):
+            solve_interpolation(disk_series, 2)
+
+    def test_no_real_root_is_reported(self):
+        # Every endpoint at eps = 0.95, n = 5 is far from real: |Im p| / (1 + |p|) >= 0.24.
+        c = tau_large_s_series(Ellipse(b=1.0, eps=0.95), 7)
+        with pytest.raises(NoSolutionFound, match="none of the 32 finite roots of order 5 is real"):
+            solve_interpolation(c, 5)
+
+    def test_failed_polish_is_reported(self, disk_series, monkeypatch):
+        monkeypatch.setattr(pade, "_polish_extended", lambda c, n, x0: None)
+        with pytest.raises(NoSolutionFound, match="none of the 2 real roots of order 2 polished"):
             solve_interpolation(disk_series, 2)
 
     def test_path_past_the_bound_goes_to_infinity(self, disk_series, monkeypatch):
