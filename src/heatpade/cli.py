@@ -25,8 +25,6 @@ from .geometry import Disk, curve_from_json, curve_to_json
 from .heat_content import (
     SAVO_MAX_ORDER,
     ExpansionMode,
-    sigma_curvature,
-    sigma_savo,
     small_time_expansion,
     small_time_survival,
     tau_large_s_series,
@@ -126,10 +124,9 @@ def _solution_record(sol):
 
 def cmd_coeffs(args):
     curve = _load_curve(args)
-    rows = []
-    for j in range(1, args.j_max + 1):
-        exact = sigma_savo(curve, j) if j <= SAVO_MAX_ORDER else None
-        rows.append((j, sigma_curvature(curve, j), exact))
+    approx = small_time_expansion(curve, args.j_max).sigma
+    exact = small_time_expansion(curve, min(args.j_max, SAVO_MAX_ORDER), "savo").sigma
+    rows = [(j, s, exact[j - 1] if j <= len(exact) else None) for j, s in enumerate(approx, 1)]
     manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)))
     _write_csv(args.out, manifest, ["j", "sigma_curvature", "sigma_exact"], rows)
     return 0

@@ -5,7 +5,10 @@ r(phi).  Three parametrizations are supported: a circle, an ellipse
 r(phi) = b / sqrt(1 - eps^2 cos^2 phi) with minor semiaxis b, and a general
 trigonometric polynomial.  All boundary integrals use the trapezoidal rule
 on the uniform periodic grid, which is spectrally accurate for smooth
-integrands; the panel count is doubled until the result stabilizes.
+integrands.  ``boundary_integrals`` computes every integral a coefficient
+series needs in one quadrature pass: each grid level evaluates r, the arc
+element and the curvature once, and each integral is a row that converges
+on its own as the panel count doubles.
 """
 
 from __future__ import annotations
@@ -177,6 +180,10 @@ class ArcMeasures:
             raise ValueError("perimeter and area must be positive")
 
 
+def _curvature(r, rp, rpp):
+    return (r * r + 2.0 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
+
+
 def curvature(curve: BoundaryCurve, phi):
     """Signed curvature k = (r^2 + 2 r'^2 - r r'') / (r^2 + r'^2)^(3/2).
 
@@ -184,8 +191,7 @@ def curvature(curve: BoundaryCurve, phi):
     the boundary therefore flip the sign of the odd-order expansion terms
     without any special casing downstream.
     """
-    r, rp, rpp = curve.radius(phi)
-    return (r * r + 2.0 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
+    return _curvature(*curve.radius(phi))
 
 
 def periodic_quadrature(integrand, rtol=_QUAD_RTOL, n_start=_QUAD_START, n_cap=_QUAD_CAP):
@@ -193,50 +199,42 @@ def periodic_quadrature(integrand, rtol=_QUAD_RTOL, n_start=_QUAD_START, n_cap=_
 
     ``integrand(phi)`` receives the full uniform grid and returns either a
     1-D sample array or a stack of sample rows (one integral per row).  The
-    grid is doubled until every component changes by less than ``rtol``
-    relative to its magnitude.
+    grid is doubled while any row is unconverged; each row keeps the first
+    value that changed by less than ``rtol`` (a scalar or one entry per
+    row) relative to its magnitude, so it equals a single-row call on the
+    same samples bit for bit.
     """
     n = n_start
-    prev = None
+    prev, out = None, np.nan
     while n <= n_cap:
         phi = np.arange(n) * (2.0 * np.pi / n)
         samples = np.atleast_2d(np.asarray(integrand(phi), dtype=float))
         vals = samples.mean(axis=1) * (2.0 * np.pi)
-        if prev is not None and prev.shape == vals.shape:
+        if prev is not None:
             tol = rtol * np.maximum(np.abs(vals), 1e-3) + 1e-15
-            if np.all(np.abs(vals - prev) <= tol):
-                return vals if vals.size > 1 else float(vals[0])
+            out = np.where(np.isnan(out) & (np.abs(vals - prev) <= tol), vals, out)
+            if not np.isnan(out).any():
+                return out if out.size > 1 else float(out[0])
         prev = vals
         n *= 2
     raise QuadratureNotConverged(f"no convergence below rtol={rtol} within {n_cap} panels")
 
 
-def _arc_element(curve, phi):
-    r, rp, _ = curve.radius(phi)
-    return np.sqrt(r * r + rp * rp), r
+@dataclass(frozen=True)
+class BoundaryIntegrals:
+    """Arc-length boundary integrals from one quadrature pass.
 
+    ``powers[m]`` integrates k^m for m = 0..max_power; ``kp2``, ``k_kp2``
+    and ``k2_kpp`` integrate [k']^2, k [k']^2 and k^2 k'' (0.0 when not
+    requested, and always on the disk).
+    """
 
-def arc_measures(curve: BoundaryCurve) -> ArcMeasures:
-    """Perimeter and enclosed area of the boundary."""
-
-    def integrand(phi):
-        g, r = _arc_element(curve, phi)
-        return np.stack([g, 0.5 * r * r])
-
-    perimeter, area = periodic_quadrature(integrand)
-    return ArcMeasures(perimeter=float(perimeter), area=float(area))
-
-
-def curvature_power_integral(curve: BoundaryCurve, m: int) -> float:
-    """Boundary integral of k^m with respect to arc length; m = 0 gives the perimeter."""
-    if m < 0:
-        raise ValueError("power must be non-negative")
-
-    def integrand(phi):
-        g, _ = _arc_element(curve, phi)
-        return curvature(curve, phi) ** m * g
-
-    return float(periodic_quadrature(integrand))
+    perimeter: float
+    area: float
+    powers: tuple
+    kp2: float = 0.0
+    k_kp2: float = 0.0
+    k2_kpp: float = 0.0
 
 
 def _spectral_derivative(values):
@@ -251,22 +249,48 @@ def _spectral_derivative(values):
     return np.fft.irfft(1j * freqs * spectrum, n=n)
 
 
-def curvature_derivative_integrals(curve: BoundaryCurve):
-    """Arc-length integrals of [k']^2, k [k']^2 and k^2 k'' over the boundary.
+def boundary_integrals(curve: BoundaryCurve, max_power: int, derivatives=False):
+    """Perimeter, area, the k^m integrals and optionally the k-derivative ones, in one pass.
 
-    Primes denote derivatives with respect to arc length.  On the uniform
-    angular grid, d/d(arc) = (d/d phi) / sqrt(r^2 + r'^2), with the angular
-    derivative taken spectrally.
+    Each grid level evaluates r(phi) once, then the arc element
+    g = sqrt(r^2 + r'^2) and k once; every integral is a row of the same
+    ``periodic_quadrature`` call and converges on its own.  Primes on k
+    denote arc-length derivatives, d/d(arc) = (d/d phi) / g, with the
+    angular derivative taken spectrally; those rows get rtol 1e-11.
     """
-    if isinstance(curve, Disk):
-        return {"kp2": 0.0, "k_kp2": 0.0, "k2_kpp": 0.0}
+    derivatives = derivatives and not isinstance(curve, Disk)
+    n_rows = max_power + 3
 
     def integrand(phi):
-        g, _ = _arc_element(curve, phi)
-        k = curvature(curve, phi)
-        kp = _spectral_derivative(k) / g
-        kpp = _spectral_derivative(kp) / g
-        return np.stack([kp * kp * g, k * kp * kp * g, k * k * kpp * g])
+        r, rp, rpp = curve.radius(phi)
+        g = np.sqrt(r * r + rp * rp)
+        k = _curvature(r, rp, rpp)
+        rows = [g, 0.5 * r * r] + [k**m * g for m in range(max_power + 1)]
+        if derivatives:
+            kp = _spectral_derivative(k) / g
+            kpp = _spectral_derivative(kp) / g
+            rows += [kp * kp * g, k * kp * kp * g, k * k * kpp * g]
+        return np.stack(rows)
 
-    kp2, k_kp2, k2_kpp = periodic_quadrature(integrand, rtol=1e-11)
-    return {"kp2": float(kp2), "k_kp2": float(k_kp2), "k2_kpp": float(k2_kpp)}
+    rtol = np.array([_QUAD_RTOL] * n_rows + [1e-11] * 3 * derivatives)
+    vals = [float(v) for v in periodic_quadrature(integrand, rtol)]
+    return BoundaryIntegrals(vals[0], vals[1], tuple(vals[2:n_rows]), *vals[n_rows:])
+
+
+def arc_measures(curve: BoundaryCurve) -> ArcMeasures:
+    """Perimeter and enclosed area of the boundary."""
+    b = boundary_integrals(curve, -1)
+    return ArcMeasures(perimeter=b.perimeter, area=b.area)
+
+
+def curvature_power_integral(curve: BoundaryCurve, m: int) -> float:
+    """Boundary integral of k^m with respect to arc length; m = 0 gives the perimeter."""
+    if m < 0:
+        raise ValueError("power must be non-negative")
+    return boundary_integrals(curve, m).powers[m]
+
+
+def curvature_derivative_integrals(curve: BoundaryCurve):
+    """Arc-length integrals of [k']^2, k [k']^2 and k^2 k'' over the boundary (0.0 on the disk)."""
+    b = boundary_integrals(curve, -1, derivatives=True)
+    return {"kp2": b.kp2, "k_kp2": b.k_kp2, "k2_kpp": b.k2_kpp}

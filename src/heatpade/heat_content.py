@@ -8,9 +8,11 @@ Two coefficient families are provided for a star-shaped domain:
   orders 5 and 6 also involve arc-length derivatives of the curvature.
 
 Both feed the large-s coefficient list c_j = Gamma(j/2 + 1) sigma_j
-consumed by the rational-interpolation solver.  Half-integer Gamma values
-are kept as exact (rational, sqrt(pi)-flag) pairs so the rational parts
-combine without rounding.
+consumed by the rational-interpolation solver.  Each series reads all its
+boundary integrals from one ``geometry.boundary_integrals`` pass, and the
+single-coefficient helpers read one entry of a series.  Half-integer Gamma
+values are kept as exact (rational, sqrt(pi)-flag) pairs so the rational
+parts combine without rounding.
 """
 
 from __future__ import annotations
@@ -97,35 +99,35 @@ def sigma_curvature(curve: BoundaryCurve, j: int) -> float:
     """Local-curvature coefficient: prefactor times the boundary integral of k^(j-1)."""
     if j < 1:
         raise ValueError("order must be >= 1")
-    measures = geometry.arc_measures(curve)
-    integral = geometry.curvature_power_integral(curve, j - 1)
-    return _curvature_prefactor(j) * integral / measures.area
+    return small_time_expansion(curve, j).sigma[j - 1]
 
 
 def sigma_savo(curve: BoundaryCurve, j: int) -> float:
     """Exact coefficient for 1 <= j <= SAVO_MAX_ORDER; orders 5, 6 add curvature-derivative terms."""
     if not 1 <= j <= SAVO_MAX_ORDER:
         raise UnsupportedOrder(f"exact coefficients stop at order {SAVO_MAX_ORDER}, got {j}")
-    if j <= 4:
-        return sigma_curvature(curve, j)
-    measures = geometry.arc_measures(curve)
-    k4 = geometry.curvature_power_integral(curve, 4)
-    k5 = geometry.curvature_power_integral(curve, 5)
-    deriv = geometry.curvature_derivative_integrals(curve)
-    if j == 5:
-        return (25.0 * k4 - 8.0 * deriv["kp2"]) / (240.0 * SQRT_PI * measures.area)
-    return (13.0 * k5 + 80.0 * deriv["k_kp2"] + 47.0 * deriv["k2_kpp"]) / (192.0 * measures.area)
+    return small_time_expansion(curve, j, ExpansionMode.SAVO_EXACT).sigma[j - 1]
+
+
+def _boundary_integrals(curve: BoundaryCurve, J: int, mode: ExpansionMode):
+    """The one quadrature pass a series of order J needs."""
+    if J < 0:
+        raise ValueError("order must be non-negative")
+    exact = mode is ExpansionMode.SAVO_EXACT
+    if exact and J > SAVO_MAX_ORDER:
+        raise UnsupportedOrder(f"exact coefficients stop at order {SAVO_MAX_ORDER}")
+    return geometry.boundary_integrals(curve, J - 1, derivatives=exact and J >= 5)
 
 
 def small_time_expansion(curve: BoundaryCurve, J: int, mode=ExpansionMode.CURVATURE_APPROX):
-    """sigma_1..sigma_J for a curve in the requested mode."""
+    """sigma_1..sigma_J for a curve in the requested mode, from one quadrature pass."""
     mode = ExpansionMode(mode)
-    if mode is ExpansionMode.SAVO_EXACT:
-        if J > SAVO_MAX_ORDER:
-            raise UnsupportedOrder(f"exact coefficients stop at order {SAVO_MAX_ORDER}")
-        sigma = [sigma_savo(curve, j) for j in range(1, J + 1)]
-    else:
-        sigma = [sigma_curvature(curve, j) for j in range(1, J + 1)]
+    b = _boundary_integrals(curve, J, mode)
+    sigma = [_curvature_prefactor(j) * b.powers[j - 1] / b.area for j in range(1, J + 1)]
+    if mode is ExpansionMode.SAVO_EXACT and J >= 5:
+        sigma[4] = (25.0 * b.powers[4] - 8.0 * b.kp2) / (240.0 * SQRT_PI * b.area)
+    if mode is ExpansionMode.SAVO_EXACT and J >= 6:
+        sigma[5] = (13.0 * b.powers[5] + 80.0 * b.k_kp2 + 47.0 * b.k2_kpp) / (192.0 * b.area)
     return SmallTimeExpansion(sigma=tuple(sigma), mode=mode)
 
 
@@ -154,13 +156,7 @@ def tau_large_s_series(curve: BoundaryCurve, J: int, mode=ExpansionMode.CURVATUR
     """
     mode = ExpansionMode(mode)
     if mode is ExpansionMode.SAVO_EXACT:
-        if J > SAVO_MAX_ORDER:
-            raise UnsupportedOrder(f"exact coefficients stop at order {SAVO_MAX_ORDER}")
         return LargeSSeries.from_sigma(small_time_expansion(curve, J, mode))
-    measures = geometry.arc_measures(curve)
-    a = asymptotic_ratio_coeffs(J - 1)
-    c = [
-        float(-a[j - 1]) * geometry.curvature_power_integral(curve, j - 1) / measures.area
-        for j in range(1, J + 1)
-    ]
-    return LargeSSeries(tuple(c))
+    b = _boundary_integrals(curve, J, mode)
+    a = asymptotic_ratio_coeffs(max(J - 1, 0))
+    return LargeSSeries(tuple(float(-a[j - 1]) * b.powers[j - 1] / b.area for j in range(1, J + 1)))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from scipy import special
 
 from conftest import fourier_curves
+from heatpade import geometry
 from heatpade.errors import QuadratureNotConverged
 from heatpade.geometry import (
     ArcMeasures,
@@ -14,6 +15,7 @@ from heatpade.geometry import (
     Ellipse,
     FourierCurve,
     arc_measures,
+    boundary_integrals,
     curvature,
     curvature_derivative_integrals,
     curvature_power_integral,
@@ -168,6 +170,63 @@ class TestQuadrature:
         rng = np.random.default_rng(0)
         with pytest.raises(QuadratureNotConverged):
             periodic_quadrature(lambda phi: rng.normal(size=phi.shape), n_cap=2048)
+
+    def test_stacked_rows_match_single_rows(self):
+        # exp(2 cos) settles at 32 panels, 1/(1.05 - cos) at 256; the first
+        # row's value at 256 panels differs from its value at 32 in the last bit.
+        rows = (lambda phi: np.exp(2.0 * np.cos(phi)), lambda phi: 1.0 / (1.05 - np.cos(phi)))
+        levels = []
+
+        def single(f):
+            def counted(phi):
+                levels.append(len(phi))
+                return f(phi)
+
+            return periodic_quadrature(counted, n_start=4)
+
+        singles = [single(f) for f in rows]
+        assert levels == [4, 8, 16, 32] + [4, 8, 16, 32, 64, 128, 256]
+        stacked = periodic_quadrature(lambda phi: np.stack([f(phi) for f in rows]), n_start=4)
+        assert stacked.tolist() == singles
+
+    @pytest.mark.parametrize(
+        "curve",
+        [Disk(R=1.3), Ellipse(b=1.0, eps=0.9), FourierCurve((1.0, 0.0, 0.0, 0.28))],
+    )
+    def test_boundary_stack_rows_match_single_rows(self, curve, monkeypatch):
+        calls = []
+
+        def capture(integrand, rtol):
+            calls.append((integrand, rtol))
+            return periodic_quadrature(integrand, rtol)
+
+        monkeypatch.setattr(geometry, "periodic_quadrature", capture)
+        b = boundary_integrals(curve, 8, derivatives=True)
+        ((integrand, rtol),) = calls
+        singles = [
+            periodic_quadrature(lambda phi, i=i: integrand(phi)[i], tol) for i, tol in enumerate(rtol)
+        ]
+        stacked = [b.perimeter, b.area, *b.powers]
+        if not isinstance(curve, Disk):
+            stacked += [b.kp2, b.k_kp2, b.k2_kpp]
+        assert stacked == singles
+
+    def test_noise_row_beside_smooth_row_raises(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(QuadratureNotConverged):
+            periodic_quadrature(
+                lambda phi: np.stack([np.cos(phi) ** 2, rng.normal(size=phi.shape)]), n_cap=2048
+            )
+
+    def test_per_row_rtol(self):
+        f = lambda phi: 1.0 / (1.05 - np.cos(phi))  # noqa: E731
+        loose, tight = periodic_quadrature(
+            lambda phi: np.stack([f(phi), f(phi)]), rtol=np.array([1e-3, 1e-12]), n_start=4
+        )
+        assert loose == periodic_quadrature(f, rtol=1e-3, n_start=4)
+        assert tight == periodic_quadrature(f, rtol=1e-12, n_start=4)
+        exact = 2.0 * math.pi / math.sqrt(1.05**2 - 1.0)
+        assert abs(tight - exact) < 1e-13 * exact < abs(loose - exact)
 
     def test_power_integral_m0_is_perimeter(self):
         e = Ellipse(b=1.0, eps=0.5)

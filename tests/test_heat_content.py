@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import fourier_curves
+from heatpade import geometry
 from heatpade.errors import UnsupportedOrder
 from heatpade.geometry import Disk, Ellipse, arc_measures
 from heatpade.heat_content import (
@@ -165,3 +166,46 @@ class TestLargeSSeriesModes:
     def test_savo_mode_cap(self):
         with pytest.raises(UnsupportedOrder):
             tau_large_s_series(Disk(), 7, ExpansionMode.SAVO_EXACT)
+
+    @pytest.mark.parametrize("mode", list(ExpansionMode))
+    def test_order_zero_is_empty_and_negative_raises(self, mode):
+        e = Ellipse(b=1.0, eps=0.5)
+        assert tau_large_s_series(e, 0, mode).c == ()
+        assert small_time_expansion(e, 0, mode).sigma == ()
+        with pytest.raises(ValueError):
+            tau_large_s_series(e, -1, mode)
+        with pytest.raises(ValueError):
+            small_time_expansion(e, -1, mode)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize(
+        "series",
+        [
+            lambda curve: tau_large_s_series(curve, 9),
+            lambda curve: tau_large_s_series(curve, 6, "savo"),
+            lambda curve: small_time_expansion(curve, 6, "savo"),
+        ],
+    )
+    def test_one_quadrature_per_series(self, series, monkeypatch):
+        calls = []
+        original = geometry.periodic_quadrature
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "periodic_quadrature", counted)
+        series(Ellipse(b=1.0, eps=0.5))
+        assert len(calls) == 1
+
+    @given(fourier_curves())
+    @settings(max_examples=20, deadline=None)
+    def test_modes_share_orders_up_to_four(self, curve):
+        # Criterion 8 compares these with ==.  The c_j are not compared:
+        # curvature mode forms them from the exact a_(j-1), not Gamma * sigma.
+        approx = small_time_expansion(curve, 6).sigma
+        exact = small_time_expansion(curve, 6, "savo").sigma
+        assert approx[:4] == exact[:4]
+        for j in range(1, 5):
+            assert sigma_savo(curve, j) == sigma_curvature(curve, j) == approx[j - 1]
