@@ -52,6 +52,12 @@ def _ints(text: str):
     return [int(v) for v in vals]
 
 
+def _j_max(args):
+    if args.j_max < 0:
+        raise UsageError(f"--j-max must be non-negative, got {args.j_max}")
+    return args.j_max
+
+
 def _manifest(args, **extra):
     skip = {"func", "out", "subcommand"}
     opts = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
@@ -124,8 +130,9 @@ def _solution_record(sol):
 
 def cmd_coeffs(args):
     curve = _load_curve(args)
-    approx = small_time_expansion(curve, args.j_max).sigma
-    exact = small_time_expansion(curve, min(args.j_max, SAVO_MAX_ORDER), "savo").sigma
+    j_max = _j_max(args)
+    approx = small_time_expansion(curve, j_max).sigma
+    exact = small_time_expansion(curve, min(j_max, SAVO_MAX_ORDER), "savo").sigma
     rows = [(j, s, exact[j - 1] if j <= len(exact) else None) for j, s in enumerate(approx, 1)]
     manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)))
     _write_csv(args.out, manifest, ["j", "sigma_curvature", "sigma_exact"], rows)
@@ -144,11 +151,12 @@ def _resolve_method(args, curve, what):
 def cmd_survival(args):
     curve = _load_curve(args)
     times = _floats(args.times)
+    j_max = _j_max(args)
     method = _resolve_method(args, curve, "survival curves")
     if method == "exact":
         rows = [(t, survival_disk(t, curve.R) if t > 0 else 1.0) for t in times]
     else:
-        exp = small_time_expansion(curve, args.j_max, args.mode)
+        exp = small_time_expansion(curve, j_max, args.mode)
         rows = [(t, small_time_survival(exp, t)) for t in times]
     manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)), method=method)
     _write_csv(args.out, manifest, ["t", "S"], rows)
@@ -160,11 +168,12 @@ def cmd_tau(args):
     s_values = _floats(args.s)
     if any(s <= 0 for s in s_values):
         raise UsageError("Laplace variable values must be positive")
+    j_max = _j_max(args)
     method = _resolve_method(args, curve, "Laplace transforms")
     if method == "exact":
         rows = [(s, tau_disk(s, curve.R)) for s in s_values]
     else:
-        c = tau_large_s_series(curve, args.j_max, args.mode)
+        c = tau_large_s_series(curve, j_max, args.mode)
         rows = [(s, 1.0 / s**2 + sum(cj / s ** (j + 2) for j, cj in enumerate(c.c, start=1))) for s in s_values]
     manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)), method=method)
     _write_csv(args.out, manifest, ["s", "tau"], rows)
@@ -248,9 +257,11 @@ def cmd_table1(args):
 
 def cmd_mc(args):
     curve = _load_curve(args)
-    cfg = McConfig(
-        walkers=args.walkers, dt=args.dt, t_grid=tuple(_floats(args.times)), seed=args.seed
-    )
+    times = tuple(_floats(args.times))
+    try:
+        cfg = McConfig(walkers=args.walkers, dt=args.dt, t_grid=times, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     rows = simulate_survival(curve, cfg)
     manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)))
     _write_csv(args.out, manifest, ["t", "S_hat", "stderr"], rows)

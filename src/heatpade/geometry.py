@@ -36,12 +36,13 @@ class BoundaryCurve:
         raise NotImplementedError
 
     def contains(self, x, y):
-        """Vectorized point-in-domain test against r(phi)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        rr2 = x * x + y * y
+        """Vectorized point-in-domain test."""
+        return self._inside(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+
+    def _inside(self, x, y):
+        """``contains`` on float arrays; the polar test x^2 + y^2 <= r(phi)^2."""
         rb, _, _ = self.radius(np.arctan2(y, x))
-        return rr2 <= rb * rb
+        return x * x + y * y <= rb * rb
 
     def max_radius(self):
         r, _, _ = self.radius(np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
@@ -85,6 +86,10 @@ class Ellipse(BoundaryCurve):
     def a(self):
         """Major semiaxis."""
         return self.b / math.sqrt(1.0 - self.eps**2)
+
+    def _inside(self, x, y):
+        # The implicit form (1 - eps^2) x^2 + y^2 <= b^2: no angle, no r' or r''.
+        return (1.0 - self.eps**2) * (x * x) + y * y <= self.b * self.b
 
     def radius(self, phi):
         phi = np.asarray(phi, dtype=float)

@@ -119,15 +119,24 @@ def _boundary_integrals(curve: BoundaryCurve, J: int, mode: ExpansionMode):
     return geometry.boundary_integrals(curve, J - 1, derivatives=exact and J >= 5)
 
 
+def _exact_terms(b: geometry.BoundaryIntegrals, J: int, mode: ExpansionMode):
+    """{j: sigma_j} at the orders where exact mode departs from the curvature term (5 and 6)."""
+    exact = mode is ExpansionMode.SAVO_EXACT
+    terms = {}
+    if exact and J >= 5:
+        terms[5] = (25.0 * b.powers[4] - 8.0 * b.kp2) / (240.0 * SQRT_PI * b.area)
+    if exact and J >= 6:
+        terms[6] = (13.0 * b.powers[5] + 80.0 * b.k_kp2 + 47.0 * b.k2_kpp) / (192.0 * b.area)
+    return terms
+
+
 def small_time_expansion(curve: BoundaryCurve, J: int, mode=ExpansionMode.CURVATURE_APPROX):
     """sigma_1..sigma_J for a curve in the requested mode, from one quadrature pass."""
     mode = ExpansionMode(mode)
     b = _boundary_integrals(curve, J, mode)
     sigma = [_curvature_prefactor(j) * b.powers[j - 1] / b.area for j in range(1, J + 1)]
-    if mode is ExpansionMode.SAVO_EXACT and J >= 5:
-        sigma[4] = (25.0 * b.powers[4] - 8.0 * b.kp2) / (240.0 * SQRT_PI * b.area)
-    if mode is ExpansionMode.SAVO_EXACT and J >= 6:
-        sigma[5] = (13.0 * b.powers[5] + 80.0 * b.k_kp2 + 47.0 * b.k2_kpp) / (192.0 * b.area)
+    for j, s in _exact_terms(b, J, mode).items():
+        sigma[j - 1] = s
     return SmallTimeExpansion(sigma=tuple(sigma), mode=mode)
 
 
@@ -148,15 +157,19 @@ def small_time_survival(expansion: SmallTimeExpansion, t: float, J: int | None =
 
 
 def tau_large_s_series(curve: BoundaryCurve, J: int, mode=ExpansionMode.CURVATURE_APPROX):
-    """Coefficients c_j = Gamma(j/2 + 1) sigma_j for j = 1..J.
+    """Coefficients c_j = Gamma(j/2 + 1) sigma_j for j = 1..J, from one quadrature pass.
 
-    In curvature mode the Gamma factor cancels the one hidden in sigma_j,
-    so c_j = -a_(j-1) * (boundary integral of k^(j-1)) / area is computed
-    directly, with a_(j-1) exact.
+    Wherever sigma_j is the curvature term (every j in curvature mode,
+    j <= 4 in exact mode) the Gamma factor cancels the one hidden in
+    sigma_j, so c_j = -a_(j-1) * (boundary integral of k^(j-1)) / area is
+    computed directly, with a_(j-1) exact; both modes then give the same
+    c_j bit for bit.  Exact mode's orders 5 and 6 multiply out
+    Gamma(j/2 + 1) sigma_j.
     """
     mode = ExpansionMode(mode)
-    if mode is ExpansionMode.SAVO_EXACT:
-        return LargeSSeries.from_sigma(small_time_expansion(curve, J, mode))
     b = _boundary_integrals(curve, J, mode)
     a = asymptotic_ratio_coeffs(max(J - 1, 0))
-    return LargeSSeries(tuple(float(-a[j - 1]) * b.powers[j - 1] / b.area for j in range(1, J + 1)))
+    c = [float(-a[j - 1]) * b.powers[j - 1] / b.area for j in range(1, J + 1)]
+    for j, s in _exact_terms(b, J, mode).items():
+        c[j - 1] = gamma_half_value(j) * s
+    return LargeSSeries(tuple(c))

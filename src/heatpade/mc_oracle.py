@@ -8,6 +8,18 @@ analytic modules, at first-passage bias O(sqrt(dt)).
 Each walker draws from its own counter-based stream derived from
 (seed, walker index), so results are bit-identical for a fixed seed no
 matter how the walkers are batched or parallelized.
+
+A walker's path is built and tested in chunks of ``_PATH_CHUNK`` steps.
+One chunk costs about 25 us fixed plus 0.065 us per step (disk and
+ellipse alike, 2-core x86-64 VM, numpy 2.4), and drawing the normals is
+most of the per-step part.  On the disk with dt = 1e-5 up to t = 0.1
+(10 000 steps), a walker needs 5745 steps on average but a fixed 2048
+generates 6486 in 3.2 chunks.  Fixed 1024 (6100 in 6.1 chunks), fixed 512
+(5916 in 11.7) and schedules growing from 64 or 256 to 2048 (6144 in 6.7,
+6182 in 5.4) save steps but pay more in fixed costs, so the chunk stays
+fixed.  The chunking also sets the rounding of the positions, since the
+running sum restarts at every chunk and the chunk's start position is
+added afterwards: any change to it changes the estimates.
 """
 
 from __future__ import annotations
@@ -52,27 +64,34 @@ def _uniform_start(curve: BoundaryCurve, rmax: float, rng: np.random.Generator):
             return pts[keep[0]]
 
 
-_PATH_CHUNK = 2048  # steps generated per block; absorbed walkers stop early
+# Steps generated per chunk; absorbed walkers stop early.  2048 beats smaller
+# or growing chunks on the cost model in the module docstring, and changing
+# it changes the rounding of every position.
+_PATH_CHUNK = 2048
 
 
 def _first_exit_step(curve: BoundaryCurve, start, sigma: float, n_steps: int, rng):
     """Index of the first step ending outside the domain, or n_steps + 1 if none.
 
-    The path is generated and tested in vectorized blocks; the chunk size
-    only sets how much wasted tail an absorbed walker generates, and the
-    observation times never influence walker state.
+    The path is generated and tested in vectorized chunks, each written
+    into one (2, span) buffer: the draws times sigma, a running sum along
+    each row, then the chunk's start position.  The chunk size sets how
+    much wasted tail an absorbed walker generates, and the observation
+    times never influence walker state.
     """
-    pos = np.array(start, dtype=float)
+    pos = np.array(start, dtype=float).reshape(2, 1)
     done = 0
     while done < n_steps:
         span = min(_PATH_CHUNK, n_steps - done)
-        path = np.cumsum(sigma * rng.standard_normal(size=(span, 2)), axis=0)
+        path = np.empty((2, span))  # rows x and y, each contiguous for ``contains``
+        np.multiply(sigma, rng.standard_normal(size=(span, 2)).T, out=path)
+        np.cumsum(path, axis=1, out=path)
         path += pos
-        outside = ~curve.contains(path[:, 0], path[:, 1])
-        hit = int(np.argmax(outside))
-        if outside[hit]:
+        inside = curve.contains(path[0], path[1])
+        hit = int(np.argmin(inside))
+        if not inside[hit]:
             return done + hit + 1  # absorbed at the end of this step
-        pos = path[-1]
+        pos = path[:, -1:]
         done += span
     return n_steps + 1  # survived every step
 

@@ -185,3 +185,29 @@ class TestUsage:
 
     def test_bad_shape_is_usage_error(self):
         assert main(["coeffs", "--shape", '{"kind":"pentagon"}']) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--shape", DISK],
+            ["survival", "--shape", ELLIPSE, "--times", "0.01"],
+            ["survival", "--shape", DISK, "--times", "0.01"],
+            ["tau", "--shape", ELLIPSE, "--s", "1"],
+        ],
+    )
+    def test_negative_j_max_is_usage_error(self, argv, capsys):
+        assert main(argv + ["--j-max", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: --j-max")
+
+    @pytest.mark.parametrize(
+        "opts",
+        [
+            ["--walkers", "0", "--times", "0.01"],
+            ["--dt", "0", "--times", "0.01"],
+            ["--times=-0.01,0.01"],
+            ["--times", "0.02,0.01"],
+        ],
+    )
+    def test_bad_mc_config_is_usage_error(self, opts, capsys):
+        assert main(["mc", "--shape", DISK] + opts) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -163,6 +163,11 @@ class TestLargeSSeriesModes:
                 gamma_half_value(j) * sigma_curvature(e, j), rel=1e-11
             )
 
+    def test_savo_mode_multiplies_out_orders_five_and_six(self):
+        e = Ellipse(b=1.0, eps=0.6)
+        c = tau_large_s_series(e, 6, "savo").c
+        assert c[4:] == tuple(gamma_half_value(j) * sigma_savo(e, j) for j in (5, 6))
+
     def test_savo_mode_cap(self):
         with pytest.raises(UnsupportedOrder):
             tau_large_s_series(Disk(), 7, ExpansionMode.SAVO_EXACT)
@@ -202,10 +207,11 @@ class TestOnePass:
     @given(fourier_curves())
     @settings(max_examples=20, deadline=None)
     def test_modes_share_orders_up_to_four(self, curve):
-        # Criterion 8 compares these with ==.  The c_j are not compared:
-        # curvature mode forms them from the exact a_(j-1), not Gamma * sigma.
+        # Criterion 8 compares these with ==.  Both modes form c_j for j <= 4
+        # from the exact a_(j-1), so those agree with == as well.
         approx = small_time_expansion(curve, 6).sigma
         exact = small_time_expansion(curve, 6, "savo").sigma
         assert approx[:4] == exact[:4]
         for j in range(1, 5):
             assert sigma_savo(curve, j) == sigma_curvature(curve, j) == approx[j - 1]
+        assert tau_large_s_series(curve, 6).c[:4] == tau_large_s_series(curve, 6, "savo").c[:4]

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from heatpade.disk_exact import survival_disk
-from heatpade.geometry import Disk, Ellipse, FourierCurve
+from heatpade.geometry import BoundaryCurve, Disk, Ellipse, FourierCurve
 from heatpade.mc_oracle import McConfig, _uniform_start, _walker_stream, simulate_survival
 
 
@@ -102,3 +104,51 @@ class TestSimulateSurvival:
         cfg = McConfig(walkers=200, dt=1e-3, t_grid=(0.05,), seed=2)
         [(_, s, _)] = simulate_survival(curve, cfg)
         assert 0.0 < s < 1.0
+
+
+class TestPinnedDraws:
+    # Pinned outputs of the walkers: a change to the draws, the chunking, the
+    # point test or the rounding of the positions shows up here.
+    ONE_CHUNK = McConfig(walkers=400, dt=1e-4, t_grid=(0.01, 0.05), seed=21)
+    # 5000 steps: three chunks, so positions carry over between buffers.
+    THREE_CHUNKS = McConfig(walkers=100, dt=1e-5, t_grid=(0.01, 0.05), seed=21)
+
+    @pytest.mark.parametrize(
+        "curve, cfg, expected",
+        [
+            (Ellipse(b=1.0, eps=0.6), ONE_CHUNK, (0.8125, 0.56)),
+            (FourierCurve((1.0, 0.15), (0.1,)), ONE_CHUNK, (0.7975, 0.535)),
+            (Ellipse(b=1.0, eps=0.6), THREE_CHUNKS, (0.8, 0.63)),
+            (FourierCurve((1.0, 0.15), (0.1,)), THREE_CHUNKS, (0.77, 0.57)),
+        ],
+    )
+    def test_estimates(self, curve, cfg, expected):
+        assert tuple(s for _, s, _ in simulate_survival(curve, cfg)) == expected
+
+    def test_positions_to_the_last_bit(self, monkeypatch):
+        # Every point the walkers test, starts included; the estimates above
+        # would not see a change in the last bit of a position.
+        digest = hashlib.sha256()
+        inside = Ellipse._inside
+
+        def recording(curve, x, y):
+            digest.update(x.tobytes())
+            digest.update(y.tobytes())
+            return inside(curve, x, y)
+
+        monkeypatch.setattr(Ellipse, "_inside", recording)
+        simulate_survival(Ellipse(b=1.0, eps=0.6), self.THREE_CHUNKS)
+        assert digest.hexdigest() == (
+            "cbf207ca0f1228d2a25f2f4f22d5200093e0840c70b6a9f750d94199b74794e8"
+        )
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 0.6, 0.95])
+    def test_ellipse_test_matches_polar_test(self, eps):
+        curve = Ellipse(b=0.8, eps=eps)
+        rng = np.random.default_rng(5)
+        x, y = rng.uniform(-1.2, 1.2, size=(2, 10**5)) * curve.a
+        r, _, _ = curve.radius(np.arctan2(y, x))
+        clear = np.abs(np.hypot(x, y) / r - 1.0) > 1e-12
+        polar = BoundaryCurve._inside(curve, x, y)
+        assert polar.any() and not polar.all()
+        assert np.array_equal(curve._inside(x, y)[clear], polar[clear])
