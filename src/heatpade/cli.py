@@ -58,6 +58,12 @@ def _j_max(args):
     return args.j_max
 
 
+def _order(value, flag):
+    if value < 1:
+        raise UsageError(f"{flag} must be >= 1, got {value}")
+    return value
+
+
 def _manifest(args, **extra):
     skip = {"func", "out", "subcommand"}
     opts = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
@@ -151,6 +157,8 @@ def _resolve_method(args, curve, what):
 def cmd_survival(args):
     curve = _load_curve(args)
     times = _floats(args.times)
+    if any(not t >= 0 for t in times):
+        raise UsageError("times must be non-negative")
     j_max = _j_max(args)
     method = _resolve_method(args, curve, "survival curves")
     if method == "exact":
@@ -182,8 +190,9 @@ def cmd_tau(args):
 
 def cmd_pade(args):
     curve = _load_curve(args)
-    c = tau_large_s_series(curve, args.n + 2, args.mode)
-    sol = select_solution(solve_interpolation(c, args.n))
+    n = _order(args.n, "--n")
+    c = tau_large_s_series(curve, n + 2, args.mode)
+    sol = select_solution(solve_interpolation(c, n))
     manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)))
     _write_json(args.out, manifest, {"solution": _solution_record(sol)})
     return 0
@@ -191,8 +200,9 @@ def cmd_pade(args):
 
 def cmd_lambda1(args):
     curve = _load_curve(args)
-    c = tau_large_s_series(curve, args.n_max + 2, args.mode)
-    sols = ladder(c, args.n_max)
+    n_max = _order(args.n_max, "--n-max")
+    c = tau_large_s_series(curve, n_max + 2, args.mode)
+    sols = ladder(c, n_max)
     rows = [
         (sol.n, sol.closest_pole.imag, sol.closest_pole.real, sol.lambda1) for sol in sols
     ]
@@ -210,8 +220,13 @@ def _sweep_cell(task):
 
 
 def _worker_cap(n_cells):
-    cap = os.environ.get("HEATPADE_THREADS")
-    cap = int(cap) if cap else os.cpu_count() or 1
+    text = os.environ.get("HEATPADE_THREADS")
+    try:
+        cap = int(text) if text else os.cpu_count() or 1
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise UsageError(f"HEATPADE_THREADS must be a positive integer, got {text!r}")
     return max(1, min(cap, n_cells))
 
 
@@ -242,8 +257,9 @@ def cmd_sweep(args):
 
 
 def cmd_table1(args):
-    c = tau_large_s_series(Disk(), args.n_max + 2)
-    sols = ladder(c, args.n_max)
+    n_max = _order(args.n_max, "--n-max")
+    c = tau_large_s_series(Disk(), n_max + 2)
+    sols = ladder(c, n_max)
     rows = []
     for sol in sols:
         d = sol.small_s_coeffs

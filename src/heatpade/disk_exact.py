@@ -3,13 +3,14 @@
 For a disk of radius R the Laplace transform of the survival probability
 (Laplace parameter s^2) is available in closed form through modified
 Bessel functions, and S(t) itself as an eigenseries over the zeros of J0.
+scipy is imported on first use only, by ``tau_disk_local`` here and by the
+``series`` Bessel helpers that ``tau_disk`` and ``survival_disk`` call;
+importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy import special
 
 from .errors import SeriesNotConverged
 from .series import bessel_ratio, j0_zeros
@@ -40,6 +41,8 @@ def tau_disk_local(s: float, r: float, R: float = 1.0) -> float:
         raise ValueError("Laplace variable must be positive")
     if not 0.0 <= r <= R:
         raise ValueError("radial coordinate must lie in [0, R]")
+    from scipy import special
+
     # I0(sr)/I0(sR) from the exponentially scaled I0, which cannot overflow.
     ratio = float(special.i0e(s * r) / special.i0e(s * R)) * math.exp(s * (r - R))
     return (1.0 - ratio) / (s * s)

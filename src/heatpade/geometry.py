@@ -125,10 +125,13 @@ class FourierCurve(BoundaryCurve):
         r = np.full_like(phi, self.cos_coeffs[0])
         rp = np.zeros_like(phi)
         rpp = np.zeros_like(phi)
+        # cos(m phi) and sin(m phi) once per mode, shared by the two loops;
+        # the loops keep their order, so the sums are the same bit for bit.
+        trig = {}
         for m, c in enumerate(self.cos_coeffs):
             if m == 0 or c == 0.0:
                 continue
-            cm, sm = np.cos(m * phi), np.sin(m * phi)
+            cm, sm = trig[m] = np.cos(m * phi), np.sin(m * phi)
             r += c * cm
             rp += -c * m * sm
             rpp += -c * m * m * cm
@@ -136,7 +139,7 @@ class FourierCurve(BoundaryCurve):
             m = i + 1
             if s == 0.0:
                 continue
-            cm, sm = np.cos(m * phi), np.sin(m * phi)
+            cm, sm = trig.pop(m) if m in trig else (np.cos(m * phi), np.sin(m * phi))
             r += s * sm
             rp += s * m * cm
             rpp += -s * m * m * sm

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import (
     DegenerateDenominator,
@@ -564,6 +563,8 @@ def prony_moments(d, m: int):
         sigma_prev, sigma = sigma, nxt
     if not (np.all(np.isfinite(alpha)) and np.all(beta > 0)):
         raise IllConditioned("moments are not those of a positive measure")
+    from scipy import linalg
+
     x, vecs = linalg.eigh_tridiagonal(alpha, np.sqrt(beta[1:]))
     if np.any(x <= 0):
         raise IllConditioned("moment eigenvalues are not positive")

@@ -4,6 +4,9 @@ Everything feeding the rational-interpolation solver is carried in exact
 ``fractions.Fraction`` arithmetic: the asymptotic coefficients of the
 Bessel ratio I1(x)/I0(x) and the Maclaurin coefficients of the disk
 Laplace transform.  Floating point enters only at the final evaluation.
+The Bessel helpers (``bessel_I``, ``bessel_ratio``, ``j0_zeros``) import
+``scipy.special`` on their first call only, so importing this module (and
+the series, ladder and Monte-Carlo paths) does not load scipy.
 """
 
 from __future__ import annotations
@@ -11,9 +14,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
-from scipy import special
 
 
 @lru_cache(maxsize=None)
@@ -44,6 +44,8 @@ def bessel_I(order: int, x: float) -> float:
         raise ValueError("only orders 0 and 1 are supported")
     if x < 0:
         raise ValueError("argument must be non-negative")
+    from scipy import special
+
     return float(special.iv(order, x))
 
 
@@ -53,6 +55,8 @@ def bessel_ratio(x: float) -> float:
     The exponentially scaled functions share the factor e^-x, so the
     ratio cannot overflow.
     """
+    from scipy import special
+
     return float(special.i1e(x) / special.i0e(x))
 
 
@@ -60,6 +64,8 @@ def j0_zeros(N: int):
     """First N positive zeros of J0, via McMahon seeds refined by Newton."""
     if N < 1:
         raise ValueError("need at least one zero")
+    from scipy import special
+
     zeros = []
     for n in range(1, N + 1):
         beta = (n - 0.25) * math.pi

@@ -42,6 +42,13 @@ class TestSurvivalAndTau:
         assert float(rows[0][1]) == 1.0
         assert float(rows[2][1]) == pytest.approx(0.394176, abs=1e-5)
 
+    def test_survival_expansion_at_time_zero(self, tmp_path):
+        out = tmp_path / "s.csv"
+        argv = ["survival", "--shape", DISK, "--method", "expansion", "--times", "0"]
+        assert main(argv + ["--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert float(rows[0][1]) == 1.0
+
     def test_survival_expansion_ellipse(self, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["survival", "--shape", ELLIPSE, "--times", "0.01", "--out", str(out)]) == 0
@@ -211,3 +218,28 @@ class TestUsage:
     def test_bad_mc_config_is_usage_error(self, opts, capsys):
         assert main(["mc", "--shape", DISK] + opts) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("method", ["exact", "expansion"])
+    @pytest.mark.parametrize("times", ["-0.1", "0,-0.1", "nan"])
+    def test_bad_survival_times_are_usage_errors(self, method, times, capsys):
+        assert main(["survival", "--shape", DISK, "--method", method, f"--times={times}"]) == 2
+        assert capsys.readouterr().err.startswith("error: times must be non-negative")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pade", "--shape", DISK, "--n", "0"],
+            ["lambda1", "--shape", DISK, "--n-max", "0"],
+            ["table1", "--n-max", "0"],
+            ["table1", "--n-max", "-3"],
+        ],
+    )
+    def test_bad_order_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {argv[-2]} must be >= 1")
+
+    @pytest.mark.parametrize("threads", ["x", "0", "-2", "1.5"])
+    def test_bad_worker_count_is_usage_error(self, threads, monkeypatch, capsys):
+        monkeypatch.setenv("HEATPADE_THREADS", threads)
+        assert main(["sweep", "--eps", "0.1", "--n", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: HEATPADE_THREADS must be a positive")

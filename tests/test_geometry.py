@@ -23,6 +23,7 @@ from heatpade.geometry import (
     curve_to_json,
     periodic_quadrature,
 )
+from heatpade.heat_content import tau_large_s_series
 
 
 class TestShapes:
@@ -77,6 +78,78 @@ class TestShapes:
             rp_, _, _ = e.radius(phi + h)
             assert rp == pytest.approx((float(rp_) - float(rm)) / (2 * h), abs=1e-6)
             assert rpp == pytest.approx((float(rp_) - 2 * r0 + float(rm)) / h**2, abs=1e-3)
+
+
+def _radius_per_term(curve, phi):
+    """FourierCurve.radius term by term: cos and sin evaluated afresh for every coefficient."""
+    phi = np.asarray(phi, dtype=float)
+    r = np.full_like(phi, curve.cos_coeffs[0])
+    rp = np.zeros_like(phi)
+    rpp = np.zeros_like(phi)
+    for m, c in enumerate(curve.cos_coeffs):
+        if m and c != 0.0:
+            r += c * np.cos(m * phi)
+            rp += -c * m * np.sin(m * phi)
+            rpp += -c * m * m * np.cos(m * phi)
+    for m, s in enumerate(curve.sin_coeffs, start=1):
+        if s != 0.0:
+            r += s * np.sin(m * phi)
+            rp += s * m * np.cos(m * phi)
+            rpp += -s * m * m * np.sin(m * phi)
+    return r, rp, rpp
+
+
+# Large-s coefficients c_j of two fixed curves, recorded as float hex with
+# each mode's cos(m phi) and sin(m phi) evaluated once per coefficient.
+_PINNED_SERIES = [
+    (
+        FourierCurve((1.0, 0.1, -0.05, 0.03), (0.04, 0.0, -0.02)),
+        [
+            "-0x1.003bdf71a6f33p+1", "0x1.fc16751d3d8e2p-1", "0x1.0b932df7afeb1p-2",
+            "0x1.25f575114ddf4p-2", "0x1.0477359471325p-1", "0x1.3b1a7c1a49a3dp+0",
+            "0x1.e28fb15197352p+1", "0x1.bf93a06d1ec2cp+3", "0x1.e83a3a6f03c76p+5",
+        ],
+        [
+            "-0x1.003bdf71a6f33p+1", "0x1.fc16751d3d8e2p-1", "0x1.0b932df7afeb1p-2",
+            "0x1.25f575114ddf4p-2", "0x1.bef65ec32b048p-2", "0x1.9a50458a4d957p-1",
+        ],
+    ),
+    (
+        FourierCurve((1.0, 0.0, 0.12), (0.0, 0.0, 0.0, 0.05)),
+        [
+            "-0x1.03ed2157386fep+1", "0x1.fbb5b8d82ecfbp-1", "0x1.4e680cc2eab58p-2",
+            "0x1.ce1a16991f22cp-2", "0x1.084a2012b4771p+0", "0x1.9f26124098534p+1",
+            "0x1.9de92be29f90cp+3", "0x1.f3de574a63e25p+5", "0x1.62ba80d700001p+8",
+        ],
+        [
+            "-0x1.03ed2157386fep+1", "0x1.fbb5b8d82ecfbp-1", "0x1.4e680cc2eab58p-2",
+            "0x1.ce1a16991f22cp-2", "0x1.7b753692ec5dfp-2", "0x1.26eefae944db5p-2",
+        ],
+    ),
+]
+
+
+class TestFourierRadius:
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            FourierCurve((1.0, 0.1, -0.05, 0.03), (0.04, -0.02, 0.01)),
+            FourierCurve((1.0, 0.1, 0.0, 0.03), (0.04, 0.0, 0.01)),
+            FourierCurve((1.0,), (0.05, 0.0, -0.03)),
+        ],
+        ids=["cos-and-sin-per-mode", "zero-between-nonzero", "sin-only"],
+    )
+    def test_matches_per_term_reference_bit_for_bit(self, curve):
+        phi = np.linspace(-7.0, 7.0, 1001)
+        for got, want in zip(curve.radius(phi), _radius_per_term(curve, phi)):
+            assert np.array_equal(got, want)
+        for got, want in zip(curve.radius(0.7), _radius_per_term(curve, 0.7)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("curve, curvature_hex, savo_hex", _PINNED_SERIES)
+    def test_large_s_series_pinned(self, curve, curvature_hex, savo_hex):
+        assert [v.hex() for v in tau_large_s_series(curve, 9, "curvature").c] == curvature_hex
+        assert [v.hex() for v in tau_large_s_series(curve, 6, "savo").c] == savo_hex
 
 
 class TestJsonRoundTrip:

@@ -393,28 +393,6 @@ class TestHomotopy:
         assert 0 < len(ends) < 8
         assert np.all(np.linalg.norm(ends, axis=1) <= 10.0)
 
-    def test_solver_does_not_load_scipy_optimize(self):
-        import os
-        import subprocess
-        import sys
-
-        import heatpade
-
-        code = (
-            "import sys\n"
-            "from heatpade.geometry import Disk\n"
-            "from heatpade.heat_content import tau_large_s_series\n"
-            "from heatpade.pade import ladder\n"
-            "ladder(tau_large_s_series(Disk(), 4), 2)\n"
-            "print('scipy.optimize' in sys.modules)\n"
-        )
-        src = os.path.dirname(os.path.dirname(heatpade.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "False"
-
 
 def _doublet(sol, a):
     """``sol`` with P times (s + a) and Q times (s + a(1 + 1e-10)): a nearly cancelling pair."""
