@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import __version__
 from .disk_exact import survival_disk, tau_disk
 from .errors import HeatPadeError, UnsupportedOrder
-from .geometry import Disk, curve_from_json, curve_to_json
+from .geometry import Disk, Ellipse, curve_from_json, curve_to_json
 from .heat_content import (
     SAVO_MAX_ORDER,
     ExpansionMode,
@@ -174,7 +174,7 @@ def cmd_survival(args):
 def cmd_tau(args):
     curve = _load_curve(args)
     s_values = _floats(args.s)
-    if any(s <= 0 for s in s_values):
+    if any(not s > 0 for s in s_values):
         raise UsageError("Laplace variable values must be positive")
     j_max = _j_max(args)
     method = _resolve_method(args, curve, "Laplace transforms")
@@ -212,8 +212,7 @@ def cmd_lambda1(args):
 
 
 def _sweep_cell(task):
-    b, eps, n_list, mode = task
-    curve = Disk(R=b) if eps == 0.0 else curve_from_json({"kind": "ellipse", "b": b, "eps": eps})
+    eps, curve, n_list, mode = task
     c = tau_large_s_series(curve, max(n_list) + 2, mode)
     sols = [select_solution(solve_interpolation(c, n)) for n in n_list]
     return [(eps, sol.n, sol.lambda1, sol.closest_pole.imag, sol.closest_pole.real) for sol in sols]
@@ -233,17 +232,21 @@ def _worker_cap(n_cells):
 def cmd_sweep(args):
     eps_list = sorted(set(_floats(args.eps)))
     n_list = sorted(set(_ints(args.n)))
-    if any(not 0.0 <= e < 1.0 for e in eps_list):
-        raise UsageError("eccentricities must lie in [0, 1)")
+    if not n_list:
+        raise UsageError("--n must list at least one order")
     if any(n < 1 for n in n_list):
         raise UsageError("orders must be >= 1")
+    try:
+        curves = [Disk(R=args.b) if e == 0.0 else Ellipse(b=args.b, eps=e) for e in eps_list]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     mode = ExpansionMode(args.mode)
     if mode is ExpansionMode.SAVO_EXACT and max(n_list) > SAVO_MAX_ORDER - 2:
         raise UnsupportedOrder(
             f"exact-coefficient mode supports n <= {SAVO_MAX_ORDER - 2}"
             f" (series order n+2 <= {SAVO_MAX_ORDER})"
         )
-    tasks = [(args.b, e, n_list, mode.value) for e in eps_list]
+    tasks = [(e, curve, n_list, mode.value) for e, curve in zip(eps_list, curves)]
     workers = _worker_cap(len(tasks))
     if workers == 1:
         results = [_sweep_cell(t) for t in tasks]
@@ -264,6 +267,12 @@ def cmd_table1(args):
     for sol in sols:
         d = sol.small_s_coeffs
         rows.append((f"[{sol.n}/{sol.n + 2}]", d[0], d[1], d[2], d[3], sol.closest_pole.imag))
+    if n_max >= 2:
+        # Richardson step on the last two rows, assuming Im s_n = L - A / n^2.
+        na, nb = n_max - 1, n_max
+        im_a, im_b = sols[-2].closest_pole.imag, sols[-1].closest_pole.imag
+        limit = (nb**2 * im_b - na**2 * im_a) / (nb**2 - na**2)
+        rows.append(("n^-2", None, None, None, None, limit))
     d_exact = [float(v) for v in maclaurin_tau_disk(1, 3)]
     rows.append(("exact", *d_exact, j0_zeros(1)[0]))
     manifest = _manifest(args)

@@ -63,9 +63,7 @@ class Disk(BoundaryCurve):
         z = np.zeros_like(phi)
         return r, z, z
 
-    def contains(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+    def _inside(self, x, y):
         return x * x + y * y <= self.R * self.R
 
 

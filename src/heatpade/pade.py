@@ -167,15 +167,18 @@ def rational_series(approx: PadeApproximant, direction: str, K: int):
 
 
 def poles(approx: PadeApproximant):
-    """All n+2 roots of the denominator, Newton-refined and conjugate-paired.
+    """All n+2 roots of the denominator, Newton-refined, with near-real roots made real.
 
-    A root whose Newton step is not finite is left unrefined.
+    A root whose Newton step is not finite is left unrefined.  The
+    eigenvalues of Q's real companion matrix come in exact conjugate pairs,
+    and the Newton step keeps them exact; adding 0.0 turns a -0.0 real
+    part into +0.0.
     """
     q_desc = approx.denominator()[::-1]
     roots = np.roots(q_desc)
     dq = np.polyder(np.poly1d(q_desc))
     qp = np.poly1d(q_desc)
-    refined = []
+    out = []
     for z in roots:
         # A near-multiple root can have a subnormal Q'(z), whose step
         # overflows; such a root keeps its companion-matrix value.
@@ -184,29 +187,10 @@ def poles(approx: PadeApproximant):
             step = qp(z) / dz if dz != 0 else 0.0
         if np.isfinite(step):
             z = z - step
-        refined.append(z)
-    refined = np.array(refined)
-    out = []
-    used = np.zeros(len(refined), dtype=bool)
-    tol = 1e-8 * (1.0 + np.abs(refined))
-    for i, z in enumerate(refined):
-        if used[i]:
-            continue
-        if abs(z.imag) <= tol[i]:
+        if abs(z.imag) <= 1e-8 * (1.0 + abs(z)):
             out.append(complex(z.real, 0.0))
-            used[i] = True
-            continue
-        # Pair with the nearest conjugate partner and symmetrize.
-        dist = np.abs(refined - np.conj(z))
-        dist[used] = np.inf
-        dist[i] = np.inf
-        j = int(np.argmin(dist))
-        partner = refined[j]
-        used[i] = used[j] = True
-        re = 0.5 * (z.real + partner.real)
-        im = 0.5 * abs(z.imag - partner.imag)
-        out.append(complex(re, im))
-        out.append(complex(re, -im))
+        else:
+            out.append(complex(z.real + 0.0, z.imag))
     return tuple(sorted(out, key=lambda w: (abs(w), w.imag)))
 
 

@@ -69,6 +69,11 @@ class TestSurvivalAndTau:
     def test_tau_rejects_nonpositive_s(self):
         assert main(["tau", "--shape", DISK, "--s", "0,1"]) == 2
 
+    @pytest.mark.parametrize("shape", [DISK, ELLIPSE])
+    def test_tau_rejects_nan_s(self, shape, capsys):
+        assert main(["tau", "--shape", shape, "--s", "1,nan"]) == 2
+        assert capsys.readouterr().err.startswith("error: Laplace variable values")
+
 
 class TestPadeAndLambda1:
     def test_pade_solution_json(self, tmp_path):
@@ -144,6 +149,16 @@ class TestSweep:
     def test_bad_eps_is_usage_error(self):
         assert main(["sweep", "--eps", "1.5", "--n", "2"]) == 2
 
+    @pytest.mark.parametrize("eps", ["0", "0.5"])
+    @pytest.mark.parametrize("b", ["-1", "0", "nan"])
+    def test_bad_minor_semiaxis_is_usage_error(self, eps, b, capsys):
+        assert main(["sweep", "--eps", eps, "--n", "1", f"--b={b}"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_empty_order_list_is_usage_error(self, capsys):
+        assert main(["sweep", "--eps", "0.1", "--n", ","]) == 2
+        assert capsys.readouterr().err.startswith("error: --n must list")
+
 
 class TestTable1:
     def test_first_row(self, tmp_path):
@@ -158,6 +173,21 @@ class TestTable1:
             assert g == pytest.approx(r, rel=1e-2)
         assert rows[-1][0] == "exact"
         assert float(rows[-1][5]) == pytest.approx(2.404826, abs=1e-5)
+
+    def test_extrapolated_row(self, tmp_path):
+        out = tmp_path / "t1.csv"
+        assert main(["table1", "--n-max", "3", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert [r[0] for r in rows] == ["[1/3]", "[2/4]", "[3/5]", "n^-2", "exact"]
+        im2, im3 = float(rows[1][5]), float(rows[2][5])
+        assert rows[3][1:5] == ["", "", "", ""]
+        assert float(rows[3][5]) == (9 * im3 - 4 * im2) / 5
+
+    def test_no_extrapolated_row_at_first_order(self, tmp_path):
+        out = tmp_path / "t1.csv"
+        assert main(["table1", "--n-max", "1", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert [r[0] for r in rows] == ["[1/3]", "exact"]
 
 
 class TestMcCommand:

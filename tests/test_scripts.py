@@ -15,8 +15,6 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 @pytest.mark.parametrize(
     "script, args",
     [
-        ("disk_table.py", ["--n-max", "3"]),
-        ("ellipse_sweep.py", ["--eps", "0.2", "--n", "3"]),
         ("mc_convergence.py", ["--walkers", "200", "--dts", "4e-4", "--t", "0.01"]),
     ],
 )
