@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +185,37 @@ class TestSolveInterpolation:
     def test_re_shrinks_with_order(self, disk_ladder):
         res = [abs(sol.closest_pole.real) for sol in disk_ladder]
         assert res[2] < res[1]
+
+
+def _pinned_roots():
+    with open(Path(__file__).parent / "data" / "pade_roots.json") as fh:
+        return json.load(fh)
+
+
+class TestPinnedRoots:
+    """Every accepted root, bit for bit, as the solver first produced them.
+
+    The 50-digit polish settles each real endpoint of the homotopy on its
+    root, so a change to how the paths are tracked must leave these
+    doubles unchanged.
+    """
+
+    @pytest.mark.parametrize("key", list(_pinned_roots()))
+    def test_accepted_set_is_unchanged(self, disk_series, key):
+        shape, n = key.split("/")
+        if shape == "disk":
+            c = disk_series
+        else:
+            c = tau_large_s_series(Ellipse(b=1.0, eps=0.4), 6, ExpansionMode.SAVO_EXACT)
+        got = [
+            {
+                "lambda1": s.lambda1.hex() if s.lambda1 is not None else None,
+                "p": [v.hex() for v in s.approximant.p],
+                "q": [v.hex() for v in s.approximant.q],
+            }
+            for s in solve_interpolation(c, int(n))
+        ]
+        assert got == _pinned_roots()[key]
 
 
 class TestSelection:
