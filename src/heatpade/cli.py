@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -174,8 +175,8 @@ def cmd_survival(args):
 def cmd_tau(args):
     curve = _load_curve(args)
     s_values = _floats(args.s)
-    if any(not s > 0 for s in s_values):
-        raise UsageError("Laplace variable values must be positive")
+    if any(not 0 < s < math.inf for s in s_values):
+        raise UsageError("Laplace variable values must be finite and positive")
     j_max = _j_max(args)
     method = _resolve_method(args, curve, "Laplace transforms")
     if method == "exact":
@@ -232,6 +233,8 @@ def _worker_cap(n_cells):
 def cmd_sweep(args):
     eps_list = sorted(set(_floats(args.eps)))
     n_list = sorted(set(_ints(args.n)))
+    if not eps_list:
+        raise UsageError("--eps must list at least one eccentricity")
     if not n_list:
         raise UsageError("--n must list at least one order")
     if any(n < 1 for n in n_list):

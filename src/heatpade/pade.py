@@ -11,9 +11,11 @@ This yields 2n+2 polynomial equations for the n numerator and n+2
 denominator coefficients.  The large-s equations fix the denominator as
 an affine function q = b + T p of the numerator, which leaves n
 equations in the n numerator unknowns p.  Cleared of division they are
-n quadratics, with at most 2^n isolated roots, and a total-degree
-homotopy tracks one path to each of them, with no randomness and no
-starting guess.  A real endpoint becomes a solution only when 50-digit
+n quadratics, with at most 2^n isolated roots, built once per solve as
+constant arrays F(p) = C + B p + A[p, p].  A total-degree homotopy
+tracks one path to each root, with no randomness and no starting guess:
+a fourth-order Runge-Kutta predictor, steps in t of at most 0.1, and a
+Newton corrector.  A real endpoint becomes a solution only when 50-digit
 Newton on the same quadratics converges from it within 8 steps.  The
 denominator root pair closest to the origin estimates the lowest
 Dirichlet eigenvalue via lambda_1 = Im[s]^2.
@@ -55,7 +57,7 @@ _RE_SLACK = 1e-3
 # phases of gamma let a path pass through a singular point for t < 1; a
 # fixed gamma away from the real axis makes the tracking reproducible.
 _GAMMA = 0.6 + 0.8j
-_MAX_STEP = 0.05
+_MAX_STEP = 0.1
 _MIN_STEP = 1e-14
 _CORRECTOR_STEPS = 3
 _CORRECTOR_TOL = 1e-8
@@ -266,37 +268,45 @@ def _division_free_system(c: LargeSSeries, n: int, num=float):
     q = b + T p from ``_large_s_denominator``.  Since
     P(s)/Q(s) - P(-s)/Q(-s) = 2 odd(P(s) Q(-s)) / (Q(s) Q(-s)), F vanishes
     exactly where the small-s conditions hold, as long as q0 != 0; unlike
-    d_odd it has no division, so it is n quadratics in p.  ``num`` is
-    ``float``, for complex rows, or mpmath's ``mpf``, for object arrays
-    (then built and called under the working precision).  Returns
-    ``at(p)`` -> (F, J) for p of shape (rows, n).
+    d_odd it has no division, so it is n quadratics in p.
+
+    The quadratics are built once as constant arrays,
+    F(p) = C + B p + A[p, p], so that J = B + (A + A^T) p.  With Q(-s)
+    = b' + T' p, the coefficient of s^d in P(s) Q(-s) pairs p_i with
+    b'_(d-i) + T'_(d-i) p, and the monic s^n with b'_(d-n) + T'_(d-n) p.
+    ``num`` is ``float``, for complex rows, or mpmath's ``mpf``, for
+    object arrays (then built and called under the working precision).
+    Returns ``at(p)`` -> (F, J) for p of shape (rows, n).
     """
-    dtype = complex if num is float else object
     zero, one = num(0), num(1)
     m_asc = [num(v) for v in c.c[: n + 2]][::-1] + [one]
     sign = (-1.0) ** np.arange(n + 3)
     unit = [[one if i == j else zero for i in range(n)] for j in range(n)]
-    # Coefficients of Q(-s) = b' + T' p, of degrees 0..n+2.
+    # Coefficients of Q(-s) = b' + T' p, of degrees 0..n+2, and a zero
+    # row n+3 for the degrees outside that range.
     b = sign * np.array(_large_s_denominator(m_asc, [zero] * n, one))
     T = sign[:, None] * np.array([_large_s_denominator(m_asc, e, zero) for e in unit]).T
+    b = np.append(b, zero)
+    T = np.vstack([T, np.full((1, n), zero)])
+    # Degree of Q(-s) paired with P_i (i = 0..n) in the odd coefficient 2r+1.
+    deg = 2 * np.arange(n)[:, None] + 1 - np.arange(n + 1)
+    deg = np.where((deg >= 0) & (deg <= n + 2), deg, n + 3)
+    C = b[deg[:, n]]
+    B = T[deg[:, n]] + b[deg[:, :n]]
+    A = T[deg[:, :n]]
+    # S[j, (r, m)] = (A + A^T)_rmj, so that p @ S, reshaped, is (A + A^T) p.
+    S = (A + A.transpose(0, 2, 1)).reshape(n * n, n).T
 
     def at(p):
-        Q = b + p @ T.T
-        R = np.zeros((len(p), 2 * n + 3), dtype=dtype)
-        J = np.zeros((len(p), 2 * n + 3, n), dtype=dtype)
-        for i in range(n):
-            R[:, i : i + n + 3] += p[:, i : i + 1] * Q
-            J[:, i : i + n + 3] += p[:, i, None, None] * T
-            J[:, i : i + n + 3, i] += Q
-        # The monic term s^n of P.
-        R[:, n:] += Q
-        J[:, n:] += T
-        return R[:, 1 : 2 * n : 2], J[:, 1 : 2 * n : 2]
+        J = B + (p @ S).reshape(len(p), n, n)
+        # (B + J) p / 2 = B p + A[p, p].
+        F = C + ((B + J) @ p[..., None])[..., 0] / 2
+        return F, J
 
     return at
 
 
-def _polish_extended(c: LargeSSeries, n: int, x0):
+def _polish_extended(c: LargeSSeries, n: int, x0, at=None):
     """Newton-polish a candidate in extended precision; returns refined doubles or None.
 
     Near the larger orders the Jacobian is poorly conditioned and
@@ -306,7 +316,9 @@ def _polish_extended(c: LargeSSeries, n: int, x0):
     numerator unknowns p of ``x0``; q = b + T p follows from the large-s
     conditions at the end.  Newton is affine-invariant, so these are the
     iterates of Newton on all 2n+2 conditions, cleared of division, once
-    the affine ones hold.
+    the affine ones hold.  ``at`` is that system built with ``mpf`` at
+    ``_POLISH_DPS`` digits, so that a caller polishing several endpoints
+    builds it once; by default it is built here.
 
     Started near a genuine root Newton contracts quadratically, so the
     residual max |F| falls at every step and reaches 50 digits within 4
@@ -317,7 +329,8 @@ def _polish_extended(c: LargeSSeries, n: int, x0):
     from mpmath import mp, mpf
 
     with mp.workdps(_POLISH_DPS):
-        at = _division_free_system(c, n, mpf)
+        if at is None:
+            at = _division_free_system(c, n, mpf)
         p = [mpf(v) for v in x0[:n]]
         prev = mp.inf
         for _ in range(_POLISH_MAX_ITER):
@@ -351,16 +364,22 @@ def _homotopy_endpoints(c: LargeSSeries, n: int):
     (+-1, ..., +-1) at t = 0.  With the complex gamma of Morgan's trick
     every path is regular for t < 1, so the paths reach every isolated
     root of F at t = 1 (A. Morgan, "Solving Polynomial Systems Using
-    Continuation", 1987).  All paths advance together: an Euler predictor
-    and ``_CORRECTOR_STEPS`` Newton steps, each a batched
-    ``np.linalg.solve``.  A step succeeds when the last Newton correction
-    is within ``_CORRECTOR_TOL`` of 1 + |p|; each path's step then grows
-    by 1.5 up to ``_MAX_STEP``, and halves on failure.  A path whose |p|
-    passes ``_AT_INFINITY`` goes to a root at infinity and is dropped.
-    ``NoSolutionFound`` is raised when a path's step falls below
-    ``_MIN_STEP`` short of that, or when two endpoints coincide within
-    ``_DEDUP_TOL``, which means a path jumped to another: the root set
-    would be incomplete.  Returns the endpoints, shape (roots, n).
+    Continuation", 1987).  All paths advance together: a classical
+    fourth-order Runge-Kutta predictor on dp/dt = -H_p^-1 H_t, then
+    ``_CORRECTOR_STEPS`` Newton steps, each stage a batched
+    ``np.linalg.solve``; F and J come from the constant arrays of
+    ``_division_free_system``.  A higher-order predictor lands closer to
+    the path, so fewer steps fail and the step cap can be larger
+    (Bates, Hauenstein, Sommese & Wampler, "Numerically Solving
+    Polynomial Systems with Bertini", 2013).  A step succeeds when the
+    last Newton correction is within ``_CORRECTOR_TOL`` of 1 + |p|; each
+    path's step then grows by 1.5 up to ``_MAX_STEP``, and halves on
+    failure.  A path whose |p| passes ``_AT_INFINITY`` goes to a root at
+    infinity and is dropped.  ``NoSolutionFound`` is raised when a path's
+    step falls below ``_MIN_STEP`` short of that, or when two endpoints
+    coincide within ``_DEDUP_TOL``, which means a path jumped to another:
+    the root set would be incomplete.  Returns the endpoints, shape
+    (roots, n).
     """
     at = _division_free_system(c, n)
     p = np.array(list(itertools.product((1.0, -1.0), repeat=n)), dtype=complex)
@@ -377,14 +396,25 @@ def _homotopy_endpoints(c: LargeSSeries, n: int):
         dG = (_GAMMA * 2.0 * p)[:, :, None] * diag
         return (1.0 - s) * G + s * F, (1.0 - s)[:, :, None] * dG + s[:, :, None] * J, F - G
 
+    def velocity(p, t):
+        """dp/dt = -H_p^-1 H_t along each path."""
+        _, Hp, Ht = homotopy(p, t)
+        return -np.linalg.solve(Hp, Ht[..., None])[..., 0]
+
     while live.any():
         k = np.flatnonzero(live)
-        dt = np.minimum(h[k], 1.0 - t[k])
+        pk, tk = p[k], t[k]
+        dt = np.minimum(h[k], 1.0 - tk)
+        step = dt[:, None]
         with np.errstate(all="ignore"):
-            _, Hp, Ht = homotopy(p[k], t[k])
-            x = p[k] - dt[:, None] * np.linalg.solve(Hp, Ht[..., None])[..., 0]
+            # Classical fourth-order Runge-Kutta predictor.
+            v1 = velocity(pk, tk)
+            v2 = velocity(pk + step / 2 * v1, tk + dt / 2)
+            v3 = velocity(pk + step / 2 * v2, tk + dt / 2)
+            v4 = velocity(pk + step * v3, tk + dt)
+            x = pk + step / 6 * (v1 + 2 * v2 + 2 * v3 + v4)
             for _ in range(_CORRECTOR_STEPS):
-                H, Hp, _ = homotopy(x, t[k] + dt)
+                H, Hp, _ = homotopy(x, tk + dt)
                 dx = np.linalg.solve(Hp, H[..., None])[..., 0]
                 x = x - dx
             size = np.linalg.norm(x, axis=1)
@@ -436,9 +466,13 @@ def solve_interpolation(
     real = np.abs(ends.imag).max(axis=1) <= _REAL_TOL * (1.0 + np.linalg.norm(ends, axis=1))
     if not real.any():
         raise NoSolutionFound(f"none of the {len(ends)} finite roots of order {n} is real")
+    from mpmath import mp, mpf
+
+    with mp.workdps(_POLISH_DPS):
+        at = _division_free_system(c, n, mpf)
     accepted = []
     for p in ends[real].real:
-        x = _polish_extended(c, n, p)
+        x = _polish_extended(c, n, p, at)
         if x is None:
             continue
         try:

@@ -74,6 +74,11 @@ class TestSurvivalAndTau:
         assert main(["tau", "--shape", shape, "--s", "1,nan"]) == 2
         assert capsys.readouterr().err.startswith("error: Laplace variable values")
 
+    @pytest.mark.parametrize("shape", [DISK, ELLIPSE])
+    def test_tau_rejects_infinite_s(self, shape, capsys):
+        assert main(["tau", "--shape", shape, "--s", "1,inf"]) == 2
+        assert capsys.readouterr().err.startswith("error: Laplace variable values must be finite")
+
 
 class TestPadeAndLambda1:
     def test_pade_solution_json(self, tmp_path):
@@ -158,6 +163,11 @@ class TestSweep:
     def test_empty_order_list_is_usage_error(self, capsys):
         assert main(["sweep", "--eps", "0.1", "--n", ","]) == 2
         assert capsys.readouterr().err.startswith("error: --n must list")
+
+    @pytest.mark.parametrize("eps", [",", ""])
+    def test_empty_eccentricity_list_is_usage_error(self, eps, capsys):
+        assert main(["sweep", "--eps", eps, "--n", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: --eps must list")
 
 
 class TestTable1:

@@ -403,6 +403,26 @@ class TestHomotopy:
             fd = (at(p + e)[0] - at(p - e)[0]) / (2 * h)
             assert np.allclose(J[:, :, j], fd, rtol=1e-7, atol=1e-7 * np.max(np.abs(fd)))
 
+    @pytest.mark.parametrize("n, max_calls", [(4, 332), (7, 966)])
+    def test_tracking_work(self, disk_series, monkeypatch, n, max_calls):
+        # Each bound is half the F/J evaluations of an Euler predictor
+        # with step cap 0.05 (664 at n = 4, 1932 at n = 7).
+        system = pade._division_free_system
+        calls = []
+
+        def counting_system(*args):
+            at = system(*args)
+
+            def counting_at(p):
+                calls.append(1)
+                return at(p)
+
+            return counting_at
+
+        monkeypatch.setattr(pade, "_division_free_system", counting_system)
+        assert len(_homotopy_endpoints(disk_series, n)) == 2**n
+        assert 0 < len(calls) <= max_calls
+
     def test_stalled_path_raises(self, disk_series, monkeypatch):
         # No corrector step can pass, so every step size collapses short of t = 1.
         monkeypatch.setattr(pade, "_CORRECTOR_TOL", -1.0)
@@ -416,7 +436,7 @@ class TestHomotopy:
             solve_interpolation(c, 5)
 
     def test_failed_polish_is_reported(self, disk_series, monkeypatch):
-        monkeypatch.setattr(pade, "_polish_extended", lambda c, n, x0: None)
+        monkeypatch.setattr(pade, "_polish_extended", lambda c, n, x0, at: None)
         with pytest.raises(NoSolutionFound, match="none of the 2 real roots of order 2 polished"):
             solve_interpolation(disk_series, 2)
 
