@@ -117,7 +117,7 @@ def _write_json(path, manifest, payload):
 def _load_curve(args):
     try:
         return curve_from_json(args.shape)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"bad shape specification: {exc}") from exc
 
 
@@ -158,8 +158,8 @@ def _resolve_method(args, curve, what):
 def cmd_survival(args):
     curve = _load_curve(args)
     times = _floats(args.times)
-    if any(not t >= 0 for t in times):
-        raise UsageError("times must be non-negative")
+    if any(not 0 <= t < math.inf for t in times):
+        raise UsageError("times must be non-negative and finite")
     j_max = _j_max(args)
     method = _resolve_method(args, curve, "survival curves")
     if method == "exact":

@@ -54,8 +54,8 @@ class Disk(BoundaryCurve):
     R: float = 1.0
 
     def __post_init__(self):
-        if not self.R > 0:
-            raise ValueError(f"disk radius must be positive, got {self.R}")
+        if not 0 < self.R < math.inf:
+            raise ValueError(f"disk radius must be finite and positive, got {self.R}")
 
     def radius(self, phi):
         phi = np.asarray(phi, dtype=float)
@@ -75,8 +75,8 @@ class Ellipse(BoundaryCurve):
     eps: float = 0.0
 
     def __post_init__(self):
-        if not self.b > 0:
-            raise ValueError(f"minor semiaxis must be positive, got {self.b}")
+        if not 0 < self.b < math.inf:
+            raise ValueError(f"minor semiaxis must be finite and positive, got {self.b}")
         if not 0.0 <= self.eps < 1.0:
             raise ValueError(f"eccentricity must lie in [0, 1), got {self.eps}")
 
@@ -113,6 +113,8 @@ class FourierCurve(BoundaryCurve):
         object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
         if not self.cos_coeffs:
             raise ValueError("cos_coeffs must contain at least the constant term")
+        if not all(math.isfinite(c) for c in self.cos_coeffs + self.sin_coeffs):
+            raise ValueError("Fourier coefficients must be finite")
         phi = np.linspace(0.0, 2.0 * np.pi, _VALIDATION_SAMPLES, endpoint=False)
         r, _, _ = self.radius(phi)
         if np.min(r) <= 0.0:
@@ -156,6 +158,8 @@ def curve_from_json(spec) -> BoundaryCurve:
                 spec = json.load(fh)
         except OSError:
             spec = json.loads(spec)
+    if not isinstance(spec, dict):
+        raise ValueError(f"a shape must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "disk":
         return Disk(R=float(spec["R"]))

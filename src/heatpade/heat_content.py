@@ -146,8 +146,8 @@ def small_time_survival(expansion: SmallTimeExpansion, t: float, J: int | None =
     Asymptotic in t -> 0 only; no validity guard is applied at large t,
     where the truncated series departs from the true survival probability.
     """
-    if t < 0:
-        raise ValueError("time must be non-negative")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and non-negative, got {t}")
     if J is None:
         J = len(expansion.sigma)
     if J > len(expansion.sigma):

@@ -43,10 +43,10 @@ class McConfig:
         object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
         if self.walkers < 1:
             raise ValueError("need at least one walker")
-        if not self.dt > 0:
-            raise ValueError("time step must be positive")
-        if any(t < 0 for t in self.t_grid):
-            raise ValueError("observation times must be non-negative")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"time step must be finite and positive, got {self.dt}")
+        if any(not 0 <= t < math.inf for t in self.t_grid):
+            raise ValueError("observation times must be finite and non-negative")
         if any(b < a for a, b in zip(self.t_grid, self.t_grid[1:])):
             raise ValueError("observation times must be ascending")
 

@@ -16,9 +16,10 @@ constant arrays F(p) = C + B p + A[p, p].  A total-degree homotopy
 tracks one path to each root, with no randomness and no starting guess:
 a fourth-order Runge-Kutta predictor, steps in t of at most 0.1, and a
 Newton corrector.  A real endpoint becomes a solution only when 50-digit
-Newton on the same quadratics converges from it within 8 steps.  The
-denominator root pair closest to the origin estimates the lowest
-Dirichlet eigenvalue via lambda_1 = Im[s]^2.
+Newton on the same quadratics reaches a step below 1e-20 (relative to
+1 + |p|) within 8 steps; the roots it reaches are then the same doubles
+from any start.  The denominator root pair closest to the origin
+estimates the lowest Dirichlet eigenvalue via lambda_1 = Im[s]^2.
 
 A moment-truncation estimator (Prony-type, by Gauss quadrature) recovering
 (lambda_j, gamma_j^2) pairs from the even Maclaurin coefficients is also
@@ -44,12 +45,13 @@ RESIDUAL_ACCEPT = 1e-10
 # A pole and a numerator zero closer than this, relative to 1 + |pole|,
 # form a Froissart doublet: a lower-order interpolant in disguise.
 DOUBLET_GAP = 1e-6
+# Two homotopy endpoints this close, relative to 1 + |p|, mean a path jumped.
 _DEDUP_TOL = 1e-8
 _POLISH_DPS = 50
 # F is quadratic, so Newton from a point whose coefficients ran off
-# towards infinity roughly halves p at each step and its residual keeps
-# falling: only this cap stops it.  From a double-precision endpoint
-# quadratic convergence reaches 50 digits in at most 4 steps.
+# towards infinity only halves p at each step, and its step never
+# becomes small: this cap refuses such a start.  From a double-precision
+# endpoint the second step is already below the stop rule.
 _POLISH_MAX_ITER = 8
 # Largest Re of a pole a physical solution may have.
 _RE_SLACK = 1e-3
@@ -216,18 +218,14 @@ def _make_solution(n: int, x, residual_norm: float) -> PadeSolution:
     pole_list = poles(approx)
     closest = _closest_complex_pole(pole_list)
     lam = closest.imag ** 2 if closest is not None else None
-    try:
-        d = rational_series(approx, "zero", 6)
-        small = (d[0], d[2], d[4], d[6])
-    except DegenerateDenominator:
-        small = (math.nan,) * 4
+    d = rational_series(approx, "zero", 6)
     return PadeSolution(
         approximant=approx,
         residual_norm=float(residual_norm),
         poles=pole_list,
         closest_pole=closest,
         lambda1=lam,
-        small_s_coeffs=small,
+        small_s_coeffs=(d[0], d[2], d[4], d[6]),
     )
 
 
@@ -276,24 +274,31 @@ def _division_free_system(c: LargeSSeries, n: int, num=float):
     b'_(d-i) + T'_(d-i) p, and the monic s^n with b'_(d-n) + T'_(d-n) p.
     ``num`` is ``float``, for complex rows, or mpmath's ``mpf``, for
     object arrays (then built and called under the working precision).
-    Returns ``at(p)`` -> (F, J) for p of shape (rows, n).
+    Returns ``(at, denominator)``: ``at(p)`` -> (F, J) for p of shape
+    (rows, n), and ``denominator(p)`` -> q_0..q_(n+1) = b + T p for one
+    numerator p, from the same b and T.
     """
     zero, one = num(0), num(1)
     m_asc = [num(v) for v in c.c[: n + 2]][::-1] + [one]
     sign = (-1.0) ** np.arange(n + 3)
     unit = [[one if i == j else zero for i in range(n)] for j in range(n)]
-    # Coefficients of Q(-s) = b' + T' p, of degrees 0..n+2, and a zero
-    # row n+3 for the degrees outside that range.
-    b = sign * np.array(_large_s_denominator(m_asc, [zero] * n, one))
-    T = sign[:, None] * np.array([_large_s_denominator(m_asc, e, zero) for e in unit]).T
-    b = np.append(b, zero)
-    T = np.vstack([T, np.full((1, n), zero)])
+    # Q(s) = b + T p, of degrees 0..n+2.
+    b = np.array(_large_s_denominator(m_asc, [zero] * n, one))
+    T = np.array([_large_s_denominator(m_asc, e, zero) for e in unit]).T
+
+    def denominator(p):
+        return b[:-1] + T[:-1] @ np.array(p)
+
+    # Coefficients of Q(-s) = b' + T' p, and a zero row n+3 for the
+    # degrees outside 0..n+2.
+    b_neg = np.append(sign * b, zero)
+    T_neg = np.vstack([sign[:, None] * T, np.full((1, n), zero)])
     # Degree of Q(-s) paired with P_i (i = 0..n) in the odd coefficient 2r+1.
     deg = 2 * np.arange(n)[:, None] + 1 - np.arange(n + 1)
     deg = np.where((deg >= 0) & (deg <= n + 2), deg, n + 3)
-    C = b[deg[:, n]]
-    B = T[deg[:, n]] + b[deg[:, :n]]
-    A = T[deg[:, :n]]
+    C = b_neg[deg[:, n]]
+    B = T_neg[deg[:, n]] + b_neg[deg[:, :n]]
+    A = T_neg[deg[:, :n]]
     # S[j, (r, m)] = (A + A^T)_rmj, so that p @ S, reshaped, is (A + A^T) p.
     S = (A + A.transpose(0, 2, 1)).reshape(n * n, n).T
 
@@ -303,58 +308,34 @@ def _division_free_system(c: LargeSSeries, n: int, num=float):
         F = C + ((B + J) @ p[..., None])[..., 0] / 2
         return F, J
 
-    return at
+    return at, denominator
 
 
-def _polish_extended(c: LargeSSeries, n: int, x0, at=None):
-    """Newton-polish a candidate in extended precision; returns refined doubles or None.
+def _polish_extended(system, p0):
+    """Newton on the 50-digit ``system`` from numerator p0; the (p, q) doubles, or None.
 
-    Near the larger orders the Jacobian is poorly conditioned and
-    double-precision iterations stall at a noise plateau around the true
-    solution; a few 50-digit Newton steps settle it.  Newton runs on F of
-    ``_division_free_system``, the system the homotopy tracks, in the n
-    numerator unknowns p of ``x0``; q = b + T p follows from the large-s
-    conditions at the end.  Newton is affine-invariant, so these are the
-    iterates of Newton on all 2n+2 conditions, cleared of division, once
-    the affine ones hold.  ``at`` is that system built with ``mpf`` at
-    ``_POLISH_DPS`` digits, so that a caller polishing several endpoints
-    builds it once; by default it is built here.
-
-    Started near a genuine root Newton contracts quadratically, so the
-    residual max |F| falls at every step and reaches 50 digits within 4
-    steps of a double-precision endpoint.  The polish gives up (None) when
-    the residual does not fall, when the Jacobian is singular, or after
-    ``_POLISH_MAX_ITER`` steps.
+    Newton stops after the first step no larger than
+    10^(5 - _POLISH_DPS/2) (1 + max |p|): the next correction is of order
+    the square of that step, so it cannot move a double.  A singular
+    Jacobian, or no such step within ``_POLISH_MAX_ITER``, gives None.
     """
     from mpmath import mp, mpf
 
+    at, denominator = system
     with mp.workdps(_POLISH_DPS):
-        if at is None:
-            at = _division_free_system(c, n, mpf)
-        p = [mpf(v) for v in x0[:n]]
-        prev = mp.inf
+        tol = mpf(10) ** (5 - _POLISH_DPS // 2)
+        p = [mpf(v) for v in p0]
         for _ in range(_POLISH_MAX_ITER):
             F, J = at(np.array([p], dtype=object))
-            r = F[0]
-            res = max(abs(v) for v in r)
-            if res < mpf(10) ** (-_POLISH_DPS + 10):
-                break
-            if not res < prev:
-                return None
-            prev = res
             try:
-                step = mp.lu_solve(mp.matrix(J[0].tolist()), mp.matrix([-v for v in r]))
+                step = mp.lu_solve(mp.matrix(J[0].tolist()), mp.matrix([-v for v in F[0]]))
             except (ZeroDivisionError, TypeError):
                 # mpmath signals a singular pivot either way.
                 return None
             p = [pi + si for pi, si in zip(p, step)]
-            step_tol = mpf(10) ** (-_POLISH_DPS + 12) * (1 + max(abs(v) for v in p))
-            if max(abs(v) for v in step) < step_tol:
-                break
-        else:
-            return None
-        m_asc = [mpf(v) for v in c.c[: n + 2]][::-1] + [mpf(1)]
-        return np.array([float(v) for v in p + _large_s_denominator(m_asc, p, 1)[:-1]])
+            if max(abs(v) for v in step) <= tol * (1 + max(abs(v) for v in p)):
+                return np.array([float(v) for v in [*p, *denominator(p)]])
+        return None
 
 
 def _homotopy_endpoints(c: LargeSSeries, n: int):
@@ -381,7 +362,7 @@ def _homotopy_endpoints(c: LargeSSeries, n: int):
     the root set would be incomplete.  Returns the endpoints, shape
     (roots, n).
     """
-    at = _division_free_system(c, n)
+    at, _ = _division_free_system(c, n)
     p = np.array(list(itertools.product((1.0, -1.0), repeat=n)), dtype=complex)
     t = np.zeros(len(p))
     h = np.full(len(p), _MAX_STEP)
@@ -441,7 +422,6 @@ def solve_interpolation(
     n: int,
     seed: int = 0,
     n_multistart: int = 200,
-    warm_start: PadeSolution | None = None,
 ):
     """Every real interpolant of order n, from all roots of the reduced system.
 
@@ -451,15 +431,14 @@ def solve_interpolation(
     endpoint with |Im p| below ``_REAL_TOL`` (1 + |p|) is polished in
     extended precision (``_polish_extended``) and accepted only when the
     polish converges and the polished point's scaled residual norm is
-    below ``RESIDUAL_ACCEPT``.  Accepted roots are deduplicated at
-    relative coefficient distance 1e-8 and ordered by ascending |Re| of
-    the closest complex pole (solutions without one come last).
-    ``NoSolutionFound`` says whether no root was real or no real root
-    passed the polish.
+    below ``RESIDUAL_ACCEPT``.  A polished root is the same doubles from
+    any start, so accepted roots that are equal doubles are one root.
+    They are ordered by ascending |Re| of the closest complex pole
+    (solutions without one come last).  ``NoSolutionFound`` says whether
+    no root was real or no real root passed the polish.
 
-    The search has no randomness and no starting guess: ``seed``,
-    ``n_multistart`` and ``warm_start`` are accepted for compatibility and
-    have no effect.
+    The search has no randomness and no starting guess: ``seed`` and
+    ``n_multistart`` are accepted for compatibility and have no effect.
     """
     residuals = build_residuals(c, n)
     ends = _homotopy_endpoints(c, n)
@@ -469,10 +448,10 @@ def solve_interpolation(
     from mpmath import mp, mpf
 
     with mp.workdps(_POLISH_DPS):
-        at = _division_free_system(c, n, mpf)
+        system = _division_free_system(c, n, mpf)
     accepted = []
     for p in ends[real].real:
-        x = _polish_extended(c, n, p, at)
+        x = _polish_extended(system, p)
         if x is None:
             continue
         try:
@@ -481,10 +460,7 @@ def solve_interpolation(
             continue
         if rnorm >= RESIDUAL_ACCEPT:
             continue
-        if any(
-            np.linalg.norm(x - y[0]) <= _DEDUP_TOL * (1.0 + np.linalg.norm(y[0]))
-            for y in accepted
-        ):
+        if any(np.array_equal(x, y) for y, _ in accepted):
             continue
         accepted.append((x, rnorm))
     if not accepted:

@@ -54,12 +54,8 @@ def disk_ladder7():
     t0 = time.perf_counter()
     sols = ladder(c, 4, seed=0, n_multistart=200)
     t_low = time.perf_counter() - t0
-    warm = sols[-1]
     for n in range(5, 8):
-        warm = select_solution(
-            solve_interpolation(c, n, seed=0, n_multistart=200, warm_start=warm)
-        )
-        sols.append(warm)
+        sols.append(select_solution(solve_interpolation(c, n, seed=0, n_multistart=200)))
     return sols, t_low
 
 

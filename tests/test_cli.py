@@ -230,8 +230,20 @@ class TestUsage:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_bad_shape_is_usage_error(self):
-        assert main(["coeffs", "--shape", '{"kind":"pentagon"}']) == 2
+    def test_bad_shape_is_usage_error(self, capsys):
+        for spec in (
+            '{"kind":"pentagon"}',
+            "[]",
+            "null",
+            '"disk"',
+            '{"kind":"disk","R":null}',
+            '{"kind":"fourier","cos":5}',
+            '{"kind":"disk","R":"inf"}',
+            '{"kind":"ellipse","b":"inf","eps":0.5}',
+            '{"kind":"fourier","cos":[1.0,"nan"]}',
+        ):
+            assert main(["coeffs", "--j-max", "2", "--shape", spec]) == 2, spec
+            assert capsys.readouterr().err.startswith("error: bad shape"), spec
 
     @pytest.mark.parametrize(
         "argv",
@@ -253,6 +265,9 @@ class TestUsage:
             ["--dt", "0", "--times", "0.01"],
             ["--times=-0.01,0.01"],
             ["--times", "0.02,0.01"],
+            ["--times", "inf"],
+            ["--times", "nan"],
+            ["--dt", "inf", "--times", "0.01"],
         ],
     )
     def test_bad_mc_config_is_usage_error(self, opts, capsys):
@@ -260,7 +275,7 @@ class TestUsage:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("method", ["exact", "expansion"])
-    @pytest.mark.parametrize("times", ["-0.1", "0,-0.1", "nan"])
+    @pytest.mark.parametrize("times", ["-0.1", "0,-0.1", "nan", "inf"])
     def test_bad_survival_times_are_usage_errors(self, method, times, capsys):
         assert main(["survival", "--shape", DISK, "--method", method, f"--times={times}"]) == 2
         assert capsys.readouterr().err.startswith("error: times must be non-negative")

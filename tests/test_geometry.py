@@ -49,6 +49,22 @@ class TestShapes:
         with pytest.raises(ValueError):
             FourierCurve((1.0, -1.5))
 
+    @pytest.mark.parametrize(
+        "cls, args",
+        [
+            pytest.param(Disk, (math.inf,), id="disk-inf"),
+            pytest.param(Disk, (math.nan,), id="disk-nan"),
+            pytest.param(Ellipse, (math.inf, 0.5), id="ellipse-inf"),
+            pytest.param(Ellipse, (math.nan, 0.5), id="ellipse-nan"),
+            pytest.param(FourierCurve, ((1.0, math.nan),), id="fourier-cos-nan"),
+            pytest.param(FourierCurve, ((math.inf,),), id="fourier-cos-inf"),
+            pytest.param(FourierCurve, ((1.0,), (math.inf,)), id="fourier-sin-inf"),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, cls, args):
+        with pytest.raises(ValueError, match="finite"):
+            cls(*args)
+
     def test_fourier_mirrored(self):
         c = FourierCurve((1.0, 0.1), (0.05,))
         m = c.mirrored()
@@ -174,6 +190,11 @@ class TestJsonRoundTrip:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             curve_from_json({"kind": "square", "side": 1.0})
+
+    @pytest.mark.parametrize("spec", ["[]", "null", '"disk"', "[1.0]"])
+    def test_spec_must_be_an_object(self, spec):
+        with pytest.raises(ValueError, match="JSON object"):
+            curve_from_json(spec)
 
 
 class TestMeasures:

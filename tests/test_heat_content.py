@@ -148,6 +148,9 @@ class TestExpansionContainers:
             small_time_survival(exp, t, J=6)
         with pytest.raises(ValueError):
             small_time_survival(exp, -1.0)
+        for t in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                small_time_survival(exp, t)
 
     def test_survival_at_zero_is_one(self):
         exp = small_time_expansion(Ellipse(b=1.0, eps=0.4), 4)

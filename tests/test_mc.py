@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,13 @@ class TestMcConfig:
             McConfig(walkers=10, dt=1e-3, t_grid=(0.2, 0.1))
         with pytest.raises(ValueError):
             McConfig(walkers=10, dt=1e-3, t_grid=(-0.1,))
+
+    @pytest.mark.parametrize(
+        "dt, t", [(math.inf, 0.1), (math.nan, 0.1), (1e-3, math.inf), (1e-3, math.nan)]
+    )
+    def test_non_finite_is_rejected(self, dt, t):
+        with pytest.raises(ValueError, match="finite"):
+            McConfig(walkers=10, dt=dt, t_grid=(0.0, t))
 
 
 class TestUniformStarts:
@@ -64,7 +72,6 @@ class TestSimulateSurvival:
         [(_, s_small, _)] = simulate_survival(Disk(), small)
         # Count survivors among the first 100 walkers of the large run by
         # rerunning them individually.
-        import math
 
         from heatpade.mc_oracle import _first_exit_step
 

@@ -37,6 +37,14 @@ from heatpade.pade import (
 from heatpade.series import maclaurin_tau_disk
 
 
+def _mpf_system(c, n):
+    """The 50-digit system ``solve_interpolation`` hands to the polish."""
+    from mpmath import mp, mpf
+
+    with mp.workdps(pade._POLISH_DPS):
+        return _division_free_system(c, n, mpf)
+
+
 @pytest.fixture(scope="module")
 def disk_series():
     return tau_large_s_series(Disk(), 9)
@@ -275,7 +283,7 @@ class TestExactDerivatives:
 
         rng = np.random.default_rng(n)
         with mp.workdps(40):
-            at = _division_free_system(disk_series, n, mpf)
+            at, _ = _division_free_system(disk_series, n, mpf)
             h = mpf(10) ** -15
             for _ in range(3):
                 p = np.array([[mpf(v) for v in rng.normal(size=n)]], dtype=object)
@@ -293,13 +301,13 @@ class TestExactDerivatives:
         # the homotopy tracks is the 50-digit one the polish solves, rounded.
         from mpmath import mp, mpf
 
-        at = _division_free_system(disk_series, n)
+        at, _ = _division_free_system(disk_series, n)
         rng = np.random.default_rng(100 + n)
         for scale in (1.0, 100.0):
             p = scale * rng.normal(size=(1, n))
             F, J = at(p.astype(complex))
             with mp.workdps(50):
-                at_mp = _division_free_system(disk_series, n, mpf)
+                at_mp, _ = _division_free_system(disk_series, n, mpf)
                 F_mp, J_mp = at_mp(np.array([[mpf(v) for v in p[0]]], dtype=object))
             for got, ref in ((F, F_mp), (J, J_mp)):
                 ref = np.array([float(v) for v in ref.ravel()])
@@ -319,6 +327,24 @@ class TestExactDerivatives:
             large = build_residuals(disk_series, n)(x)[: n + 2]
             assert max(abs(v) for v in large) < mpf(10) ** -40 * (1 + max(abs(v) for v in x))
 
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_system_denominator_is_back_substitution(self, disk_series, n):
+        # The polish takes q from the system's own b + T p; it must be the
+        # denominator the large-s conditions fix, to 50 digits.
+        from mpmath import mp, mpf
+
+        with mp.workdps(50):
+            _, denominator = _division_free_system(disk_series, n, mpf)
+            m_asc = [mpf(v) for v in disk_series.c[: n + 2]][::-1] + [mpf(1)]
+            rng = np.random.default_rng(200 + n)
+            for _ in range(3):
+                p = [mpf(v) for v in rng.normal(scale=10.0, size=n)]
+                q = list(denominator(p))
+                ref = _large_s_denominator(m_asc, p, 1)[:-1]
+                assert len(q) == n + 2
+                gap = max(abs(a - b) for a, b in zip(q, ref))
+                assert gap <= mpf(10) ** -45 * max(abs(v) for v in ref)
+
     def test_polish_confirms_every_solution(self, disk_series, disk_solution_sets):
         # The reduced system is n quadratics in n unknowns: at most 2^n
         # isolated roots (Bezout).  Every solution must be one the
@@ -326,9 +352,10 @@ class TestExactDerivatives:
         # returns it unchanged.
         for n, sols in enumerate(disk_solution_sets, start=1):
             assert 1 <= len(sols) <= 2**n
+            system = _mpf_system(disk_series, n)
             for sol in sols:
                 x = np.array(sol.approximant.p + sol.approximant.q)
-                assert np.array_equal(_polish_extended(disk_series, n, x), x)
+                assert np.array_equal(_polish_extended(system, x[:n]), x)
 
     def test_polish_rejects_runaway_quickly(self, disk_series, monkeypatch):
         from mpmath import mp
@@ -358,17 +385,53 @@ class TestExactDerivatives:
             return lu_solve(ctx, *args, **kwargs)
 
         monkeypatch.setattr(type(mp), "lu_solve", counting_lu_solve)
+        system = _mpf_system(disk_series, 2)
         for x in runaways:
             calls.clear()
-            assert _polish_extended(disk_series, 2, x) is None
+            assert _polish_extended(system, x[:2]) is None
             assert 1 <= len(calls) <= 10
 
     def test_polish_returns_the_row(self, disk_series):
         sol = select_solution(solve_interpolation(disk_series, 4))
         assert sol.closest_pole.imag == pytest.approx(2.1775, rel=1e-4)
         x = np.array(sol.approximant.p + sol.approximant.q)
-        start = x * (1.0 + 1e-6 * np.random.default_rng(0).normal(size=x.size))
-        assert np.array_equal(_polish_extended(disk_series, 4, start), x)
+        start = x[:4] * (1.0 + 1e-6 * np.random.default_rng(0).normal(size=4))
+        assert np.array_equal(_polish_extended(_mpf_system(disk_series, 4), start), x)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_polish_work(self, disk_series, monkeypatch, n):
+        # From a homotopy endpoint the second Newton step already meets the
+        # stop rule, and each step evaluates F and J once.
+        from mpmath import mp
+
+        lu_solve = type(mp).lu_solve
+        polish = pade._polish_extended
+        lu_calls, polishes = [], []
+
+        def counting_lu_solve(ctx, *args, **kwargs):
+            lu_calls.append(1)
+            return lu_solve(ctx, *args, **kwargs)
+
+        def counting_polish(system, p0):
+            at, denominator = system
+            evals = []
+
+            def counting_at(p):
+                evals.append(1)
+                return at(p)
+
+            lu_calls.clear()
+            x = polish((counting_at, denominator), p0)
+            polishes.append((x, len(lu_calls), len(evals)))
+            return x
+
+        monkeypatch.setattr(type(mp), "lu_solve", counting_lu_solve)
+        monkeypatch.setattr(pade, "_polish_extended", counting_polish)
+        sols = solve_interpolation(disk_series, n)
+        accepted = [(steps, evals) for x, steps, evals in polishes if x is not None]
+        assert len(accepted) >= len(sols)
+        for steps, evals in accepted:
+            assert 1 <= steps <= 2 and evals == steps
 
 
 class TestHomotopy:
@@ -385,7 +448,7 @@ class TestHomotopy:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_system_vanishes_at_every_solution(self, disk_series, n):
-        at = _division_free_system(disk_series, n)
+        at, _ = _division_free_system(disk_series, n)
         for sol in solve_interpolation(disk_series, n):
             p, q = np.array(sol.approximant.p), np.array(sol.approximant.q)
             F, _ = at(p[None].astype(complex))
@@ -393,7 +456,7 @@ class TestHomotopy:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_jacobian_matches_central_differences(self, disk_series, n):
-        at = _division_free_system(disk_series, n)
+        at, _ = _division_free_system(disk_series, n)
         rng = np.random.default_rng(n)
         p = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
         _, J = at(p)
@@ -411,13 +474,13 @@ class TestHomotopy:
         calls = []
 
         def counting_system(*args):
-            at = system(*args)
+            at, denominator = system(*args)
 
             def counting_at(p):
                 calls.append(1)
                 return at(p)
 
-            return counting_at
+            return counting_at, denominator
 
         monkeypatch.setattr(pade, "_division_free_system", counting_system)
         assert len(_homotopy_endpoints(disk_series, n)) == 2**n
@@ -436,9 +499,28 @@ class TestHomotopy:
             solve_interpolation(c, 5)
 
     def test_failed_polish_is_reported(self, disk_series, monkeypatch):
-        monkeypatch.setattr(pade, "_polish_extended", lambda c, n, x0, at: None)
+        monkeypatch.setattr(pade, "_polish_extended", lambda system, p0: None)
         with pytest.raises(NoSolutionFound, match="none of the 2 real roots of order 2 polished"):
             solve_interpolation(disk_series, 2)
+
+    def test_repeated_endpoint_is_one_root(self, disk_series, monkeypatch):
+        # An endpoint found twice, the second time 1e-10 off, polishes to the
+        # same doubles, so the solution set does not change.
+        n = 4
+        homotopy = pade._homotopy_endpoints
+
+        def repeated(c, n):
+            ends = homotopy(c, n)
+            size = 1.0 + np.linalg.norm(ends, axis=1)
+            real = ends[np.abs(ends.imag).max(axis=1) <= pade._REAL_TOL * size]
+            return np.vstack([ends, real[:1] * (1.0 + 1e-10)])
+
+        want = solve_interpolation(disk_series, n)
+        monkeypatch.setattr(pade, "_homotopy_endpoints", repeated)
+        got = solve_interpolation(disk_series, n)
+        assert [(s.approximant, s.residual_norm) for s in got] == [
+            (s.approximant, s.residual_norm) for s in want
+        ]
 
     def test_path_past_the_bound_goes_to_infinity(self, disk_series, monkeypatch):
         monkeypatch.setattr(pade, "_AT_INFINITY", 10.0)
