@@ -21,33 +21,35 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .disk_exact import survival_disk, tau_disk
-from .errors import HeatPadeError, UnsupportedOrder
+from .errors import HeatPadeError
 from .geometry import Disk, Ellipse, curve_from_json, curve_to_json
 from .heat_content import (
     SAVO_MAX_ORDER,
-    ExpansionMode,
     small_time_expansion,
     small_time_survival,
     tau_large_s_series,
 )
 from .mc_oracle import McConfig, simulate_survival
 from .pade import ladder, select_solution, solve_interpolation
-from .series import j0_zeros, maclaurin_tau_disk
+from .series import j0_zero, maclaurin_tau_disk
 
 
 class UsageError(Exception):
     pass
 
 
-def _floats(text: str):
+def _floats(text: str, flag: str):
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        vals = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"expected a comma-separated number list, got {text!r}") from exc
+    if not vals:
+        raise UsageError(f"{flag} must list at least one value")
+    return vals
 
 
-def _ints(text: str):
-    vals = _floats(text)
+def _ints(text: str, flag: str):
+    vals = _floats(text, flag)
     if any(v != int(v) for v in vals):
         raise UsageError(f"expected integers, got {text!r}")
     return [int(v) for v in vals]
@@ -157,7 +159,7 @@ def _resolve_method(args, curve, what):
 
 def cmd_survival(args):
     curve = _load_curve(args)
-    times = _floats(args.times)
+    times = _floats(args.times, "--times")
     if any(not 0 <= t < math.inf for t in times):
         raise UsageError("times must be non-negative and finite")
     j_max = _j_max(args)
@@ -174,7 +176,7 @@ def cmd_survival(args):
 
 def cmd_tau(args):
     curve = _load_curve(args)
-    s_values = _floats(args.s)
+    s_values = _floats(args.s, "--s")
     if any(not 0 < s < math.inf for s in s_values):
         raise UsageError("Laplace variable values must be finite and positive")
     j_max = _j_max(args)
@@ -213,8 +215,7 @@ def cmd_lambda1(args):
 
 
 def _sweep_cell(task):
-    eps, curve, n_list, mode = task
-    c = tau_large_s_series(curve, max(n_list) + 2, mode)
+    eps, c, n_list = task
     sols = [select_solution(solve_interpolation(c, n)) for n in n_list]
     return [(eps, sol.n, sol.lambda1, sol.closest_pole.imag, sol.closest_pole.real) for sol in sols]
 
@@ -231,25 +232,17 @@ def _worker_cap(n_cells):
 
 
 def cmd_sweep(args):
-    eps_list = sorted(set(_floats(args.eps)))
-    n_list = sorted(set(_ints(args.n)))
-    if not eps_list:
-        raise UsageError("--eps must list at least one eccentricity")
-    if not n_list:
-        raise UsageError("--n must list at least one order")
+    eps_list = sorted(set(_floats(args.eps, "--eps")))
+    n_list = sorted(set(_ints(args.n, "--n")))
     if any(n < 1 for n in n_list):
         raise UsageError("orders must be >= 1")
     try:
         curves = [Disk(R=args.b) if e == 0.0 else Ellipse(b=args.b, eps=e) for e in eps_list]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    mode = ExpansionMode(args.mode)
-    if mode is ExpansionMode.SAVO_EXACT and max(n_list) > SAVO_MAX_ORDER - 2:
-        raise UnsupportedOrder(
-            f"exact-coefficient mode supports n <= {SAVO_MAX_ORDER - 2}"
-            f" (series order n+2 <= {SAVO_MAX_ORDER})"
-        )
-    tasks = [(e, curve, n_list, mode.value) for e, curve in zip(eps_list, curves)]
+    # An order beyond the mode's reach fails here, before any cell is solved.
+    series = [tau_large_s_series(curve, max(n_list) + 2, args.mode) for curve in curves]
+    tasks = [(e, c, n_list) for e, c in zip(eps_list, series)]
     workers = _worker_cap(len(tasks))
     if workers == 1:
         results = [_sweep_cell(t) for t in tasks]
@@ -277,7 +270,7 @@ def cmd_table1(args):
         limit = (nb**2 * im_b - na**2 * im_a) / (nb**2 - na**2)
         rows.append(("n^-2", None, None, None, None, limit))
     d_exact = [float(v) for v in maclaurin_tau_disk(1, 3)]
-    rows.append(("exact", *d_exact, j0_zeros(1)[0]))
+    rows.append(("exact", *d_exact, j0_zero(1)))
     manifest = _manifest(args)
     _write_csv(args.out, manifest, ["pade", "d0", "d2", "d4", "d6", "im_s"], rows)
     return 0
@@ -285,7 +278,7 @@ def cmd_table1(args):
 
 def cmd_mc(args):
     curve = _load_curve(args)
-    times = tuple(_floats(args.times))
+    times = tuple(_floats(args.times, "--times"))
     try:
         cfg = McConfig(walkers=args.walkers, dt=args.dt, t_grid=times, seed=args.seed)
     except ValueError as exc:

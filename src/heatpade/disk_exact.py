@@ -10,19 +10,11 @@ importing this module does not load it.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .errors import SeriesNotConverged
-from .series import bessel_ratio, j0_zeros
-
-_zero_cache: list[float] = []
-
-
-def _zeros(n: int):
-    global _zero_cache
-    if len(_zero_cache) < n:
-        _zero_cache = j0_zeros(max(n, 2 * len(_zero_cache), 64))
-    return _zero_cache[:n]
+from .series import bessel_ratio, j0_zero
 
 
 def tau_disk(s: float, R: float = 1.0) -> float:
@@ -52,28 +44,24 @@ def survival_disk(t: float, R: float = 1.0, N: int | None = None) -> float:
     """Eigenseries S(t) = 4 sum_n z_n^-2 exp(-z_n^2 t / R^2) over the zeros z_n of J0.
 
     With ``N`` unset the mode count grows until the next term drops below
-    1e-12.  At t = 0 the terms do not decay (S(0) = 1 holds only in the
-    infinite sum, since 4 sum z_n^-2 = 1), so a finite evaluation without
-    an explicit ``N`` is refused.
+    1e-12 (or is NaN, from an overflow); a term is at most 4 z_n^-2, so
+    that happens by about n = 640 000.  At t = 0 the terms do not decay
+    (S(0) = 1 holds only in the infinite sum, since 4 sum z_n^-2 = 1), so
+    a finite evaluation without an explicit ``N`` is refused.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("time must be non-negative")
+    if not R > 0:
+        raise ValueError("radius must be positive")
     if N is not None and N < 1:
         raise ValueError("need at least one mode")
     if t == 0.0 and N is None:
         raise SeriesNotConverged("S(0) = 1 is reached only in the infinite mode sum")
     total = 0.0
-    n = 0
-    limit = N if N is not None else 10**7
-    while n < limit:
-        if len(_zero_cache) <= n:
-            _zeros(n + 1)
-        z = _zero_cache[n]
+    for n in itertools.count(1) if N is None else range(1, N + 1):
+        z = j0_zero(n)
         term = 4.0 / (z * z) * math.exp(-z * z * t / (R * R))
         total += term
-        n += 1
-        if N is None and term < 1e-12:
-            return total
-    if N is None:
-        raise SeriesNotConverged("eigenseries tail does not decay at this time")
+        if N is None and not term >= 1e-12:
+            break
     return total

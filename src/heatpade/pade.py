@@ -95,13 +95,22 @@ class PadeSolution:
     approximant: PadeApproximant
     residual_norm: float
     poles: tuple
-    closest_pole: complex | None
-    lambda1: float | None
     small_s_coeffs: tuple  # (d0, d2, d4, d6)
 
     @property
     def n(self):
         return self.approximant.n
+
+    @property
+    def closest_pole(self) -> complex | None:
+        """The pole with Im > 0 nearest the origin, or None if every pole is real."""
+        return min((z for z in self.poles if z.imag > 0), key=abs, default=None)
+
+    @property
+    def lambda1(self) -> float | None:
+        """Im[s]^2 of ``closest_pole``: the lowest Dirichlet eigenvalue estimate."""
+        closest = self.closest_pole
+        return closest.imag**2 if closest is not None else None
 
 
 def build_residuals(c: LargeSSeries, n: int):
@@ -180,29 +189,17 @@ def poles(approx: PadeApproximant):
     """
     q_desc = approx.denominator()[::-1]
     roots = np.roots(q_desc)
-    dq = np.polyder(np.poly1d(q_desc))
-    qp = np.poly1d(q_desc)
-    out = []
-    for z in roots:
-        # A near-multiple root can have a subnormal Q'(z), whose step
-        # overflows; such a root keeps its companion-matrix value.
-        with np.errstate(over="ignore", invalid="ignore"):
-            dz = dq(z)
-            step = qp(z) / dz if dz != 0 else 0.0
-        if np.isfinite(step):
-            z = z - step
-        if abs(z.imag) <= 1e-8 * (1.0 + abs(z)):
-            out.append(complex(z.real, 0.0))
-        else:
-            out.append(complex(z.real + 0.0, z.imag))
+    # A near-multiple root can have a zero or subnormal Q'(z), whose step
+    # is not finite; such a root keeps its companion-matrix value.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        step = np.polyval(q_desc, roots) / np.polyval(np.polyder(q_desc), roots)
+        refined = np.where(np.isfinite(step), roots - step, roots)
+    out = [
+        complex(z.real, 0.0) if abs(z.imag) <= 1e-8 * (1.0 + abs(z))
+        else complex(z.real + 0.0, z.imag)
+        for z in refined
+    ]
     return tuple(sorted(out, key=lambda w: (abs(w), w.imag)))
-
-
-def _closest_complex_pole(pole_list):
-    complex_poles = [z for z in pole_list if z.imag > 0]
-    if not complex_poles:
-        return None
-    return min(complex_poles, key=abs)
 
 
 def pole_zero_gap(sol: PadeSolution) -> float:
@@ -215,16 +212,11 @@ def pole_zero_gap(sol: PadeSolution) -> float:
 
 def _make_solution(n: int, x, residual_norm: float) -> PadeSolution:
     approx = PadeApproximant(n=n, p=tuple(x[:n]), q=tuple(x[n:]))
-    pole_list = poles(approx)
-    closest = _closest_complex_pole(pole_list)
-    lam = closest.imag ** 2 if closest is not None else None
     d = rational_series(approx, "zero", 6)
     return PadeSolution(
         approximant=approx,
         residual_norm=float(residual_norm),
-        poles=pole_list,
-        closest_pole=closest,
-        lambda1=lam,
+        poles=poles(approx),
         small_s_coeffs=(d[0], d[2], d[4], d[6]),
     )
 

@@ -4,9 +4,10 @@ Everything feeding the rational-interpolation solver is carried in exact
 ``fractions.Fraction`` arithmetic: the asymptotic coefficients of the
 Bessel ratio I1(x)/I0(x) and the Maclaurin coefficients of the disk
 Laplace transform.  Floating point enters only at the final evaluation.
-The Bessel helpers (``bessel_I``, ``bessel_ratio``, ``j0_zeros``) import
+The Bessel helpers (``bessel_I``, ``bessel_ratio``, ``j0_zero``) import
 ``scipy.special`` on their first call only, so importing this module (and
-the series, ladder and Monte-Carlo paths) does not load scipy.
+the series, ladder and Monte-Carlo paths) does not load scipy.  Each J0
+zero is computed once per process and cached.
 """
 
 from __future__ import annotations
@@ -60,24 +61,28 @@ def bessel_ratio(x: float) -> float:
     return float(special.i1e(x) / special.i0e(x))
 
 
-def j0_zeros(N: int):
-    """First N positive zeros of J0, via McMahon seeds refined by Newton."""
-    if N < 1:
-        raise ValueError("need at least one zero")
+@lru_cache(maxsize=None)
+def j0_zero(k: int) -> float:
+    """The k-th positive zero of J0, a McMahon seed refined by Newton; computed once per process."""
+    if k < 1:
+        raise ValueError("zeros are numbered from 1")
     from scipy import special
 
-    zeros = []
-    for n in range(1, N + 1):
-        beta = (n - 0.25) * math.pi
-        z = beta + 1.0 / (8.0 * beta) - 31.0 / (384.0 * beta**3) + 3779.0 / (15360.0 * beta**5)
-        for _ in range(50):
-            f = special.j0(z)
-            step = f / special.j1(z)  # J0' = -J1
-            z += step
-            if abs(step) < 1e-14:
-                break
-        zeros.append(z)
-    return zeros
+    beta = (k - 0.25) * math.pi
+    z = beta + 1.0 / (8.0 * beta) - 31.0 / (384.0 * beta**3) + 3779.0 / (15360.0 * beta**5)
+    for _ in range(50):
+        step = special.j0(z) / special.j1(z)  # J0' = -J1
+        z += step
+        if abs(step) < 1e-14:
+            break
+    return z
+
+
+def j0_zeros(N: int):
+    """First N positive zeros of J0 (see ``j0_zero``)."""
+    if N < 1:
+        raise ValueError("need at least one zero")
+    return [j0_zero(k) for k in range(1, N + 1)]
 
 
 @lru_cache(maxsize=None)

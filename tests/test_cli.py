@@ -268,11 +268,24 @@ class TestUsage:
             ["--times", "inf"],
             ["--times", "nan"],
             ["--dt", "inf", "--times", "0.01"],
+            ["--walkers", "2", "--dt", "1e-300", "--times", "1"],
         ],
     )
     def test_bad_mc_config_is_usage_error(self, opts, capsys):
         assert main(["mc", "--shape", DISK] + opts) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["survival", "--shape", DISK, "--times", ","],
+            ["tau", "--shape", DISK, "--s", ","],
+            ["mc", "--shape", DISK, "--times", ","],
+        ],
+    )
+    def test_empty_list_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {argv[-2]} must list")
 
     @pytest.mark.parametrize("method", ["exact", "expansion"])
     @pytest.mark.parametrize("times", ["-0.1", "0,-0.1", "nan", "inf"])

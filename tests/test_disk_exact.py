@@ -7,7 +7,7 @@ from scipy import integrate, special
 from heatpade.disk_exact import survival_disk, tau_disk, tau_disk_local
 from heatpade.errors import SeriesNotConverged
 from heatpade.heat_content import small_time_expansion, small_time_survival
-from heatpade.series import j0_zeros, maclaurin_tau_disk
+from heatpade.series import j0_zero, j0_zeros, maclaurin_tau_disk
 
 
 class TestTauDisk:
@@ -116,6 +116,29 @@ class TestSurvivalDisk:
             survival_disk(-0.1)
         with pytest.raises(ValueError):
             survival_disk(0.1, N=0)
+        with pytest.raises(ValueError, match="time"):
+            survival_disk(math.nan)
+        for R in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="radius"):
+                survival_disk(0.1, R=R)
+
+    def test_overflowing_term_ends_the_sum(self):
+        with np.errstate(all="ignore"):
+            assert math.isnan(survival_disk(math.inf, R=1e200))
+
+    def test_zeros_are_computed_once(self, monkeypatch):
+        calls = []
+        for name in ("j0", "j1"):
+            f = getattr(special, name)
+            monkeypatch.setattr(special, name, lambda z, f=f: calls.append(z) or f(z))
+        j0_zero.cache_clear()
+        first = survival_disk(1e-6)
+        used = j0_zero.cache_info().currsize
+        assert used > 1000 and calls
+        calls.clear()
+        j0_zeros(used)
+        assert survival_disk(1e-6) == first
+        assert calls == []
 
 
 def small_time_expansion_disk():

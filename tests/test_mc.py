@@ -6,7 +6,13 @@ import pytest
 
 from heatpade.disk_exact import survival_disk
 from heatpade.geometry import BoundaryCurve, Disk, Ellipse, FourierCurve
-from heatpade.mc_oracle import McConfig, _uniform_start, _walker_stream, simulate_survival
+from heatpade.mc_oracle import (
+    _MAX_STEPS,
+    McConfig,
+    _uniform_start,
+    _walker_stream,
+    simulate_survival,
+)
 
 
 class TestMcConfig:
@@ -26,6 +32,15 @@ class TestMcConfig:
     def test_non_finite_is_rejected(self, dt, t):
         with pytest.raises(ValueError, match="finite"):
             McConfig(walkers=10, dt=dt, t_grid=(0.0, t))
+
+    def test_step_cap(self):
+        McConfig(walkers=1, dt=1.0, t_grid=(0.0, float(_MAX_STEPS)))
+        with pytest.raises(ValueError, match="steps"):
+            McConfig(walkers=1, dt=1.0, t_grid=(0.0, _MAX_STEPS + 1.0))
+        with pytest.raises(ValueError, match="steps"):
+            McConfig(walkers=2, dt=1e-300, t_grid=(1.0,))
+        with pytest.raises(ValueError, match="steps"):
+            McConfig(walkers=2, dt=1e-300, t_grid=(1e300,))  # t / dt overflows
 
 
 class TestUniformStarts:

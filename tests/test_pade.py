@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -19,6 +20,7 @@ from heatpade.pade import (
     DOUBLET_GAP,
     RESIDUAL_ACCEPT,
     PadeApproximant,
+    PadeSolution,
     build_residuals,
     _division_free_system,
     _homotopy_endpoints,
@@ -136,6 +138,28 @@ class TestPoles:
         got = poles(approx)
         for z in roots:
             assert min(abs(z - w) for w in got) < 1e-10
+
+    @pytest.mark.parametrize(
+        "q, expected",
+        [
+            # Q = s^2: Q'(0) = 0, so the step is not finite and the roots stay.
+            ((0.0, 0.0), [("0x0.0p+0", "0x0.0p+0")] * 2),
+            # Q = (s + 1)^2 (s^2 + 4): a double root beside a pair.
+            (
+                (4.0, 8.0, 5.0, 2.0),
+                [
+                    ("-0x1.ffffffb6a3a7dp-1", "0x0.0p+0"),
+                    ("-0x1.00000024ae2c3p+0", "0x0.0p+0"),
+                    ("-0x1.0a3d70a3d709ep-54", "-0x1.0000000000000p+1"),
+                    ("-0x1.0a3d70a3d709ep-54", "0x1.0000000000000p+1"),
+                ],
+            ),
+        ],
+    )
+    def test_pinned_bits(self, q, expected):
+        n = len(q) - 2
+        got = poles(PadeApproximant(n=n, p=(0.0,) * n, q=q))
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == expected
 
 
 class TestSolveInterpolation:
@@ -270,6 +294,15 @@ class TestSelection:
         assert sol.lambda1 is None
         with pytest.raises(NoSolutionFound):
             select_solution([sol])
+
+    def test_pole_follows_replaced_poles(self):
+        sol = _make_solution(0, np.array([4.0, 0.0]), 0.0)  # poles +-2i
+        assert sol.lambda1 == 4.0
+        moved = dataclasses.replace(sol, poles=(complex(-1.0, -3.0), complex(-1.0, 3.0)))
+        assert moved.closest_pole == complex(-1.0, 3.0)
+        assert moved.lambda1 == 9.0
+        real = dataclasses.replace(sol, poles=(complex(1.0, 0.0), complex(-1.0, 0.0)))
+        assert real.closest_pole is None and real.lambda1 is None
 
 
 class TestExactDerivatives:
@@ -537,18 +570,7 @@ def _doublet(sol, a):
 
 
 def _fake_solution(approx):
-    from heatpade.pade import _closest_complex_pole, PadeSolution
-
-    pole_list = poles(approx)
-    closest = _closest_complex_pole(pole_list)
-    return PadeSolution(
-        approximant=approx,
-        residual_norm=0.0,
-        poles=pole_list,
-        closest_pole=closest,
-        lambda1=closest.imag**2 if closest else None,
-        small_s_coeffs=(1.0, -1.0, 1.0, -1.0),
-    )
+    return PadeSolution(approx, 0.0, poles(approx), (1.0, -1.0, 1.0, -1.0))
 
 
 class TestPronyMoments:
