@@ -6,7 +6,6 @@ from .errors import (
     IllConditioned,
     NoSolutionFound,
     QuadratureNotConverged,
-    SeriesNotConverged,
     UnsupportedOrder,
 )
 from .geometry import (
@@ -39,7 +38,6 @@ from .pade import (
     ladder,
     poles,
     prony_moments,
-    rational_series,
     select_solution,
     solve_interpolation,
 )

@@ -165,7 +165,7 @@ def cmd_survival(args):
     j_max = _j_max(args)
     method = _resolve_method(args, curve, "survival curves")
     if method == "exact":
-        rows = [(t, survival_disk(t, curve.R) if t > 0 else 1.0) for t in times]
+        rows = [(t, survival_disk(t, curve.R)) for t in times]
     else:
         exp = small_time_expansion(curve, j_max, args.mode)
         rows = [(t, small_time_survival(exp, t)) for t in times]

@@ -13,12 +13,8 @@ class UnsupportedOrder(HeatPadeError):
     """Requested expansion order is outside the range the formulas cover."""
 
 
-class SeriesNotConverged(HeatPadeError):
-    """An infinite series cannot reach the requested accuracy with finitely many terms."""
-
-
 class DegenerateDenominator(HeatPadeError):
-    """Rational-function expansion at s=0 requires a nonzero constant denominator term."""
+    """Power-series division requires a nonzero constant denominator term."""
 
 
 class NoSolutionFound(HeatPadeError):

@@ -140,20 +140,16 @@ def small_time_expansion(curve: BoundaryCurve, J: int, mode=ExpansionMode.CURVAT
     return SmallTimeExpansion(sigma=tuple(sigma), mode=mode)
 
 
-def small_time_survival(expansion: SmallTimeExpansion, t: float, J: int | None = None) -> float:
-    """Truncated S(t) = 1 + sum_(j<=J) sigma_j t^(j/2).
+def small_time_survival(expansion: SmallTimeExpansion, t: float) -> float:
+    """Truncated S(t) = 1 + sum_j sigma_j t^(j/2) over the expansion's terms.
 
     Asymptotic in t -> 0 only; no validity guard is applied at large t,
     where the truncated series departs from the true survival probability.
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"time must be finite and non-negative, got {t}")
-    if J is None:
-        J = len(expansion.sigma)
-    if J > len(expansion.sigma):
-        raise UnsupportedOrder(f"expansion holds {len(expansion.sigma)} coefficients, need {J}")
     root_t = math.sqrt(t)
-    return 1.0 + sum(expansion.sigma[j - 1] * root_t**j for j in range(1, J + 1))
+    return 1.0 + sum(sigma * root_t**j for j, sigma in enumerate(expansion.sigma, start=1))
 
 
 def tau_large_s_series(curve: BoundaryCurve, J: int, mode=ExpansionMode.CURVATURE_APPROX):

@@ -40,6 +40,7 @@ from .errors import (
     NoSolutionFound,
 )
 from .heat_content import LargeSSeries
+from .series import quotient
 
 RESIDUAL_ACCEPT = 1e-10
 # A pole and a numerator zero closer than this, relative to 1 + |pole|,
@@ -120,7 +121,8 @@ def build_residuals(c: LargeSSeries, n: int):
     P(s) s^(n+4) - Q(s) (s^(n+2) + sum_j c_j s^(n+2-j)) at degrees
     n+2 .. 2n+3 (the top degree cancels by monicity).  The small-s
     conditions are the odd Maclaurin coefficients d_1, d_3, ..., d_(2n-1)
-    of P/Q, obtained by recursive division (q0 must stay nonzero).
+    of P/Q, from ``quotient`` (q0 must stay nonzero).  The large-s rows use
+    no division, so they check ``_division_free_system`` independently.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -138,45 +140,9 @@ def build_residuals(c: LargeSSeries, n: int):
         qm = np.convolve(q_full, m_asc)
         F = shifted - qm
         large = F[n + 2 : 2 * n + 4]
-        return np.concatenate([large, _maclaurin(p_full.tolist(), q_full.tolist(), 2 * n)[1::2]])
+        return np.concatenate([large, quotient(p_full.tolist(), q_full.tolist(), 2 * n)[1::2]])
 
     return residuals
-
-
-def _maclaurin(p, q, K):
-    """Maclaurin coefficients d_0, ..., d_(K-1) of P/Q by recursive division.
-
-    ``p`` and ``q`` are ascending coefficient lists including the leading
-    1s, of Python floats, complex or mpmath numbers.  On floats the
-    division d_k = (p_k - sum q_i d_(k-i)) / q0 does the same IEEE
-    operations as on numpy scalars at a fraction of the overhead.  An
-    overflow anywhere leaves d_(K-1) non-finite.
-    """
-    if q[0] == 0:
-        raise DegenerateDenominator("q0 = 0 during small-s evaluation")
-    d = []
-    for k in range(K):
-        acc = p[k] if k < len(p) else 0.0
-        for i in range(1, min(k, len(q) - 1) + 1):
-            acc = acc - q[i] * d[k - i]
-        d.append(acc / q[0])
-    return d
-
-
-def rational_series(approx: PadeApproximant, direction: str, K: int):
-    """Expansion coefficients of P/Q: Maclaurin d_0..d_K ("zero") or 1/s terms ("infinity").
-
-    At infinity the list starts at the 1/s^2 term, whose coefficient is 1
-    by monicity, so entry j is the coefficient of 1/s^(j+2).
-    """
-    P = approx.numerator().tolist()
-    Q = approx.denominator().tolist()
-    if direction == "zero":
-        return np.array(_maclaurin(P, Q, K + 1))
-    if direction == "infinity":
-        # Divide reversed polynomials: P/Q in 1/s starts at (1/s)^2.
-        return np.array(_maclaurin(P[::-1], Q[::-1], K + 1))
-    raise ValueError("direction must be 'zero' or 'infinity'")
 
 
 def poles(approx: PadeApproximant):
@@ -212,7 +178,7 @@ def pole_zero_gap(sol: PadeSolution) -> float:
 
 def _make_solution(n: int, x, residual_norm: float) -> PadeSolution:
     approx = PadeApproximant(n=n, p=tuple(x[:n]), q=tuple(x[n:]))
-    d = rational_series(approx, "zero", 6)
+    d = quotient(approx.numerator().tolist(), approx.denominator().tolist(), 7)
     return PadeSolution(
         approximant=approx,
         residual_norm=float(residual_norm),
@@ -232,30 +198,14 @@ def _scaled_norm(r, x):
     return float(np.linalg.norm(r) / (1.0 + np.linalg.norm(x)))
 
 
-def _large_s_denominator(m_asc, p, top):
-    """Denominator q_0..q_(n+2) fixed by the large-s conditions for numerator p_0..p_(n-1).
-
-    ``m_asc`` holds c_(n+2), ..., c_1, 1.  The condition at degree n+2+j
-    of P s^(n+4) - Q M reads p_(j-2) = sum_(i>=j) q_i m_(n+2+j-i), and its
-    coefficient of q_j is m_(n+2) = 1, so back-substitution from j = n+1
-    down to 0 gives q = b + T p exactly, in any arithmetic.  ``top`` is
-    q_(n+2): 1 for the monic denominator, 0 for the linear part T p alone.
-    """
-    n = len(p)
-    q = [0] * (n + 2) + [top]
-    for j in range(n + 1, -1, -1):
-        acc = p[j - 2] if j >= 2 else 0
-        for i in range(j + 1, n + 3):
-            acc = acc - q[i] * m_asc[n + 2 + j - i]
-        q[j] = acc
-    return q
-
-
 def _division_free_system(c: LargeSSeries, n: int, num=float):
     """F(p) and its Jacobian in p, batched over rows of numerators p_0..p_(n-1).
 
     F is the odd coefficients 1, 3, ..., 2n-1 of P(s) Q(-s), with
-    q = b + T p from ``_large_s_denominator``.  Since
+    q = b + T p fixed by the large-s conditions: in u = 1/s they say
+    u^(n+2) Q(1/u) = u^n P(1/u) / M(u) mod u^(n+3), M(u) = s^2 tau(s), so
+    q_j = inv_(n+2-j) + sum_i p_i inv_(2+i-j) with inv = 1/M from
+    ``quotient`` (inv_k = 0 for k < 0).  Since
     P(s)/Q(s) - P(-s)/Q(-s) = 2 odd(P(s) Q(-s)) / (Q(s) Q(-s)), F vanishes
     exactly where the small-s conditions hold, as long as q0 != 0; unlike
     d_odd it has no division, so it is n quadratics in p.
@@ -271,12 +221,11 @@ def _division_free_system(c: LargeSSeries, n: int, num=float):
     numerator p, from the same b and T.
     """
     zero, one = num(0), num(1)
-    m_asc = [num(v) for v in c.c[: n + 2]][::-1] + [one]
+    inv = quotient([one], [one] + [num(v) for v in c.c[: n + 2]], n + 3)
     sign = (-1.0) ** np.arange(n + 3)
-    unit = [[one if i == j else zero for i in range(n)] for j in range(n)]
     # Q(s) = b + T p, of degrees 0..n+2.
-    b = np.array(_large_s_denominator(m_asc, [zero] * n, one))
-    T = np.array([_large_s_denominator(m_asc, e, zero) for e in unit]).T
+    b = np.array(inv[::-1])
+    T = np.array([[inv[2 + i - j] if 2 + i - j >= 0 else zero for i in range(n)] for j in range(n + 3)])
 
     def denominator(p):
         return b[:-1] + T[:-1] @ np.array(p)

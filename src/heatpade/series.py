@@ -1,6 +1,7 @@
 """Special functions and exact-rational series machinery.
 
-Everything feeding the rational-interpolation solver is carried in exact
+``quotient`` is the package's one power-series division.  Everything
+feeding the rational-interpolation solver is carried in exact
 ``fractions.Fraction`` arithmetic: the asymptotic coefficients of the
 Bessel ratio I1(x)/I0(x) and the Maclaurin coefficients of the disk
 Laplace transform.  Floating point enters only at the final evaluation.
@@ -15,6 +16,28 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+from .errors import DegenerateDenominator
+
+
+def quotient(p, q, K: int):
+    """Coefficients d_0, ..., d_(K-1) of the power series p(x) / q(x) by recursive division.
+
+    ``p`` and ``q`` are ascending coefficient lists of floats, complex
+    numbers, ``Fraction``s or mpmath numbers; ``p`` is padded with exact
+    zeros to K terms.  d_k = (p_k - sum_i q_i d_(k-i)) / q_0, summed in
+    increasing i: ``Fraction``s stay exact, and floats get numpy's IEEE
+    operations without its overhead.  An overflow leaves d_(K-1) non-finite.
+    """
+    if q[0] == 0:
+        raise DegenerateDenominator("q0 = 0 during series division")
+    d = []
+    for k in range(K):
+        acc = p[k] if k < len(p) else 0
+        for i in range(1, min(k, len(q) - 1) + 1):
+            acc = acc - q[i] * d[k - i]
+        d.append(acc / q[0])
+    return d
 
 
 @lru_cache(maxsize=None)
@@ -97,10 +120,7 @@ def _tau_disk_unit_coeffs(K: int):
         fact[i] = fact[i - 1] * i
     A = [Fraction(1, fact[k] * fact[k + 1]) for k in range(n_terms)]
     B = [Fraction(1, fact[k] ** 2) for k in range(n_terms)]
-    C = []
-    for k in range(n_terms):
-        acc = A[k] - sum(C[i] * B[k - i] for i in range(k))
-        C.append(acc / B[0])
+    C = quotient(A, B, n_terms)
     return tuple(-C[j + 1] / Fraction(4) ** (j + 1) for j in range(K + 1))
 
 

@@ -66,6 +66,13 @@ class TestSurvivalAndTau:
         assert header == ["s", "tau"]
         assert float(rows[0][1]) > float(rows[1][1]) > 0.0
 
+    def test_tau_tiny_disk_is_not_negative(self, tmp_path):
+        out = tmp_path / "tau.csv"
+        shape = '{"kind":"disk","R":1e-200}'
+        assert main(["tau", "--shape", shape, "--s", "1", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert float(rows[0][1]) >= 0.0
+
     def test_tau_rejects_nonpositive_s(self):
         assert main(["tau", "--shape", DISK, "--s", "0,1"]) == 2
 

@@ -5,7 +5,6 @@ import pytest
 from scipy import integrate, special
 
 from heatpade.disk_exact import survival_disk, tau_disk, tau_disk_local
-from heatpade.errors import SeriesNotConverged
 from heatpade.heat_content import small_time_expansion, small_time_survival
 from heatpade.series import j0_zero, j0_zeros, maclaurin_tau_disk
 
@@ -41,6 +40,22 @@ class TestTauDisk:
         for s in (0.7, 2.0):
             assert tau_disk(s, R=2.0) == pytest.approx(4.0 * tau_disk(2.0 * s), rel=1e-13)
 
+    @pytest.mark.parametrize("R", [1e-5, 1e-7])
+    def test_small_radius_is_accurate(self, R):
+        # 1 - 2 I1(x)/(x I0(x)) cancels as x = sR -> 0; the Maclaurin
+        # series does not.
+        ref = R**2 / 8 - R**4 / 48 + 11 * R**6 / 3072
+        assert tau_disk(1.0, R) == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+    def test_tiny_radius_is_not_negative(self):
+        assert tau_disk(1.0, 1e-200) >= 0.0
+
+    @pytest.mark.parametrize("side", [-1e-12, 1e-12])
+    def test_series_and_bessel_forms_meet_at_one(self, side):
+        s = 1.0 + side
+        bessel = (1.0 - 2.0 * special.i1e(s) / (s * special.i0e(s))) / s**2
+        assert tau_disk(s) == pytest.approx(bessel, rel=1e-14, abs=0.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             tau_disk(0.0)
@@ -74,11 +89,10 @@ class TestSurvivalDisk:
         # 4 sum z_n^-2 = 1; slow algebraic tail, modest N gives ~1e-3.
         z = np.array(j0_zeros(2000))
         assert 4.0 * np.sum(z**-2.0) == pytest.approx(1.0, abs=1e-3)
-        assert survival_disk(0.0, N=2000) == pytest.approx(1.0, abs=1e-3)
 
-    def test_zero_time_needs_explicit_modes(self):
-        with pytest.raises(SeriesNotConverged):
-            survival_disk(0.0)
+    def test_zero_time_is_one(self):
+        # Every walker starts inside.
+        assert survival_disk(0.0) == 1.0
 
     def test_long_time_single_mode(self):
         t = 2.0
@@ -114,8 +128,6 @@ class TestSurvivalDisk:
     def test_validation(self):
         with pytest.raises(ValueError):
             survival_disk(-0.1)
-        with pytest.raises(ValueError):
-            survival_disk(0.1, N=0)
         with pytest.raises(ValueError, match="time"):
             survival_disk(math.nan)
         for R in (0.0, -1.0, math.nan):

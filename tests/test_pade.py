@@ -24,7 +24,6 @@ from heatpade.pade import (
     build_residuals,
     _division_free_system,
     _homotopy_endpoints,
-    _large_s_denominator,
     _make_solution,
     _polish_extended,
     _scaled_norm,
@@ -32,11 +31,10 @@ from heatpade.pade import (
     pole_zero_gap,
     poles,
     prony_moments,
-    rational_series,
     select_solution,
     solve_interpolation,
 )
-from heatpade.series import maclaurin_tau_disk
+from heatpade.series import maclaurin_tau_disk, quotient
 
 
 def _mpf_system(c, n):
@@ -87,31 +85,33 @@ class TestBuildResiduals:
             build_residuals(LargeSSeries((1.0, 2.0)), 2)
 
 
+def _coefficient_lists(approx):
+    """Ascending numerator and denominator coefficients, leading 1s included."""
+    return approx.numerator().tolist(), approx.denominator().tolist()
+
+
 class TestRationalSeries:
     def test_zero_numerator_constant(self):
         # P(s) = s (p0 = 0) over a denominator with q0 = 1: d0 = 0.
         approx = PadeApproximant(n=1, p=(0.0,), q=(1.0, 0.5, 0.25))
-        d = rational_series(approx, "zero", 3)
+        d = quotient(*_coefficient_lists(approx), 4)
         assert d[0] == 0.0
         assert d[1] == pytest.approx(1.0)  # P/Q = s (1 - q1 s - ...) near 0
 
     def test_odd_coefficients_vanish_at_solution(self, disk_ladder):
         for sol in disk_ladder:
-            d = rational_series(sol.approximant, "zero", 2 * sol.n)
+            d = quotient(*_coefficient_lists(sol.approximant), 2 * sol.n + 1)
             assert np.max(np.abs(d[1 : 2 * sol.n : 2])) < 1e-8
 
     def test_infinity_matches_input_series(self, disk_series, disk_ladder):
         for sol in disk_ladder:
-            e = rational_series(sol.approximant, "infinity", sol.n + 2)
+            # Reversed, P/Q is a series in 1/s that starts at the 1/s^2 term.
+            P, Q = _coefficient_lists(sol.approximant)
+            e = quotient(P[::-1], Q[::-1], sol.n + 3)
             assert e[0] == pytest.approx(1.0)  # 1/s^2 coefficient, monic
             scale = np.max(np.abs(np.concatenate([sol.approximant.p, sol.approximant.q])))
             for j in range(1, sol.n + 3):
                 assert e[j] == pytest.approx(disk_series.c[j - 1], abs=1e-12 * max(scale, 1.0))
-
-    def test_bad_direction(self):
-        approx = PadeApproximant(n=1, p=(1.0,), q=(1.0, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            rational_series(approx, "sideways", 2)
 
 
 class TestPoles:
@@ -349,34 +349,22 @@ class TestExactDerivatives:
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_large_s_denominator_is_exact(self, disk_series, n):
-        from mpmath import mp, mpf
-
-        with mp.workdps(50):
-            m_asc = [mpf(v) for v in disk_series.c[: n + 2]][::-1] + [mpf(1)]
-            p = [mpf(v) for v in np.random.default_rng(n).normal(scale=10.0, size=n)]
-            q = _large_s_denominator(m_asc, p, 1)
-            assert q[-1] == 1
-            x = np.array(p + q[:-1], dtype=object)
-            large = build_residuals(disk_series, n)(x)[: n + 2]
-            assert max(abs(v) for v in large) < mpf(10) ** -40 * (1 + max(abs(v) for v in x))
-
-    @pytest.mark.parametrize("n", [1, 4, 7])
-    def test_system_denominator_is_back_substitution(self, disk_series, n):
-        # The polish takes q from the system's own b + T p; it must be the
-        # denominator the large-s conditions fix, to 50 digits.
+        # The polish takes q from the system's own b + T p, read off the
+        # series of 1/(s^2 tau); to 50 digits it must meet the large-s rows
+        # of build_residuals, which multiply the polynomials out instead.
         from mpmath import mp, mpf
 
         with mp.workdps(50):
             _, denominator = _division_free_system(disk_series, n, mpf)
-            m_asc = [mpf(v) for v in disk_series.c[: n + 2]][::-1] + [mpf(1)]
+            residuals = build_residuals(disk_series, n)
             rng = np.random.default_rng(200 + n)
             for _ in range(3):
                 p = [mpf(v) for v in rng.normal(scale=10.0, size=n)]
                 q = list(denominator(p))
-                ref = _large_s_denominator(m_asc, p, 1)[:-1]
                 assert len(q) == n + 2
-                gap = max(abs(a - b) for a, b in zip(q, ref))
-                assert gap <= mpf(10) ** -45 * max(abs(v) for v in ref)
+                x = np.array(p + q, dtype=object)
+                large = residuals(x)[: n + 2]
+                assert max(abs(v) for v in large) < mpf(10) ** -40 * (1 + max(abs(v) for v in x))
 
     def test_polish_confirms_every_solution(self, disk_series, disk_solution_sets):
         # The reduced system is n quadratics in n unknowns: at most 2^n
@@ -395,7 +383,7 @@ class TestExactDerivatives:
 
         # Numerators p where a local least-squares solve of the n = 2 disk
         # system ended after its coefficients ran away.
-        m_asc = list(disk_series.c[:4])[::-1] + [1.0]
+        _, denominator = _division_free_system(disk_series, 2)
         runaways = []
         for p in (
             ("-0x1.8954edd430df8p+49", "-0x1.22b608834c230p+49"),
@@ -403,7 +391,7 @@ class TestExactDerivatives:
             ("-0x1.5947d8f91dfa2p+49", "-0x1.fe64a288d0bf6p+48"),
         ):
             p = [float.fromhex(v) for v in p]
-            runaways.append(np.array(p + _large_s_denominator(m_asc, p, 1.0)[:-1]))
+            runaways.append(np.array(p + list(denominator(p))))
         # Runaways: coefficients grown without bound while the residual,
         # scaled by 1 + ||x||, passes the acceptance tolerance.
         res = build_residuals(disk_series, 2)

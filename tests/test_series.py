@@ -7,13 +7,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from heatpade.errors import DegenerateDenominator
 from heatpade.series import (
     asymptotic_ratio_coeffs,
     bessel_I,
     bessel_ratio,
     j0_zeros,
     maclaurin_tau_disk,
+    quotient,
 )
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=50)
+
+
+class TestQuotient:
+    @given(
+        st.lists(fractions, min_size=1, max_size=6),
+        st.lists(fractions, min_size=1, max_size=6).filter(lambda q: q[0] != 0),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_divides_a_product_exactly(self, p, q, extra):
+        pq = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, pi in enumerate(p):
+            for j, qj in enumerate(q):
+                pq[i + j] += pi * qj
+        assert quotient(pq, q, len(p) + extra) == p + [0] * extra
+
+    @pytest.mark.parametrize("zero", [0.0, Fraction(0)])
+    def test_zero_constant_term_is_degenerate(self, zero):
+        with pytest.raises(DegenerateDenominator):
+            quotient([1.0], [zero, 1.0], 3)
 
 
 class TestAsymptoticRatioCoeffs:
