@@ -45,6 +45,24 @@ def _mpf_system(c, n):
         return _division_free_system(c, n, mpf)
 
 
+def _back_substitution_denominator(m_asc, p):
+    """Monic denominator q_0..q_(n+1) fixed by the large-s conditions, solved row by row.
+
+    ``m_asc`` holds c_(n+2), ..., c_1, 1.  The condition at degree n+2+j
+    of P s^(n+4) - Q M reads p_(j-2) = sum_(i>=j) q_i m_(n+2+j-i), and its
+    coefficient of q_j is m_(n+2) = 1, so back-substitution from j = n+1
+    down to 0 gives q exactly, in any arithmetic, with no series division.
+    """
+    n = len(p)
+    q = [0] * (n + 2) + [1]
+    for j in range(n + 1, -1, -1):
+        acc = p[j - 2] if j >= 2 else 0
+        for i in range(j + 1, n + 3):
+            acc = acc - q[i] * m_asc[n + 2 + j - i]
+        q[j] = acc
+    return q[:-1]
+
+
 @pytest.fixture(scope="module")
 def disk_series():
     return tau_large_s_series(Disk(), 9)
@@ -365,6 +383,25 @@ class TestExactDerivatives:
                 x = np.array(p + q, dtype=object)
                 large = residuals(x)[: n + 2]
                 assert max(abs(v) for v in large) < mpf(10) ** -40 * (1 + max(abs(v) for v in x))
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_system_denominator_is_back_substitution(self, disk_series, n):
+        # The system's b + T p, read off the series of 1/(s^2 tau), must be
+        # the denominator that back-substitution through the large-s rows
+        # gives, to 50 digits.
+        from mpmath import mp, mpf
+
+        with mp.workdps(50):
+            _, denominator = _division_free_system(disk_series, n, mpf)
+            m_asc = [mpf(v) for v in disk_series.c[: n + 2]][::-1] + [mpf(1)]
+            rng = np.random.default_rng(200 + n)
+            for _ in range(3):
+                p = [mpf(v) for v in rng.normal(scale=10.0, size=n)]
+                q = list(denominator(p))
+                ref = _back_substitution_denominator(m_asc, p)
+                assert len(q) == len(ref) == n + 2
+                gap = max(abs(a - b) for a, b in zip(q, ref))
+                assert gap <= mpf(10) ** -45 * max(abs(v) for v in ref)
 
     def test_polish_confirms_every_solution(self, disk_series, disk_solution_sets):
         # The reduced system is n quadratics in n unknowns: at most 2^n
