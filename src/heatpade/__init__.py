@@ -29,7 +29,7 @@ from .heat_content import (
     small_time_survival,
     tau_large_s_series,
 )
-from .disk_exact import survival_disk, tau_disk, tau_disk_local
+from .disk_exact import survival_disk, tau_disk
 from .mc_oracle import McConfig, simulate_survival
 from .pade import (
     PadeApproximant,
@@ -41,6 +41,6 @@ from .pade import (
     select_solution,
     solve_interpolation,
 )
-from .series import asymptotic_ratio_coeffs, bessel_I, bessel_ratio, j0_zeros, maclaurin_tau_disk
+from .series import asymptotic_ratio_coeffs, bessel_ratio, maclaurin_tau_disk
 
 __version__ = "0.1.0"

@@ -5,8 +5,8 @@ artifact version): as ``#`` comment lines preceding the header row in CSV
 output, or under a ``manifest`` key in JSON output.  Given the manifest,
 every subcommand is deterministic.
 
-Exit codes: 0 on success, 2 on usage errors, 1 on numeric failures with a
-machine-readable JSON error record on stderr.
+Exit codes: 0 on success, 2 on usage errors, 1 on numeric failures and
+overflows, with a machine-readable JSON error record on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
 
 from . import __version__
 from .disk_exact import survival_disk, tau_disk
@@ -185,7 +187,10 @@ def cmd_tau(args):
         rows = [(s, tau_disk(s, curve.R)) for s in s_values]
     else:
         c = tau_large_s_series(curve, j_max, args.mode)
-        rows = [(s, 1.0 / s**2 + sum(cj / s ** (j + 2) for j, cj in enumerate(c.c, start=1))) for s in s_values]
+        # A power of s past the double range is inf, so its term is +-0.
+        with np.errstate(over="ignore"):
+            rows = [(s, 1.0 / x**2 + sum(cj / x ** (j + 2) for j, cj in enumerate(c.c, start=1)))
+                    for s, x in zip(s_values, np.array(s_values))]
     manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)), method=method)
     _write_csv(args.out, manifest, ["s", "tau"], rows)
     return 0
@@ -352,7 +357,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except HeatPadeError as exc:
+    except (HeatPadeError, OverflowError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc), "subcommand": args.subcommand}
         print(json.dumps(record), file=sys.stderr)
         return 1

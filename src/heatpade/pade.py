@@ -15,10 +15,10 @@ n quadratics, with at most 2^n isolated roots, built once per solve as
 constant arrays F(p) = C + B p + A[p, p].  A total-degree homotopy
 tracks one path to each root, with no randomness and no starting guess:
 a fourth-order Runge-Kutta predictor, steps in t of at most 0.1, and a
-Newton corrector.  A real endpoint becomes a solution only when 50-digit
-Newton on the same quadratics reaches a step below 1e-20 (relative to
-1 + |p|) within 8 steps; the roots it reaches are then the same doubles
-from any start.  The denominator root pair closest to the origin
+Newton corrector.  A real endpoint becomes a solution only when Newton
+on exact rational residuals of the same quadratics reaches a step below
+1e-20 (relative to 1 + |p|) within 8 steps; the roots are then the same
+doubles from any start.  The denominator root pair closest to the origin
 estimates the lowest Dirichlet eigenvalue via lambda_1 = Im[s]^2.
 
 A moment-truncation estimator (Prony-type, by Gauss quadrature) recovering
@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -48,7 +49,6 @@ RESIDUAL_ACCEPT = 1e-10
 DOUBLET_GAP = 1e-6
 # Two homotopy endpoints this close, relative to 1 + |p|, mean a path jumped.
 _DEDUP_TOL = 1e-8
-_POLISH_DPS = 50
 # F is quadratic, so Newton from a point whose coefficients ran off
 # towards infinity only halves p at each step, and its step never
 # becomes small: this cap refuses such a start.  From a double-precision
@@ -214,15 +214,15 @@ def _division_free_system(c: LargeSSeries, n: int, num=float):
     F(p) = C + B p + A[p, p], so that J = B + (A + A^T) p.  With Q(-s)
     = b' + T' p, the coefficient of s^d in P(s) Q(-s) pairs p_i with
     b'_(d-i) + T'_(d-i) p, and the monic s^n with b'_(d-n) + T'_(d-n) p.
-    ``num`` is ``float``, for complex rows, or mpmath's ``mpf``, for
-    object arrays (then built and called under the working precision).
+    ``num`` is ``float``, for complex rows, or ``Fraction``, for exact
+    object arrays (the signs of Q(-s) are integers, so they stay exact).
     Returns ``(at, denominator)``: ``at(p)`` -> (F, J) for p of shape
     (rows, n), and ``denominator(p)`` -> q_0..q_(n+1) = b + T p for one
     numerator p, from the same b and T.
     """
     zero, one = num(0), num(1)
     inv = quotient([one], [one] + [num(v) for v in c.c[: n + 2]], n + 3)
-    sign = (-1.0) ** np.arange(n + 3)
+    sign = (-1) ** np.arange(n + 3)
     # Q(s) = b + T p, of degrees 0..n+2.
     b = np.array(inv[::-1])
     T = np.array([[inv[2 + i - j] if 2 + i - j >= 0 else zero for i in range(n)] for j in range(n + 3)])
@@ -253,30 +253,32 @@ def _division_free_system(c: LargeSSeries, n: int, num=float):
 
 
 def _polish_extended(system, p0):
-    """Newton on the 50-digit ``system`` from numerator p0; the (p, q) doubles, or None.
+    """Newton on exact rational residuals of ``system`` from p0; the (p, q) doubles, or None.
 
-    Newton stops after the first step no larger than
-    10^(5 - _POLISH_DPS/2) (1 + max |p|): the next correction is of order
-    the square of that step, so it cannot move a double.  A singular
-    Jacobian, or no such step within ``_POLISH_MAX_ITER``, gives None.
+    Each step evaluates F and J exactly at the ``Fraction`` point p and
+    adds the correction, solved in doubles, to p exactly: iterative
+    refinement (Higham, "Accuracy and Stability of Numerical Algorithms",
+    2nd ed., 2002, ch. 12).  A step shrinks the error by cond(J) u on top
+    of Newton's square, so after a step of at most 1e-20 (1 + max |p|) the
+    next is about cond(J) 1e-36, which cannot move a double at any cond(J)
+    where the refinement converges: Newton stops there.  A singular J, a
+    step that is not finite, an F or J beyond the double range, or no
+    such step within ``_POLISH_MAX_ITER`` gives None.
     """
-    from mpmath import mp, mpf
-
     at, denominator = system
-    with mp.workdps(_POLISH_DPS):
-        tol = mpf(10) ** (5 - _POLISH_DPS // 2)
-        p = [mpf(v) for v in p0]
+    p = [Fraction(v) for v in p0]
+    try:
         for _ in range(_POLISH_MAX_ITER):
-            F, J = at(np.array([p], dtype=object))
-            try:
-                step = mp.lu_solve(mp.matrix(J[0].tolist()), mp.matrix([-v for v in F[0]]))
-            except (ZeroDivisionError, TypeError):
-                # mpmath signals a singular pivot either way.
+            F, J = at(np.array([p]))
+            step = np.linalg.solve(J[0].astype(float), -F[0].astype(float))
+            if not np.isfinite(step).all():
                 return None
-            p = [pi + si for pi, si in zip(p, step)]
-            if max(abs(v) for v in step) <= tol * (1 + max(abs(v) for v in p)):
+            p = [pi + Fraction(si) for pi, si in zip(p, step)]
+            if np.max(np.abs(step)) <= 1e-20 * (1 + max(abs(float(v)) for v in p)):
                 return np.array([float(v) for v in [*p, *denominator(p)]])
-        return None
+    except (np.linalg.LinAlgError, OverflowError):
+        pass  # a singular J, or an F or J beyond the double range
+    return None
 
 
 def _homotopy_endpoints(c: LargeSSeries, n: int):
@@ -369,14 +371,14 @@ def solve_interpolation(
     The reduced system is n quadratics in the n numerator unknowns p (the
     large-s conditions fix the denominator), so it has at most 2^n
     isolated roots, and ``_homotopy_endpoints`` finds all of them.  Each
-    endpoint with |Im p| below ``_REAL_TOL`` (1 + |p|) is polished in
-    extended precision (``_polish_extended``) and accepted only when the
-    polish converges and the polished point's scaled residual norm is
-    below ``RESIDUAL_ACCEPT``.  A polished root is the same doubles from
-    any start, so accepted roots that are equal doubles are one root.
-    They are ordered by ascending |Re| of the closest complex pole
-    (solutions without one come last).  ``NoSolutionFound`` says whether
-    no root was real or no real root passed the polish.
+    endpoint with |Im p| below ``_REAL_TOL`` (1 + |p|) is polished by
+    Newton on exact rational residuals (``_polish_extended``), and kept
+    when the polish converges and the polished point's scaled residual
+    norm is below ``RESIDUAL_ACCEPT``.  A polished root is the same
+    doubles from any start, so accepted roots that are equal doubles are
+    one root.  They are ordered by ascending |Re| of the closest complex
+    pole (solutions without one come last).  ``NoSolutionFound`` says
+    whether no root was real or no real root passed the polish.
 
     The search has no randomness and no starting guess: ``seed`` and
     ``n_multistart`` are accepted for compatibility and have no effect.
@@ -386,10 +388,7 @@ def solve_interpolation(
     real = np.abs(ends.imag).max(axis=1) <= _REAL_TOL * (1.0 + np.linalg.norm(ends, axis=1))
     if not real.any():
         raise NoSolutionFound(f"none of the {len(ends)} finite roots of order {n} is real")
-    from mpmath import mp, mpf
-
-    with mp.workdps(_POLISH_DPS):
-        system = _division_free_system(c, n, mpf)
+    system = _division_free_system(c, n, Fraction)
     accepted = []
     for p in ends[real].real:
         x = _polish_extended(system, p)

@@ -5,7 +5,7 @@ feeding the rational-interpolation solver is carried in exact
 ``fractions.Fraction`` arithmetic: the asymptotic coefficients of the
 Bessel ratio I1(x)/I0(x) and the Maclaurin coefficients of the disk
 Laplace transform.  Floating point enters only at the final evaluation.
-The Bessel helpers (``bessel_I``, ``bessel_ratio``, ``j0_zero``) import
+The Bessel helpers (``bessel_ratio``, ``j0_zero``) import
 ``scipy.special`` on their first call only, so importing this module (and
 the series, ladder and Monte-Carlo paths) does not load scipy.  Each J0
 zero is computed once per process and cached.
@@ -24,10 +24,10 @@ def quotient(p, q, K: int):
     """Coefficients d_0, ..., d_(K-1) of the power series p(x) / q(x) by recursive division.
 
     ``p`` and ``q`` are ascending coefficient lists of floats, complex
-    numbers, ``Fraction``s or mpmath numbers; ``p`` is padded with exact
-    zeros to K terms.  d_k = (p_k - sum_i q_i d_(k-i)) / q_0, summed in
-    increasing i: ``Fraction``s stay exact, and floats get numpy's IEEE
-    operations without its overhead.  An overflow leaves d_(K-1) non-finite.
+    numbers or ``Fraction``s; ``p`` is padded with exact zeros to K
+    terms.  d_k = (p_k - sum_i q_i d_(k-i)) / q_0, summed in increasing
+    i: ``Fraction``s stay exact, and floats get numpy's IEEE operations
+    without its overhead.  An overflow leaves d_(K-1) non-finite.
     """
     if q[0] == 0:
         raise DegenerateDenominator("q0 = 0 during series division")
@@ -62,17 +62,6 @@ def asymptotic_ratio_coeffs(K: int):
     return list(_ratio_coeffs_cached(K))
 
 
-def bessel_I(order: int, x: float) -> float:
-    """Modified Bessel function I0 or I1 for x >= 0."""
-    if order not in (0, 1):
-        raise ValueError("only orders 0 and 1 are supported")
-    if x < 0:
-        raise ValueError("argument must be non-negative")
-    from scipy import special
-
-    return float(special.iv(order, x))
-
-
 def bessel_ratio(x: float) -> float:
     """I1(x)/I0(x); lies in (0, 1) for x > 0 and increases to 1.
 
@@ -99,13 +88,6 @@ def j0_zero(k: int) -> float:
         if abs(step) < 1e-14:
             break
     return z
-
-
-def j0_zeros(N: int):
-    """First N positive zeros of J0 (see ``j0_zero``)."""
-    if N < 1:
-        raise ValueError("need at least one zero")
-    return [j0_zero(k) for k in range(1, N + 1)]
 
 
 @lru_cache(maxsize=None)

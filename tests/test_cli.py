@@ -86,6 +86,26 @@ class TestSurvivalAndTau:
         assert main(["tau", "--shape", shape, "--s", "1,inf"]) == 2
         assert capsys.readouterr().err.startswith("error: Laplace variable values must be finite")
 
+    def test_tau_expansion_past_the_double_range(self, tmp_path):
+        # s^3 overflows at s = 1e120, so only the 1/s^2 term is left.
+        out = tmp_path / "tau.csv"
+        assert main(["tau", "--shape", ELLIPSE, "--s", "1e120", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert float(rows[0][1]) == 1e-240
+
+    def test_tau_expansion_underflows_to_zero(self, tmp_path):
+        out = tmp_path / "tau.csv"
+        argv = ["tau", "--shape", DISK, "--method", "expansion", "--s", "1e200"]
+        assert main(argv + ["--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert float(rows[0][1]) == 0.0
+
+    def test_survival_overflow_is_numeric_error(self, capsys):
+        assert main(["survival", "--shape", ELLIPSE, "--times", "1e300"]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "OverflowError"
+        assert record["subcommand"] == "survival"
+
 
 class TestPadeAndLambda1:
     def test_pade_solution_json(self, tmp_path):

@@ -1,12 +1,13 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from heatpade.disk_exact import survival_disk, tau_disk, tau_disk_local
+from heatpade.disk_exact import survival_disk, tau_disk
 from heatpade.heat_content import small_time_expansion, small_time_survival
-from heatpade.series import j0_zero, j0_zeros, maclaurin_tau_disk
+from heatpade.series import j0_zero, maclaurin_tau_disk
 
 
 class TestTauDisk:
@@ -63,31 +64,10 @@ class TestTauDisk:
             tau_disk(1.0, R=-1.0)
 
 
-class TestTauDiskLocal:
-    def test_boundary_vanishes(self):
-        assert tau_disk_local(1.0, 1.0, 1.0) == 0.0
-        # I0(800) overflows a double; the boundary value must not turn into NaN.
-        assert tau_disk_local(800.0, 1.0) == 0.0
-
-    def test_center_exceeds_average(self):
-        s = 1.0
-        assert tau_disk_local(s, 0.0) > tau_disk(s)
-
-    def test_average_over_domain(self):
-        # The domain average of the local transform is tau_disk.
-        s = 1.5
-        avg, _ = integrate.quad(lambda r: tau_disk_local(s, r) * 2.0 * r, 0.0, 1.0)
-        assert avg == pytest.approx(tau_disk(s), rel=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            tau_disk_local(1.0, 1.5)
-
-
 class TestSurvivalDisk:
     def test_completeness(self):
         # 4 sum z_n^-2 = 1; slow algebraic tail, modest N gives ~1e-3.
-        z = np.array(j0_zeros(2000))
+        z = np.array([j0_zero(k) for k in range(1, 2001)])
         assert 4.0 * np.sum(z**-2.0) == pytest.approx(1.0, abs=1e-3)
 
     def test_zero_time_is_one(self):
@@ -96,12 +76,12 @@ class TestSurvivalDisk:
 
     def test_long_time_single_mode(self):
         t = 2.0
-        z1 = j0_zeros(1)[0]
+        z1 = j0_zero(1)
         ref = 4.0 / z1**2 * math.exp(-(z1**2) * t)
         assert survival_disk(t) == pytest.approx(ref, rel=1e-10)
 
     def test_gamma1_weight(self):
-        assert 4.0 / j0_zeros(1)[0] ** 2 == pytest.approx(0.691660, abs=5e-7)
+        assert 4.0 / j0_zero(1) ** 2 == pytest.approx(0.691660, abs=5e-7)
 
     def test_decreasing_in_time(self):
         ts = np.linspace(0.01, 1.0, 50)
@@ -144,13 +124,36 @@ class TestSurvivalDisk:
             f = getattr(special, name)
             monkeypatch.setattr(special, name, lambda z, f=f: calls.append(z) or f(z))
         j0_zero.cache_clear()
-        first = survival_disk(1e-6)
+        first = survival_disk(1e-3)
         used = j0_zero.cache_info().currsize
-        assert used > 1000 and calls
+        assert used > 40 and calls
         calls.clear()
-        j0_zeros(used)
-        assert survival_disk(1e-6) == first
+        for k in range(1, used + 1):
+            j0_zero(k)
+        assert survival_disk(1e-3) == first
         assert calls == []
+
+    def test_tiny_time_deficit(self):
+        # S = 1 - 4 sqrt(t / pi) + t + O(t^(3/2)); the eigenseries cut off
+        # at 1e-12 gave a deficit of 6.4e-7 here, against 2.3e-8.
+        t = 1e-16
+        assert abs(survival_disk(t) - (1.0 - 4.0 * math.sqrt(t / math.pi) + t)) <= 1e-15
+
+    def test_tiny_time_is_fast(self):
+        j0_zero.cache_clear()
+        start = time.process_time()
+        survival_disk(1e-12)
+        assert time.process_time() - start < 0.1
+
+    @pytest.mark.parametrize("side", [-1e-12, 1e-12])
+    def test_short_time_series_meets_eigenseries(self, side):
+        # Both branches meet the eigenseries summed over every mode that
+        # counts in double precision: exp(-z^2 t) underflows before the
+        # 400th zero.
+        t = 1e-3 + side
+        z = np.array([j0_zero(k) for k in range(1, 401)])
+        ref = float(np.sum(4.0 / z**2 * np.exp(-(z**2) * t)))
+        assert survival_disk(t) == pytest.approx(ref, rel=0.0, abs=1e-12)
 
 
 def small_time_expansion_disk():

@@ -1,7 +1,9 @@
-"""scipy stays off the start-up path: only the Bessel helpers and ``prony_moments`` load it.
+"""scipy and mpmath stay off the start-up path.
 
-Each check runs in a fresh interpreter, since the test process itself has
-imported scipy long before.
+Only the Bessel helpers and ``prony_moments`` load scipy, and nothing in
+the package loads mpmath, which the tests alone use.  Each check runs in a
+fresh interpreter, since the test process itself has imported scipy long
+before.
 """
 
 import json
@@ -10,9 +12,8 @@ import subprocess
 import sys
 
 import heatpade
-from heatpade.disk_exact import tau_disk_local
 from heatpade.pade import prony_moments
-from heatpade.series import bessel_ratio, j0_zeros, maclaurin_tau_disk
+from heatpade.series import bessel_ratio, j0_zero, maclaurin_tau_disk
 
 _SRC = os.path.dirname(os.path.dirname(heatpade.__file__))
 
@@ -26,7 +27,7 @@ def _fresh(code):
     return out.stdout
 
 
-_SCIPY_LOADED = "print(sorted(k for k in sys.modules if k.startswith('scipy')))\n"
+_LOADED = "print(sorted(k for k in sys.modules if k.split('.')[0] in ('scipy', 'mpmath')))\n"
 
 
 def test_no_scipy_on_series_ladder_and_mc_paths():
@@ -42,7 +43,7 @@ def test_no_scipy_on_series_ladder_and_mc_paths():
         "    tau_large_s_series(curve, 6, 'savo')\n"
         "ladder(tau_large_s_series(Disk(), 4), 2)\n"
         "simulate_survival(Ellipse(b=1.0, eps=0.5), McConfig(walkers=8, dt=1e-3, t_grid=(0.01,)))\n"
-        + _SCIPY_LOADED
+        + _LOADED
     )
     assert _fresh(code).strip() == "[]"
 
@@ -50,19 +51,30 @@ def test_no_scipy_on_series_ladder_and_mc_paths():
 def test_scipy_helpers_work_in_a_fresh_process():
     code = (
         "import json, sys\n"
-        "from heatpade.disk_exact import tau_disk_local\n"
         "from heatpade.pade import prony_moments\n"
-        "from heatpade.series import bessel_ratio, j0_zeros, maclaurin_tau_disk\n"
-        + _SCIPY_LOADED
-        + "print(json.dumps([bessel_ratio(2.5), j0_zeros(3), tau_disk_local(3.0, 0.4),"
+        "from heatpade.series import bessel_ratio, j0_zero, maclaurin_tau_disk\n"
+        + _LOADED
+        + "print(json.dumps([bessel_ratio(2.5), [j0_zero(k) for k in range(1, 4)],"
         " prony_moments(maclaurin_tau_disk(1, 5), 3)]))\n"
     )
     loaded, values = _fresh(code).splitlines()
     assert loaded == "[]"
     expected = [
         bessel_ratio(2.5),
-        j0_zeros(3),
-        tau_disk_local(3.0, 0.4),
+        [j0_zero(k) for k in range(1, 4)],
         [list(p) for p in prony_moments(maclaurin_tau_disk(1, 5), 3)],
     ]
     assert json.loads(values) == expected
+
+
+def test_cli_runs_without_mpmath():
+    # The solver's polish is exact rational arithmetic: blocking mpmath
+    # must not change a byte of the output.
+    ellipse = '{"kind":"ellipse","b":1.0,"eps":0.5}'
+    for argv in (
+        ["table1", "--n-max", "7"],
+        ["lambda1", "--shape", ellipse, "--n-max", "4", "--mode", "savo"],
+    ):
+        run = f"from heatpade.cli import main\nmain({argv!r})\n"
+        blocked = _fresh("import sys\nsys.modules['mpmath'] = None\n" + run)
+        assert blocked and blocked == _fresh(run)

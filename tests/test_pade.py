@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +38,35 @@ from heatpade.pade import (
 from heatpade.series import maclaurin_tau_disk, quotient
 
 
-def _mpf_system(c, n):
-    """The 50-digit system ``solve_interpolation`` hands to the polish."""
+def _exact_system(c, n):
+    """The exact rational system ``solve_interpolation`` hands to the polish."""
+    return _division_free_system(c, n, Fraction)
+
+
+def _polish_50_digits(system, p0):
+    """Reference polish: Newton in 50-digit mpmath on ``system`` built from ``mpf``.
+
+    It stops on the same rule as ``_polish_extended``, a step no larger
+    than 1e-20 (1 + max |p|) within ``_POLISH_MAX_ITER`` steps, and gives
+    None on a singular pivot or when no such step comes.
+    """
     from mpmath import mp, mpf
 
-    with mp.workdps(pade._POLISH_DPS):
-        return _division_free_system(c, n, mpf)
+    at, denominator = system
+    with mp.workdps(50):
+        tol = mpf(10) ** -20
+        p = [mpf(v) for v in p0]
+        for _ in range(pade._POLISH_MAX_ITER):
+            F, J = at(np.array([p], dtype=object))
+            try:
+                step = mp.lu_solve(mp.matrix(J[0].tolist()), mp.matrix([-v for v in F[0]]))
+            except (ZeroDivisionError, TypeError):
+                # mpmath signals a singular pivot either way.
+                return None
+            p = [pi + si for pi, si in zip(p, step)]
+            if max(abs(v) for v in step) <= tol * (1 + max(abs(v) for v in p)):
+                return np.array([float(v) for v in [*p, *denominator(p)]])
+        return None
 
 
 def _back_substitution_denominator(m_asc, p):
@@ -245,8 +269,7 @@ def _pinned_roots():
 class TestPinnedRoots:
     """Every accepted root, bit for bit, as the solver first produced them.
 
-    The 50-digit polish settles each real endpoint of the homotopy on its
-    root, so a change to how the paths are tracked must leave these
+    The polish settles each real endpoint of the homotopy on its root, so a change to how the paths are tracked must leave these
     doubles unchanged.
     """
 
@@ -348,8 +371,8 @@ class TestExactDerivatives:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_reduced_system_float_matches_mpf(self, disk_series, n):
-        # One formulation serves both stages: the double-precision system
-        # the homotopy tracks is the 50-digit one the polish solves, rounded.
+        # One formulation serves every arithmetic: the double-precision
+        # system the homotopy tracks is the same system in 50 digits, rounded.
         from mpmath import mp, mpf
 
         at, _ = _division_free_system(disk_series, n)
@@ -406,18 +429,16 @@ class TestExactDerivatives:
     def test_polish_confirms_every_solution(self, disk_series, disk_solution_sets):
         # The reduced system is n quadratics in n unknowns: at most 2^n
         # isolated roots (Bezout).  Every solution must be one the
-        # extended-precision Newton confirms, so polishing it again
-        # returns it unchanged.
+        # exact-residual Newton confirms, so polishing it again returns it
+        # unchanged.
         for n, sols in enumerate(disk_solution_sets, start=1):
             assert 1 <= len(sols) <= 2**n
-            system = _mpf_system(disk_series, n)
+            system = _exact_system(disk_series, n)
             for sol in sols:
                 x = np.array(sol.approximant.p + sol.approximant.q)
                 assert np.array_equal(_polish_extended(system, x[:n]), x)
 
-    def test_polish_rejects_runaway_quickly(self, disk_series, monkeypatch):
-        from mpmath import mp
-
+    def test_polish_rejects_runaway_quickly(self, disk_series):
         # Numerators p where a local least-squares solve of the n = 2 disk
         # system ended after its coefficients ran away.
         _, denominator = _division_free_system(disk_series, 2)
@@ -435,40 +456,67 @@ class TestExactDerivatives:
         for x in runaways:
             assert np.linalg.norm(x) > 1e12 and _scaled_norm(res(x), x) < RESIDUAL_ACCEPT
 
-        lu_solve = type(mp).lu_solve
+        at, denominator = _exact_system(disk_series, 2)
         calls = []
 
-        def counting_lu_solve(ctx, *args, **kwargs):
+        def counting_at(p):
             calls.append(1)
-            return lu_solve(ctx, *args, **kwargs)
+            return at(p)
 
-        monkeypatch.setattr(type(mp), "lu_solve", counting_lu_solve)
-        system = _mpf_system(disk_series, 2)
         for x in runaways:
             calls.clear()
-            assert _polish_extended(system, x[:2]) is None
+            assert _polish_extended((counting_at, denominator), x[:2]) is None
             assert 1 <= len(calls) <= 10
+
+    @pytest.mark.parametrize(
+        "p0", [(1e200, -1e200), (1e160, 3e150), (1e308,), (0.0, 0.0, 0.0)]
+    )
+    def test_polish_failure_is_none(self, disk_series, p0):
+        # An F or J beyond the double range, or a singular J, gives no root.
+        assert _polish_extended(_exact_system(disk_series, len(p0)), p0) is None
+
+    def test_polish_infinite_step_is_none(self):
+        # F = 1e300 over J = 1e-300: the step in doubles overflows to inf.
+        def at(p):
+            return np.array([[Fraction(1e300)]]), np.array([[[Fraction(1e-300)]]])
+
+        assert _polish_extended((at, None), [1.0]) is None
+
+    def test_polish_matches_50_digit_newton(self):
+        # From every real homotopy endpoint the exact-residual Newton and
+        # a 50-digit Newton give the same doubles, or both give None.
+        from mpmath import mp, mpf
+
+        disk = tau_large_s_series(Disk(), 11)
+        ellipse = tau_large_s_series(Ellipse(b=1.0, eps=0.4), 6, ExpansionMode.SAVO_EXACT)
+        count = 0
+        for c, orders in ((disk, range(1, 10)), (ellipse, range(1, 5))):
+            for n in orders:
+                ends = _homotopy_endpoints(c, n)
+                size = 1.0 + np.linalg.norm(ends, axis=1)
+                real = ends[np.abs(ends.imag).max(axis=1) <= pade._REAL_TOL * size].real
+                exact = _exact_system(c, n)
+                with mp.workdps(50):
+                    reference = _division_free_system(c, n, mpf)
+                for p in real:
+                    got, want = _polish_extended(exact, p), _polish_50_digits(reference, p)
+                    assert (got is None and want is None) or np.array_equal(got, want)
+                count += len(real)
+        assert count == 56
 
     def test_polish_returns_the_row(self, disk_series):
         sol = select_solution(solve_interpolation(disk_series, 4))
         assert sol.closest_pole.imag == pytest.approx(2.1775, rel=1e-4)
         x = np.array(sol.approximant.p + sol.approximant.q)
         start = x[:4] * (1.0 + 1e-6 * np.random.default_rng(0).normal(size=4))
-        assert np.array_equal(_polish_extended(_mpf_system(disk_series, 4), start), x)
+        assert np.array_equal(_polish_extended(_exact_system(disk_series, 4), start), x)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_polish_work(self, disk_series, monkeypatch, n):
         # From a homotopy endpoint the second Newton step already meets the
         # stop rule, and each step evaluates F and J once.
-        from mpmath import mp
-
-        lu_solve = type(mp).lu_solve
         polish = pade._polish_extended
-        lu_calls, polishes = [], []
-
-        def counting_lu_solve(ctx, *args, **kwargs):
-            lu_calls.append(1)
-            return lu_solve(ctx, *args, **kwargs)
+        polishes = []
 
         def counting_polish(system, p0):
             at, denominator = system
@@ -478,18 +526,15 @@ class TestExactDerivatives:
                 evals.append(1)
                 return at(p)
 
-            lu_calls.clear()
             x = polish((counting_at, denominator), p0)
-            polishes.append((x, len(lu_calls), len(evals)))
+            polishes.append((x, len(evals)))
             return x
 
-        monkeypatch.setattr(type(mp), "lu_solve", counting_lu_solve)
         monkeypatch.setattr(pade, "_polish_extended", counting_polish)
         sols = solve_interpolation(disk_series, n)
-        accepted = [(steps, evals) for x, steps, evals in polishes if x is not None]
+        accepted = [evals for x, evals in polishes if x is not None]
         assert len(accepted) >= len(sols)
-        for steps, evals in accepted:
-            assert 1 <= steps <= 2 and evals == steps
+        assert all(1 <= evals <= 2 for evals in accepted)
 
 
 class TestHomotopy:
