@@ -16,8 +16,10 @@ import csv
 import json
 import math
 import os
+import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from importlib import metadata
 
 import numpy as np
 
@@ -69,6 +71,16 @@ def _order(value, flag):
     return value
 
 
+def _environment():
+    """Python, numpy and scipy versions and the platform; scipy is not imported."""
+    return {
+        "python": platform.python_version(),
+        "numpy": metadata.version("numpy"),
+        "scipy": metadata.version("scipy"),
+        "platform": platform.platform(),
+    }
+
+
 def _manifest(args, **extra):
     skip = {"func", "out", "subcommand"}
     opts = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
@@ -78,6 +90,7 @@ def _manifest(args, **extra):
         "version": __version__,
         "out": getattr(args, "out", None),
         "options": opts,
+        "environment": _environment(),
     }
 
 
@@ -91,6 +104,7 @@ def _write_csv(path, manifest, header, rows):
         for key, value in sorted(manifest["options"].items()):
             fh.write(f"# {key}={value}\n")
         fh.write(f"# subcommand={manifest['subcommand']} version={manifest['version']}\n")
+        fh.write("# " + " ".join(f"{k}={v}" for k, v in manifest["environment"].items()) + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
 

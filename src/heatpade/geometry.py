@@ -103,7 +103,15 @@ class Ellipse(BoundaryCurve):
 
 @dataclass(frozen=True)
 class FourierCurve(BoundaryCurve):
-    """r(phi) = cos_coeffs[0] + sum_m cos_coeffs[m] cos(m phi) + sin_coeffs[m] sin(m phi)."""
+    """r(phi) = cos_coeffs[0] + sum_m cos_coeffs[m] cos(m phi) + sin_coeffs[m] sin(m phi).
+
+    The radius must stay positive.  Since r(phi) >= c_0 - S with S the sum
+    of |c_m| and |s_m| over m >= 1, a curve with c_0 - S above a rounding
+    margin of K 2^-50 (|c_0| + S), K the number of coefficients, is
+    accepted without evaluating r.  Otherwise min r is sampled on
+    max(4096, 8 M) uniform points, M the highest mode, so that no mode
+    aliases to a constant on the grid.
+    """
 
     cos_coeffs: tuple = (1.0,)
     sin_coeffs: tuple = ()
@@ -115,8 +123,16 @@ class FourierCurve(BoundaryCurve):
             raise ValueError("cos_coeffs must contain at least the constant term")
         if not all(math.isfinite(c) for c in self.cos_coeffs + self.sin_coeffs):
             raise ValueError("Fourier coefficients must be finite")
-        phi = np.linspace(0.0, 2.0 * np.pi, _VALIDATION_SAMPLES, endpoint=False)
-        r, _, _ = self.radius(phi)
+        # r >= c0 - S everywhere.  The margin exceeds the rounding of any
+        # sampled sum of r, so each curve accepted here passes the sampled
+        # check too, and the two rules make the same decisions.
+        c0, rest = self.cos_coeffs[0], self.cos_coeffs[1:] + self.sin_coeffs
+        amplitude = sum(abs(c) for c in rest)
+        if c0 - amplitude > (1 + len(rest)) * 2.0**-50 * (abs(c0) + amplitude):
+            return
+        modes = max(len(self.cos_coeffs) - 1, len(self.sin_coeffs))
+        n = max(_VALIDATION_SAMPLES, 8 * modes)
+        r, _, _ = self.radius(np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
         if np.min(r) <= 0.0:
             raise ValueError("boundary radius must stay positive (star-shaped about origin)")
 

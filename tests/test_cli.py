@@ -1,8 +1,11 @@
 import csv
 import json
+import platform
+from importlib import metadata
 
 import pytest
 
+from heatpade import __version__
 from heatpade.cli import main
 
 DISK = '{"kind":"disk","R":1.0}'
@@ -31,6 +34,30 @@ class TestCoeffs:
         assert float(rows[1][1]) == pytest.approx(1.0, abs=1e-12)
         assert rows[6][2] == ""  # no exact coefficient beyond order 6
         assert any("version=" in c for c in comments)
+
+
+class TestManifestEnvironment:
+    EXPECTED = {
+        "python": platform.python_version(),
+        "numpy": metadata.version("numpy"),
+        "scipy": metadata.version("scipy"),
+        "platform": platform.platform(),
+    }
+
+    def test_json_manifest(self, tmp_path):
+        out = tmp_path / "sol.json"
+        assert main(["pade", "--shape", DISK, "--n", "1", "--out", str(out)]) == 0
+        manifest = json.loads(out.read_text())["manifest"]
+        assert list(manifest) == ["subcommand", "version", "out", "options", "environment"]
+        assert manifest["environment"] == self.EXPECTED
+
+    def test_csv_comment_line(self, tmp_path):
+        out = tmp_path / "coeffs.csv"
+        assert main(["coeffs", "--shape", DISK, "--j-max", "3", "--out", str(out)]) == 0
+        comments, _, _ = read_csv(out)
+        line = "# " + " ".join(f"{k}={v}" for k, v in self.EXPECTED.items())
+        assert comments[-1] == line
+        assert comments[-2] == f"# subcommand=coeffs version={__version__}"
 
 
 class TestSurvivalAndTau:

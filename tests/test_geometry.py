@@ -168,6 +168,98 @@ class TestFourierRadius:
         assert [v.hex() for v in tau_large_s_series(curve, 6, "savo").c] == savo_hex
 
 
+def _sampled_rule(c0, cos, sin):
+    """The 4096-sample positivity check, on a batch of curves with equal mode counts.
+
+    ``c0`` has one entry per curve; ``cos`` and ``sin`` have one row per
+    curve and one column per mode m >= 1.  r is summed in
+    ``FourierCurve.radius``'s order, so each row is that method's r bit for
+    bit where no coefficient is 0.0, which it skips; a skipped term would
+    add a signed zero, which leaves the sign of every sample as it is.
+    """
+    phi = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    r = np.repeat(c0[:, None], phi.size, axis=1)
+    for m in range(1, cos.shape[1] + 1):
+        r += cos[:, m - 1 : m] * np.cos(m * phi)
+    for m in range(1, sin.shape[1] + 1):
+        r += sin[:, m - 1 : m] * np.sin(m * phi)
+    return r.min(axis=1) > 0.0
+
+
+def _count_radius(monkeypatch):
+    """Record the sample count of every ``FourierCurve.radius`` call from now on."""
+    calls = []
+    radius = FourierCurve.radius
+
+    def counted(self, phi):
+        calls.append(np.size(phi))
+        return radius(self, phi)
+
+    monkeypatch.setattr(FourierCurve, "radius", counted)
+    return calls
+
+
+def _accepted(cos, sin):
+    try:
+        FourierCurve(cos, sin)
+    except ValueError:
+        return False
+    return True
+
+
+class TestFourierPositivity:
+    def test_bound_decides_as_the_sampled_rule(self, monkeypatch):
+        # c_0 = S (1 + delta) with |delta| log-uniform in [1e-17, 1e-1], so
+        # the sets straddle c_0 = S and the bound's rounding margin.
+        sampled = _count_radius(monkeypatch)
+        rng = np.random.default_rng(2026)
+        for modes in range(1, 5):
+            batch = 2500
+            cos = rng.uniform(-1.0, 1.0, size=(batch, modes)) * rng.uniform(0.01, 10.0, (batch, 1))
+            sin = rng.uniform(-1.0, 1.0, size=(batch, modes)) * rng.uniform(0.5, 2.0, (batch, 1))
+            # A quarter of the sets reach r = c_0 - S at phi = 0, a sample.
+            aligned = np.arange(batch) % 4 == 0
+            cos[aligned] = -np.abs(cos[aligned])
+            sin[aligned] = 0.0
+            total = np.abs(cos).sum(axis=1) + np.abs(sin).sum(axis=1)
+            delta = rng.choice([-1.0, 1.0], batch) * 10.0 ** rng.uniform(-17.0, -1.0, batch)
+            c0 = total * (1.0 + delta)
+            expected = _sampled_rule(c0, cos, sin)
+            for i in range(batch):
+                got = _accepted((c0[i], *cos[i]), tuple(sin[i]))
+                assert got == expected[i], (c0[i], cos[i], sin[i])
+        # Both paths decide a good share of the sets.
+        assert 5000 < len(sampled) < 7500
+
+    def test_radius_evaluated_only_when_the_bound_fails(self, monkeypatch):
+        calls = _count_radius(monkeypatch)
+        FourierCurve((1.0, 0.1), (0.05,))
+        FourierCurve((1.0, 0.1), (0.05,)).mirrored()
+        assert calls == []
+        # S = 1.2 > c_0, but min r = 0.325: the sampled check accepts it.
+        FourierCurve((1.0, 0.6, 0.6))
+        assert calls == [4096]
+        with pytest.raises(ValueError, match="positive"):
+            FourierCurve((1.0, -1.5))
+        assert calls == [4096, 4096]
+
+    @pytest.mark.parametrize(
+        "cos, sin, samples",
+        [
+            # cos(4096 phi) and sin(2048 phi) are constant on 4096 samples.
+            pytest.param((1.0,) + (0.0,) * 4095 + (1.5,), (), 32768, id="cos-4096"),
+            pytest.param((1.0,), (0.0,) * 2047 + (1.5,), 16384, id="sin-2048"),
+            pytest.param((1.0,), (0.0,) * 511 + (1.5,), 4096, id="sin-512"),
+            pytest.param((1.0,), (0.0,) * 512 + (1.5,), 4104, id="sin-513"),
+        ],
+    )
+    def test_high_mode_does_not_alias(self, cos, sin, samples, monkeypatch):
+        calls = _count_radius(monkeypatch)
+        with pytest.raises(ValueError, match="positive"):
+            FourierCurve(cos, sin)
+        assert calls == [samples]
+
+
 class TestJsonRoundTrip:
     @pytest.mark.parametrize(
         "curve",

@@ -43,6 +43,7 @@ def test_no_scipy_on_series_ladder_and_mc_paths():
         "    tau_large_s_series(curve, 6, 'savo')\n"
         "ladder(tau_large_s_series(Disk(), 4), 2)\n"
         "simulate_survival(Ellipse(b=1.0, eps=0.5), McConfig(walkers=8, dt=1e-3, t_grid=(0.01,)))\n"
+        "heatpade.cli._environment()\n"
         + _LOADED
     )
     assert _fresh(code).strip() == "[]"
