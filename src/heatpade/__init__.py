@@ -9,7 +9,6 @@ from .errors import (
     UnsupportedOrder,
 )
 from .geometry import (
-    ArcMeasures,
     BoundaryCurve,
     Disk,
     Ellipse,

@@ -95,7 +95,10 @@ def _manifest(args, **extra):
 
 
 def _open_out(path):
-    return open(path, "w", newline="") if path else sys.stdout
+    try:
+        return open(path, "w", newline="") if path else sys.stdout
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path}: {exc.strerror}") from exc
 
 
 def _write_csv(path, manifest, header, rows):
@@ -201,10 +204,12 @@ def cmd_tau(args):
         rows = [(s, tau_disk(s, curve.R)) for s in s_values]
     else:
         c = tau_large_s_series(curve, j_max, args.mode)
-        # A power of s past the double range is inf, so its term is +-0.
-        with np.errstate(over="ignore"):
+        # A power of s past the double range gives a term of +-0, one below it +-inf.
+        with np.errstate(all="ignore"):
             rows = [(s, 1.0 / x**2 + sum(cj / x ** (j + 2) for j, cj in enumerate(c.c, start=1)))
                     for s, x in zip(s_values, np.array(s_values))]
+        if not all(math.isfinite(tau) for _, tau in rows):
+            raise OverflowError("the truncated expansion leaves the double range")
     manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)), method=method)
     _write_csv(args.out, manifest, ["s", "tau"], rows)
     return 0

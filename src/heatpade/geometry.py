@@ -45,7 +45,7 @@ class BoundaryCurve:
         return x * x + y * y <= rb * rb
 
     def max_radius(self):
-        r, _, _ = self.radius(np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
+        r, _, _ = self.radius(np.linspace(0.0, 2.0 * np.pi, _VALIDATION_SAMPLES, endpoint=False))
         return float(np.max(r))
 
 
@@ -110,7 +110,7 @@ class FourierCurve(BoundaryCurve):
     margin of K 2^-50 (|c_0| + S), K the number of coefficients, is
     accepted without evaluating r.  Otherwise min r is sampled on
     max(4096, 8 M) uniform points, M the highest mode, so that no mode
-    aliases to a constant on the grid.
+    aliases to a constant on the grid; ``max_radius`` samples the same grid.
     """
 
     cos_coeffs: tuple = (1.0,)
@@ -130,11 +130,17 @@ class FourierCurve(BoundaryCurve):
         amplitude = sum(abs(c) for c in rest)
         if c0 - amplitude > (1 + len(rest)) * 2.0**-50 * (abs(c0) + amplitude):
             return
+        if np.min(self._sampled_radius()) <= 0.0:
+            raise ValueError("boundary radius must stay positive (star-shaped about origin)")
+
+    def _sampled_radius(self):
         modes = max(len(self.cos_coeffs) - 1, len(self.sin_coeffs))
         n = max(_VALIDATION_SAMPLES, 8 * modes)
         r, _, _ = self.radius(np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
-        if np.min(r) <= 0.0:
-            raise ValueError("boundary radius must stay positive (star-shaped about origin)")
+        return r
+
+    def max_radius(self):
+        return float(np.max(self._sampled_radius()))
 
     def radius(self, phi):
         phi = np.asarray(phi, dtype=float)
@@ -194,16 +200,6 @@ def curve_to_json(curve: BoundaryCurve) -> dict:
     if isinstance(curve, FourierCurve):
         return {"kind": "fourier", "cos": list(curve.cos_coeffs), "sin": list(curve.sin_coeffs)}
     raise TypeError(f"cannot serialize {type(curve).__name__}")
-
-
-@dataclass(frozen=True)
-class ArcMeasures:
-    perimeter: float
-    area: float
-
-    def __post_init__(self):
-        if not (self.perimeter > 0 and self.area > 0):
-            raise ValueError("perimeter and area must be positive")
 
 
 def _curvature(r, rp, rpp):
@@ -303,10 +299,9 @@ def boundary_integrals(curve: BoundaryCurve, max_power: int, derivatives=False):
     return BoundaryIntegrals(vals[0], vals[1], tuple(vals[2:n_rows]), *vals[n_rows:])
 
 
-def arc_measures(curve: BoundaryCurve) -> ArcMeasures:
-    """Perimeter and enclosed area of the boundary."""
-    b = boundary_integrals(curve, -1)
-    return ArcMeasures(perimeter=b.perimeter, area=b.area)
+def arc_measures(curve: BoundaryCurve) -> BoundaryIntegrals:
+    """Perimeter and enclosed area of the boundary (``.perimeter``, ``.area``)."""
+    return boundary_integrals(curve, -1)
 
 
 def curvature_power_integral(curve: BoundaryCurve, m: int) -> float:
@@ -315,8 +310,3 @@ def curvature_power_integral(curve: BoundaryCurve, m: int) -> float:
         raise ValueError("power must be non-negative")
     return boundary_integrals(curve, m).powers[m]
 
-
-def curvature_derivative_integrals(curve: BoundaryCurve):
-    """Arc-length integrals of [k']^2, k [k']^2 and k^2 k'' over the boundary (0.0 on the disk)."""
-    b = boundary_integrals(curve, -1, derivatives=True)
-    return {"kp2": b.kp2, "k_kp2": b.k_kp2, "k2_kpp": b.k2_kpp}

@@ -7,12 +7,12 @@ Two coefficient families are provided for a star-shaped domain:
 * the exact coefficients up to order ``SAVO_MAX_ORDER`` (6), which at
   orders 5 and 6 also involve arc-length derivatives of the curvature.
 
-Both feed the large-s coefficient list c_j = Gamma(j/2 + 1) sigma_j
-consumed by the rational-interpolation solver.  Each series reads all its
-boundary integrals from one ``geometry.boundary_integrals`` pass, and the
-single-coefficient helpers read one entry of a series.  Half-integer Gamma
-values are kept as exact (rational, sqrt(pi)-flag) pairs so the rational
-parts combine without rounding.
+``tau_large_s_series`` alone forms coefficients, as the list c_j =
+Gamma(j/2 + 1) sigma_j consumed by the rational-interpolation solver,
+from one ``geometry.boundary_integrals`` pass; every sigma_j is
+c_j / Gamma(j/2 + 1) read off that series.  Half-integer Gamma values are
+kept as exact (rational, sqrt(pi)-flag) pairs so the rational parts
+combine without rounding.
 """
 
 from __future__ import annotations
@@ -60,14 +60,6 @@ class SmallTimeExpansion:
     """Coefficients sigma_1..sigma_J of S(t) = 1 + sum_j sigma_j t^(j/2)."""
 
     sigma: tuple
-    mode: ExpansionMode
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", tuple(float(s) for s in self.sigma))
-        if self.mode is ExpansionMode.SAVO_EXACT and len(self.sigma) > SAVO_MAX_ORDER:
-            raise UnsupportedOrder(
-                f"exact coefficients are available only up to order {SAVO_MAX_ORDER}"
-            )
 
 
 @dataclass(frozen=True)
@@ -79,34 +71,20 @@ class LargeSSeries:
     def __post_init__(self):
         object.__setattr__(self, "c", tuple(float(v) for v in self.c))
 
-    @classmethod
-    def from_sigma(cls, expansion: SmallTimeExpansion):
-        return cls(tuple(gamma_half_value(j) * s for j, s in enumerate(expansion.sigma, start=1)))
-
     def sigma(self, j: int) -> float:
+        if j < 1:
+            raise ValueError("order must be >= 1")
         return self.c[j - 1] / gamma_half_value(j)
 
 
-def _curvature_prefactor(j: int):
-    """-a_(j-1) / Gamma(j/2 + 1), with the rational part combined exactly."""
-    a = asymptotic_ratio_coeffs(j - 1)[j - 1]
-    rat, has_root = gamma_half(j)
-    value = float(-a / rat)
-    return value / SQRT_PI if has_root else value
-
-
 def sigma_curvature(curve: BoundaryCurve, j: int) -> float:
-    """Local-curvature coefficient: prefactor times the boundary integral of k^(j-1)."""
-    if j < 1:
-        raise ValueError("order must be >= 1")
-    return small_time_expansion(curve, j).sigma[j - 1]
+    """Local-curvature coefficient: -a_(j-1) / Gamma(j/2 + 1) times the integral of k^(j-1) over the area."""
+    return tau_large_s_series(curve, j).sigma(j)
 
 
 def sigma_savo(curve: BoundaryCurve, j: int) -> float:
     """Exact coefficient for 1 <= j <= SAVO_MAX_ORDER; orders 5, 6 add curvature-derivative terms."""
-    if not 1 <= j <= SAVO_MAX_ORDER:
-        raise UnsupportedOrder(f"exact coefficients stop at order {SAVO_MAX_ORDER}, got {j}")
-    return small_time_expansion(curve, j, ExpansionMode.SAVO_EXACT).sigma[j - 1]
+    return tau_large_s_series(curve, j, ExpansionMode.SAVO_EXACT).sigma(j)
 
 
 def _boundary_integrals(curve: BoundaryCurve, J: int, mode: ExpansionMode):
@@ -131,13 +109,9 @@ def _exact_terms(b: geometry.BoundaryIntegrals, J: int, mode: ExpansionMode):
 
 
 def small_time_expansion(curve: BoundaryCurve, J: int, mode=ExpansionMode.CURVATURE_APPROX):
-    """sigma_1..sigma_J for a curve in the requested mode, from one quadrature pass."""
-    mode = ExpansionMode(mode)
-    b = _boundary_integrals(curve, J, mode)
-    sigma = [_curvature_prefactor(j) * b.powers[j - 1] / b.area for j in range(1, J + 1)]
-    for j, s in _exact_terms(b, J, mode).items():
-        sigma[j - 1] = s
-    return SmallTimeExpansion(sigma=tuple(sigma), mode=mode)
+    """sigma_1..sigma_J for a curve in the requested mode, read off ``tau_large_s_series``."""
+    series = tau_large_s_series(curve, J, mode)
+    return SmallTimeExpansion(tuple(series.sigma(j) for j in range(1, J + 1)))
 
 
 def small_time_survival(expansion: SmallTimeExpansion, t: float) -> float:

@@ -47,6 +47,8 @@ class McConfig:
         object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
         if self.walkers < 1:
             raise ValueError("need at least one walker")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0 < self.dt < math.inf:
             raise ValueError(f"time step must be finite and positive, got {self.dt}")
         if any(not 0 <= t < math.inf for t in self.t_grid):

@@ -127,6 +127,16 @@ class TestSurvivalAndTau:
         _, _, rows = read_csv(out)
         assert float(rows[0][1]) == 0.0
 
+    def test_tau_expansion_overflow_is_numeric_error(self, capsys):
+        # s^5 underflows to 0 at s = 1e-160, so two terms are +-inf.
+        argv = ["tau", "--shape", ELLIPSE, "--s", "1e-160", "--j-max", "3"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "OverflowError"
+        assert record["subcommand"] == "tau"
+
     def test_survival_overflow_is_numeric_error(self, capsys):
         assert main(["survival", "--shape", ELLIPSE, "--times", "1e300"]) == 1
         record = json.loads(capsys.readouterr().err)
@@ -323,6 +333,7 @@ class TestUsage:
             ["--times", "nan"],
             ["--dt", "inf", "--times", "0.01"],
             ["--walkers", "2", "--dt", "1e-300", "--times", "1"],
+            ["--times", "0.01", "--seed", "-1"],
         ],
     )
     def test_bad_mc_config_is_usage_error(self, opts, capsys):
@@ -365,3 +376,8 @@ class TestUsage:
         monkeypatch.setenv("HEATPADE_THREADS", threads)
         assert main(["sweep", "--eps", "0.1", "--n", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: HEATPADE_THREADS must be a positive")
+
+    def test_out_into_missing_directory_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "coeffs.csv"
+        assert main(["coeffs", "--shape", DISK, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write --out")

@@ -10,8 +10,6 @@ from heatpade.errors import UnsupportedOrder
 from heatpade.geometry import Disk, Ellipse, arc_measures
 from heatpade.heat_content import (
     ExpansionMode,
-    LargeSSeries,
-    SmallTimeExpansion,
     gamma_half,
     gamma_half_value,
     sigma_curvature,
@@ -115,26 +113,29 @@ class TestSavoVersusCurvature:
     def test_order_bounds(self):
         with pytest.raises(UnsupportedOrder):
             sigma_savo(Disk(), 7)
-        with pytest.raises(ValueError):
-            sigma_curvature(Disk(), 0)
+        for sigma in (sigma_curvature, sigma_savo):
+            with pytest.raises(ValueError):
+                sigma(Disk(), 0)
 
 
 class TestExpansionContainers:
-    def test_expansion_round_trip(self):
-        exp = small_time_expansion(Disk(), 5)
-        c = LargeSSeries.from_sigma(exp)
-        for j in range(1, 6):
-            assert c.sigma(j) == pytest.approx(exp.sigma[j - 1], rel=1e-14)
-
     def test_mode_accepts_strings(self):
-        exp = small_time_expansion(Disk(), 4, "savo")
-        assert exp.mode is ExpansionMode.SAVO_EXACT
+        e = Ellipse(b=1.0, eps=0.5)
+        assert tau_large_s_series(e, 6, "savo") == tau_large_s_series(e, 6, ExpansionMode.SAVO_EXACT)
+        assert tau_large_s_series(e, 6, "savo") != tau_large_s_series(e, 6)
 
     def test_savo_order_cap(self):
         with pytest.raises(UnsupportedOrder):
             small_time_expansion(Disk(), 7, ExpansionMode.SAVO_EXACT)
-        with pytest.raises(UnsupportedOrder):
-            SmallTimeExpansion(sigma=(0.0,) * 7, mode=ExpansionMode.SAVO_EXACT)
+
+    @pytest.mark.parametrize("mode", list(ExpansionMode))
+    @given(curve=fourier_curves())
+    @settings(max_examples=20, deadline=None)
+    def test_sigma_is_read_off_the_series(self, mode, curve):
+        for shape in (curve, Ellipse(b=1.0, eps=0.7)):
+            sigma = small_time_expansion(shape, 6, mode).sigma
+            series = tau_large_s_series(shape, 6, mode)
+            assert sigma == tuple(series.sigma(j) for j in range(1, 7))
 
     def test_survival_truncation(self):
         exp = small_time_expansion(Disk(), 5)

@@ -25,6 +25,8 @@ class TestMcConfig:
             McConfig(walkers=10, dt=1e-3, t_grid=(0.2, 0.1))
         with pytest.raises(ValueError):
             McConfig(walkers=10, dt=1e-3, t_grid=(-0.1,))
+        with pytest.raises(ValueError, match="seed"):
+            McConfig(walkers=10, dt=1e-3, t_grid=(0.1,), seed=-1)
 
     @pytest.mark.parametrize(
         "dt, t", [(math.inf, 0.1), (math.nan, 0.1), (1e-3, math.inf), (1e-3, math.nan)]
