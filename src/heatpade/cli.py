@@ -6,7 +6,9 @@ output, or under a ``manifest`` key in JSON output.  Given the manifest,
 every subcommand is deterministic.
 
 Exit codes: 0 on success, 2 on usage errors, 1 on numeric failures and
-overflows, with a machine-readable JSON error record on stderr.
+overflows, with a machine-readable JSON error record on stderr.  ``--out``
+is opened before the work, as a shell redirection is: a path that cannot
+be written is a usage error at once, and a failed run leaves the file empty.
 """
 
 from __future__ import annotations
@@ -101,38 +103,28 @@ def _open_out(path):
         raise UsageError(f"cannot write --out {path}: {exc.strerror}") from exc
 
 
-def _write_csv(path, manifest, header, rows):
-    fh = _open_out(path)
-    try:
-        for key, value in sorted(manifest["options"].items()):
-            fh.write(f"# {key}={value}\n")
-        fh.write(f"# subcommand={manifest['subcommand']} version={manifest['version']}\n")
-        fh.write("# " + " ".join(f"{k}={v}" for k, v in manifest["environment"].items()) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
+def _write_csv(fh, manifest, header, rows):
+    for key, value in sorted(manifest["options"].items()):
+        fh.write(f"# {key}={value}\n")
+    fh.write(f"# subcommand={manifest['subcommand']} version={manifest['version']}\n")
+    fh.write("# " + " ".join(f"{k}={v}" for k, v in manifest["environment"].items()) + "\n")
+    writer = csv.writer(fh)
+    writer.writerow(header)
 
-        def cell(v):
-            if v is None:
-                return ""
-            if isinstance(v, (str, int)):
-                return v
-            return repr(float(v))
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, (str, int)):
+            return v
+        return repr(float(v))
 
-        for row in rows:
-            writer.writerow([cell(v) for v in row])
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    for row in rows:
+        writer.writerow([cell(v) for v in row])
 
 
-def _write_json(path, manifest, payload):
-    fh = _open_out(path)
-    try:
-        json.dump({"manifest": manifest, **payload}, fh, indent=2)
-        fh.write("\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+def _write_json(fh, manifest, payload):
+    json.dump({"manifest": manifest, **payload}, fh, indent=2)
+    fh.write("\n")
 
 
 def _load_curve(args):
@@ -156,14 +148,14 @@ def _solution_record(sol):
     }
 
 
-def cmd_coeffs(args):
+def cmd_coeffs(args, out):
     curve = _load_curve(args)
     j_max = _j_max(args)
     approx = small_time_expansion(curve, j_max).sigma
     exact = small_time_expansion(curve, min(j_max, SAVO_MAX_ORDER), "savo").sigma
     rows = [(j, s, exact[j - 1] if j <= len(exact) else None) for j, s in enumerate(approx, 1)]
     manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)))
-    _write_csv(args.out, manifest, ["j", "sigma_curvature", "sigma_exact"], rows)
+    _write_csv(out, manifest, ["j", "sigma_curvature", "sigma_exact"], rows)
     return 0
 
 
@@ -176,7 +168,7 @@ def _resolve_method(args, curve, what):
     return args.method
 
 
-def cmd_survival(args):
+def cmd_survival(args, out):
     curve = _load_curve(args)
     times = _floats(args.times, "--times")
     if any(not 0 <= t < math.inf for t in times):
@@ -189,11 +181,11 @@ def cmd_survival(args):
         exp = small_time_expansion(curve, j_max, args.mode)
         rows = [(t, small_time_survival(exp, t)) for t in times]
     manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)), method=method)
-    _write_csv(args.out, manifest, ["t", "S"], rows)
+    _write_csv(out, manifest, ["t", "S"], rows)
     return 0
 
 
-def cmd_tau(args):
+def cmd_tau(args, out):
     curve = _load_curve(args)
     s_values = _floats(args.s, "--s")
     if any(not 0 < s < math.inf for s in s_values):
@@ -211,21 +203,21 @@ def cmd_tau(args):
         if not all(math.isfinite(tau) for _, tau in rows):
             raise OverflowError("the truncated expansion leaves the double range")
     manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)), method=method)
-    _write_csv(args.out, manifest, ["s", "tau"], rows)
+    _write_csv(out, manifest, ["s", "tau"], rows)
     return 0
 
 
-def cmd_pade(args):
+def cmd_pade(args, out):
     curve = _load_curve(args)
     n = _order(args.n, "--n")
     c = tau_large_s_series(curve, n + 2, args.mode)
     sol = select_solution(solve_interpolation(c, n))
     manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)))
-    _write_json(args.out, manifest, {"solution": _solution_record(sol)})
+    _write_json(out, manifest, {"solution": _solution_record(sol)})
     return 0
 
 
-def cmd_lambda1(args):
+def cmd_lambda1(args, out):
     curve = _load_curve(args)
     n_max = _order(args.n_max, "--n-max")
     c = tau_large_s_series(curve, n_max + 2, args.mode)
@@ -234,7 +226,7 @@ def cmd_lambda1(args):
         (sol.n, sol.closest_pole.imag, sol.closest_pole.real, sol.lambda1) for sol in sols
     ]
     manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)))
-    _write_csv(args.out, manifest, ["n", "im_s", "re_s", "lambda1"], rows)
+    _write_csv(out, manifest, ["n", "im_s", "re_s", "lambda1"], rows)
     return 0
 
 
@@ -255,7 +247,7 @@ def _worker_cap(n_cells):
     return max(1, min(cap, n_cells))
 
 
-def cmd_sweep(args):
+def cmd_sweep(args, out):
     eps_list = sorted(set(_floats(args.eps, "--eps")))
     n_list = sorted(set(_ints(args.n, "--n")))
     if any(n < 1 for n in n_list):
@@ -275,11 +267,11 @@ def cmd_sweep(args):
             results = list(pool.map(_sweep_cell, tasks))
     rows = sorted(r for cell in results for r in cell)
     manifest = _manifest(args)
-    _write_csv(args.out, manifest, ["eps", "n", "lambda1", "im_s", "re_s"], rows)
+    _write_csv(out, manifest, ["eps", "n", "lambda1", "im_s", "re_s"], rows)
     return 0
 
 
-def cmd_table1(args):
+def cmd_table1(args, out):
     n_max = _order(args.n_max, "--n-max")
     c = tau_large_s_series(Disk(), n_max + 2)
     sols = ladder(c, n_max)
@@ -296,11 +288,11 @@ def cmd_table1(args):
     d_exact = [float(v) for v in maclaurin_tau_disk(1, 3)]
     rows.append(("exact", *d_exact, j0_zero(1)))
     manifest = _manifest(args)
-    _write_csv(args.out, manifest, ["pade", "d0", "d2", "d4", "d6", "im_s"], rows)
+    _write_csv(out, manifest, ["pade", "d0", "d2", "d4", "d6", "im_s"], rows)
     return 0
 
 
-def cmd_mc(args):
+def cmd_mc(args, out):
     curve = _load_curve(args)
     times = tuple(_floats(args.times, "--times"))
     try:
@@ -309,7 +301,7 @@ def cmd_mc(args):
         raise UsageError(str(exc)) from exc
     rows = simulate_survival(curve, cfg)
     manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)))
-    _write_csv(args.out, manifest, ["t", "S_hat", "stderr"], rows)
+    _write_csv(out, manifest, ["t", "S_hat", "stderr"], rows)
     return 0
 
 
@@ -372,7 +364,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        out = _open_out(args.out)
+        try:
+            return args.func(args, out)
+        finally:
+            if out is not sys.stdout:
+                out.close()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

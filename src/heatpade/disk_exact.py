@@ -3,9 +3,9 @@
 For a disk of radius R the Laplace transform of the survival probability
 (Laplace parameter s^2) is available in closed form through modified
 Bessel functions, and S(t) itself as an eigenseries over the zeros of J0.
-scipy is imported on first use only, by the ``series`` Bessel helpers
-that ``tau_disk`` and ``survival_disk`` call; importing this module does
-not load it.
+Importing this module does not load scipy.  ``tau_disk`` at sR >= 1
+imports it on first use, through ``series.bessel_ratio``; ``survival_disk``
+never does, since ``series.j0_zero`` evaluates J0 and J1 itself.
 """
 
 from __future__ import annotations

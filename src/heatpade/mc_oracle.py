@@ -10,16 +10,17 @@ Each walker draws from its own counter-based stream derived from
 matter how the walkers are batched or parallelized.
 
 A walker's path is built and tested in chunks of ``_PATH_CHUNK`` steps.
-One chunk costs about 25 us fixed plus 0.065 us per step (disk and
-ellipse alike, 2-core x86-64 VM, numpy 2.4), and drawing the normals is
-most of the per-step part.  On the disk with dt = 1e-5 up to t = 0.1
-(10 000 steps), a walker needs 5745 steps on average but a fixed 2048
-generates 6486 in 3.2 chunks.  Fixed 1024 (6100 in 6.1 chunks), fixed 512
-(5916 in 11.7) and schedules growing from 64 or 256 to 2048 (6144 in 6.7,
-6182 in 5.4) save steps but pay more in fixed costs, so the chunk stays
-fixed.  The chunking also sets the rounding of the positions, since the
-running sum restarts at every chunk and the chunk's start position is
-added afterwards: any change to it changes the estimates.
+One chunk costs about 13 us fixed plus 0.044 us per step (disk and
+ellipse alike, best of 200 timings on a 2-core x86-64 VM, numpy 2.4),
+and drawing the normals is most of the per-step part.  On the disk with
+dt = 1e-5 up to t = 0.1 (10 000 steps), a walker needs 5745 steps on
+average but a fixed 2048 generates 6486 in 3.2 chunks.  Fixed 1024
+(6100 in 6.1 chunks), fixed 512 (5916 in 11.7) and schedules growing from
+64 or 256 to 2048 (6144 in 6.7, 6182 in 5.4) save steps but pay more in
+fixed costs, so the chunk stays fixed.  The chunking also sets the
+rounding of the positions, since the running sum restarts at every chunk
+and the chunk's start position is added afterwards: any change to it
+changes the estimates.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .geometry import BoundaryCurve
 
-# Most steps per walker: about a minute at the docstring's 0.065 us per step,
+# Most steps per walker: about 45 s at the docstring's 0.044 us per step,
 # while every use here needs at most 10^4; a tiny dt would otherwise never end.
 _MAX_STEPS = 10**9
 
@@ -82,24 +83,28 @@ def _first_exit_step(curve: BoundaryCurve, start, sigma: float, n_steps: int, rn
     """Index of the first step ending outside the domain, or n_steps + 1 if none.
 
     The path is generated and tested in vectorized chunks, each written
-    into one (2, span) buffer: the draws times sigma, a running sum along
-    each row, then the chunk's start position.  The chunk size sets how
-    much wasted tail an absorbed walker generates, and the observation
-    times never influence walker state.
+    into one (span, 2) slice of a buffer per walker: the draws times
+    sigma, then, on its complex view x + iy, a running sum and the chunk's
+    start position.  The chunk size sets how much wasted tail an absorbed
+    walker generates, and the observation times never influence walker
+    state.
     """
-    pos = np.array(start, dtype=float).reshape(2, 1)
+    pos = complex(start[0], start[1])
+    buf = np.empty((_PATH_CHUNK, 2))
     done = 0
     while done < n_steps:
         span = min(_PATH_CHUNK, n_steps - done)
-        path = np.empty((2, span))  # rows x and y, each contiguous for ``contains``
-        np.multiply(sigma, rng.standard_normal(size=(span, 2)).T, out=path)
-        np.cumsum(path, axis=1, out=path)
+        draws = buf[:span]
+        rng.standard_normal(out=draws)
+        draws *= sigma
+        path = draws.view(np.complex128)[:, 0]
+        np.cumsum(path, out=path)
         path += pos
-        inside = curve.contains(path[0], path[1])
+        inside = curve.contains(path.real, path.imag)
         hit = int(np.argmin(inside))
         if not inside[hit]:
             return done + hit + 1  # absorbed at the end of this step
-        pos = path[:, -1:]
+        pos = path[-1]
         done += span
     return n_steps + 1  # survived every step
 

@@ -5,14 +5,16 @@ feeding the rational-interpolation solver is carried in exact
 ``fractions.Fraction`` arithmetic: the asymptotic coefficients of the
 Bessel ratio I1(x)/I0(x) and the Maclaurin coefficients of the disk
 Laplace transform.  Floating point enters only at the final evaluation.
-The Bessel helpers (``bessel_ratio``, ``j0_zero``) import
-``scipy.special`` on their first call only, so importing this module (and
-the series, ladder and Monte-Carlo paths) does not load scipy.  Each J0
-zero is computed once per process and cached.
+``bessel_ratio`` imports ``scipy.special`` on its first call only, so
+importing this module (and the series, ladder and Monte-Carlo paths) does
+not load scipy.  ``j0_zero`` never loads it: J0 and J1 come from Bessel's
+integral below z = 20 and from Hankel's expansion above.  Each J0 zero is
+computed once per process and cached.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -73,19 +75,60 @@ def bessel_ratio(x: float) -> float:
     return float(special.i1e(x) / special.i0e(x))
 
 
+# From here up Hankel's expansion gives J0 and J1: its terms keep falling
+# until about k = 2z, to about e^(-2z) < 1e-17, so they stop changing the
+# sum first.  Below it, Bessel's integral on 4 (floor(z/2) + 16) >= 2z + 64
+# trapezoid nodes per period converges exponentially (Trefethen & Weideman,
+# SIAM Rev. 56, 2014).
+_HANKEL_FROM = 20.0
+
+
+def _hankel_sum(mu: float, z: float) -> complex:
+    """P + iQ of Hankel's expansion of J_nu(z), 4 nu^2 = mu (Watson, §7.21)."""
+    total = term = 1.0 + 0.0j
+    for k in itertools.count(1):
+        term *= 1j * (mu - (2 * k - 1) ** 2) / (8 * k * z)
+        if total + term == total:
+            return total
+        total += term
+
+
+def _bessel_j01(z: float):
+    """(J0(z), J1(z)) for z > 0 in double precision, without scipy."""
+    if z >= _HANKEL_FROM:
+        # J_nu = sqrt(2 / (pi z)) Re((P + iQ) e^(i(z - nu pi/2 - pi/4))), where
+        # sqrt(2) e^(i(z - pi/4)) = (cos z + sin z) + i (sin z - cos z), and
+        # the factor e^(-i pi/2) of nu = 1 turns Re into Im.
+        c, s = math.cos(z), math.sin(z)
+        rot = complex(c + s, s - c)
+        scale = math.sqrt(math.pi * z)
+        return (_hankel_sum(0.0, z) * rot).real / scale, (_hankel_sum(4.0, z) * rot).imag / scale
+    # J0 = (2/pi) int cos(z sin t), J1 = (2/pi) int sin t sin(z sin t), over
+    # [0, pi/2]: the periodic trapezoid rule folded onto a quarter period.
+    n = int(z / 2) + 16
+    h = math.pi / (2 * n)
+    j0, j1 = [], []
+    for k in range(n + 1):
+        s = math.sin(k * h)
+        w = 0.5 if k in (0, n) else 1.0
+        j0.append(w * math.cos(z * s))
+        j1.append(w * s * math.sin(z * s))
+    return math.fsum(j0) / n, math.fsum(j1) / n
+
+
 @lru_cache(maxsize=None)
 def j0_zero(k: int) -> float:
     """The k-th positive zero of J0, a McMahon seed refined by Newton; computed once per process."""
     if k < 1:
         raise ValueError("zeros are numbered from 1")
-    from scipy import special
-
     beta = (k - 0.25) * math.pi
     z = beta + 1.0 / (8.0 * beta) - 31.0 / (384.0 * beta**3) + 3779.0 / (15360.0 * beta**5)
     for _ in range(50):
-        step = special.j0(z) / special.j1(z)  # J0' = -J1
+        j0, j1 = _bessel_j01(z)
+        step = j0 / j1  # J0' = -J1
         z += step
-        if abs(step) < 1e-14:
+        # After a step d Newton's error is about d^2 / (2z), far below an ulp.
+        if abs(step) < 1e-13 * z:
             break
     return z
 

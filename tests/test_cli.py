@@ -5,7 +5,7 @@ from importlib import metadata
 
 import pytest
 
-from heatpade import __version__
+from heatpade import __version__, cli
 from heatpade.cli import main
 
 DISK = '{"kind":"disk","R":1.0}'
@@ -381,3 +381,12 @@ class TestUsage:
         out = tmp_path / "missing" / "coeffs.csv"
         assert main(["coeffs", "--shape", DISK, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot write --out")
+
+    def test_bad_out_fails_before_the_work(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "simulate_survival", lambda *a: calls.append(a) or [])
+        out = tmp_path / "missing" / "x.csv"
+        argv = ["mc", "--shape", DISK, "--walkers", "10", "--times", "0.1", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write --out")
+        assert calls == []

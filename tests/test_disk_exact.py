@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from heatpade import series
 from heatpade.disk_exact import survival_disk, tau_disk
 from heatpade.heat_content import small_time_expansion, small_time_survival
 from heatpade.series import j0_zero, maclaurin_tau_disk
@@ -120,9 +121,8 @@ class TestSurvivalDisk:
 
     def test_zeros_are_computed_once(self, monkeypatch):
         calls = []
-        for name in ("j0", "j1"):
-            f = getattr(special, name)
-            monkeypatch.setattr(special, name, lambda z, f=f: calls.append(z) or f(z))
+        f = series._bessel_j01
+        monkeypatch.setattr(series, "_bessel_j01", lambda z: calls.append(z) or f(z))
         j0_zero.cache_clear()
         first = survival_disk(1e-3)
         used = j0_zero.cache_info().currsize

@@ -1,6 +1,6 @@
 """scipy and mpmath stay off the start-up path.
 
-Only the Bessel helpers and ``prony_moments`` load scipy, and nothing in
+Only ``bessel_ratio`` and ``prony_moments`` load scipy, and nothing in
 the package loads mpmath, which the tests alone use.  Each check runs in a
 fresh interpreter, since the test process itself has imported scipy long
 before.
@@ -32,8 +32,9 @@ _LOADED = "print(sorted(k for k in sys.modules if k.split('.')[0] in ('scipy', '
 
 def test_no_scipy_on_series_ladder_and_mc_paths():
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "import heatpade.cli\n"
+        "from heatpade.disk_exact import survival_disk\n"
         "from heatpade.geometry import Disk, Ellipse, FourierCurve\n"
         "from heatpade.heat_content import tau_large_s_series\n"
         "from heatpade.mc_oracle import McConfig, simulate_survival\n"
@@ -44,6 +45,9 @@ def test_no_scipy_on_series_ladder_and_mc_paths():
         "ladder(tau_large_s_series(Disk(), 4), 2)\n"
         "simulate_survival(Ellipse(b=1.0, eps=0.5), McConfig(walkers=8, dt=1e-3, t_grid=(0.01,)))\n"
         "heatpade.cli._environment()\n"
+        "survival_disk(0.1)\n"
+        "survival_disk(1e-3)\n"
+        "heatpade.cli.main(['table1', '--n-max', '1', '--out', os.devnull])\n"
         + _LOADED
     )
     assert _fresh(code).strip() == "[]"

@@ -98,6 +98,14 @@ class TestJ0Zeros:
         got = [j0_zero(k) for k in range(1, 51)]
         assert np.allclose(got, ref, rtol=0, atol=1e-11)
 
+    def test_against_mpmath(self):
+        from mpmath import besseljzero, mp
+
+        with mp.workdps(30):
+            for k in [*range(1, 101), 1000, 20000]:
+                ref = float(besseljzero(0, k))
+                assert abs(j0_zero(k) - ref) <= math.ulp(ref), k
+
     def test_first_zero_squared(self):
         z1 = j0_zero(1)
         assert z1**2 == pytest.approx(5.783185962946783, abs=1e-12)
