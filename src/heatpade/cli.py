@@ -140,7 +140,6 @@ def _solution_record(sol):
         "n": sol.n,
         "p": list(sol.approximant.p),
         "q": list(sol.approximant.q),
-        "residual_norm": sol.residual_norm,
         "poles": [[z.real, z.imag] for z in sol.poles],
         "closest_pole": [sol.closest_pole.real, sol.closest_pole.imag],
         "lambda1": sol.lambda1,

@@ -19,9 +19,9 @@ from .series import asymptotic_ratio_coeffs, bessel_ratio, j0_zero, maclaurin_ta
 # the first 20 are within 5.5e-16 of 60-digit mpmath.  The Bessel form is
 # within 3.3e-15 at x >= 1, but 2e-14 off on [0.5, 1) and worse towards 0.
 _SMALL_X_TERMS = 20
-# Below t / R^2 = 1e-3 the eigenseries needs thousands of modes and its
-# 1e-12 cut-off drops a larger tail; the exact short-time series replaces
-# it there, and at t / R^2 = 1e-3 its terms 10 to 14 change S by < 1e-15.
+# Below t / R^2 = 1e-3 the eigenseries needs thousands of modes and piles
+# up their rounding; the exact short-time series replaces it there, and at
+# t / R^2 = 1e-3 its terms 10 to 14 change S by < 1e-15.
 _SHORT_TIME = 1e-3
 _SHORT_TIME_TERMS = 12
 
@@ -44,9 +44,12 @@ def tau_disk(s: float, R: float = 1.0) -> float:
 def survival_disk(t: float, R: float = 1.0) -> float:
     """Eigenseries S(t) = 4 sum_n z_n^-2 exp(-z_n^2 t / R^2) over the zeros z_n of J0.
 
-    The mode count grows until the next term drops below 1e-12 (or is
-    NaN, from an overflow).  Below t / R^2 = ``_SHORT_TIME`` S is the
-    disk's exact short-time series 1 + sum_j sigma_j t^(j/2), with
+    The sum stops after the first term that is not above 2^-53 times the
+    running sum (or is NaN, from an overflow): the terms fall faster than
+    geometrically, so the dropped tail is within about one rounding of the
+    sum.  Below
+    t / R^2 = ``_SHORT_TIME`` S is the disk's exact short-time series
+    1 + sum_j sigma_j t^(j/2), with
     sigma_j = -2 a_(j-1) / (Gamma(j/2 + 1) R^j) from the series of I1/I0.
     S(0) = 1 exactly: every walker starts inside.
     """
@@ -67,6 +70,6 @@ def survival_disk(t: float, R: float = 1.0) -> float:
         z = j0_zero(n)
         term = 4.0 / (z * z) * math.exp(-z * z * t / (R * R))
         total += term
-        if not term >= 1e-12:
+        if not term > 2.0**-53 * total:
             break
     return total

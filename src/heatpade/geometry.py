@@ -110,7 +110,8 @@ class FourierCurve(BoundaryCurve):
     margin of K 2^-50 (|c_0| + S), K the number of coefficients, is
     accepted without evaluating r.  Otherwise min r is sampled on
     max(4096, 8 M) uniform points, M the highest mode, so that no mode
-    aliases to a constant on the grid; ``max_radius`` samples the same grid.
+    aliases to a constant on the grid.  ``max_radius`` is the bound c_0 + S
+    padded by the same margin, so no computed r exceeds it.
     """
 
     cos_coeffs: tuple = (1.0,)
@@ -126,21 +127,24 @@ class FourierCurve(BoundaryCurve):
         # r >= c0 - S everywhere.  The margin exceeds the rounding of any
         # sampled sum of r, so each curve accepted here passes the sampled
         # check too, and the two rules make the same decisions.
-        c0, rest = self.cos_coeffs[0], self.cos_coeffs[1:] + self.sin_coeffs
-        amplitude = sum(abs(c) for c in rest)
-        if c0 - amplitude > (1 + len(rest)) * 2.0**-50 * (abs(c0) + amplitude):
+        c0, amplitude, margin = self._amplitude()
+        if c0 - amplitude > margin:
             return
-        if np.min(self._sampled_radius()) <= 0.0:
-            raise ValueError("boundary radius must stay positive (star-shaped about origin)")
-
-    def _sampled_radius(self):
         modes = max(len(self.cos_coeffs) - 1, len(self.sin_coeffs))
         n = max(_VALIDATION_SAMPLES, 8 * modes)
         r, _, _ = self.radius(np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
-        return r
+        if np.min(r) <= 0.0:
+            raise ValueError("boundary radius must stay positive (star-shaped about origin)")
+
+    def _amplitude(self):
+        """(c0, S, margin): r lies in [c0 - S, c0 + S], and margin exceeds the rounding of r."""
+        c0, rest = self.cos_coeffs[0], self.cos_coeffs[1:] + self.sin_coeffs
+        amplitude = sum(abs(c) for c in rest)
+        return c0, amplitude, (1 + len(rest)) * 2.0**-50 * (abs(c0) + amplitude)
 
     def max_radius(self):
-        return float(np.max(self._sampled_radius()))
+        c0, amplitude, margin = self._amplitude()
+        return c0 + amplitude + margin
 
     def radius(self, phi):
         phi = np.asarray(phi, dtype=float)

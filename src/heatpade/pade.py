@@ -17,9 +17,12 @@ tracks one path to each root, with no randomness and no starting guess:
 a fourth-order Runge-Kutta predictor, steps in t of at most 0.1, and a
 Newton corrector.  A real endpoint becomes a solution only when Newton
 on exact rational residuals of the same quadratics reaches a step below
-1e-20 (relative to 1 + |p|) within 8 steps; the roots are then the same
-doubles from any start.  The denominator root pair closest to the origin
-estimates the lowest Dirichlet eigenvalue via lambda_1 = Im[s]^2.
+1e-20 (relative to 1 + |p|) within 8 steps, and the polished q0 is not
+0.  That is the one acceptance rule, and the roots are then the same
+doubles from any start.  ``build_residuals`` writes the conditions out a
+second way, multiplying the polynomials out, as an independent check.
+The denominator root pair closest to the origin estimates the lowest
+Dirichlet eigenvalue via lambda_1 = Im[s]^2.
 
 A moment-truncation estimator (Prony-type, by Gauss quadrature) recovering
 (lambda_j, gamma_j^2) pairs from the even Maclaurin coefficients is also
@@ -35,14 +38,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominator,
-    IllConditioned,
-    NoSolutionFound,
-)
+from .errors import IllConditioned, NoSolutionFound
 from .heat_content import LargeSSeries
 from .series import quotient
 
+# Bound on the scaled ``build_residuals`` norm, ||r|| / (1 + ||x||), of an
+# accepted solution: a bound for the reference check, not a rule of the
+# solver, which accepts on the polish alone.
 RESIDUAL_ACCEPT = 1e-10
 # A pole and a numerator zero closer than this, relative to 1 + |pole|,
 # form a Froissart doublet: a lower-order interpolant in disguise.
@@ -94,7 +96,6 @@ class PadeApproximant:
 @dataclass(frozen=True)
 class PadeSolution:
     approximant: PadeApproximant
-    residual_norm: float
     poles: tuple
     small_s_coeffs: tuple  # (d0, d2, d4, d6)
 
@@ -176,26 +177,14 @@ def pole_zero_gap(sol: PadeSolution) -> float:
     )
 
 
-def _make_solution(n: int, x, residual_norm: float) -> PadeSolution:
+def _make_solution(n: int, x) -> PadeSolution:
     approx = PadeApproximant(n=n, p=tuple(x[:n]), q=tuple(x[n:]))
     d = quotient(approx.numerator().tolist(), approx.denominator().tolist(), 7)
     return PadeSolution(
         approximant=approx,
-        residual_norm=float(residual_norm),
         poles=poles(approx),
         small_s_coeffs=(d[0], d[2], d[4], d[6]),
     )
-
-
-def _scaled_norm(r, x):
-    """Residual 2-norm relative to the coefficient magnitude.
-
-    At larger orders the interpolant coefficients reach 1e5 and beyond, so
-    an absolute residual tolerance would sit below the double-precision
-    rounding floor of the residual evaluation itself; the acceptance
-    tolerance is therefore applied to ||r|| / (1 + ||x||).
-    """
-    return float(np.linalg.norm(r) / (1.0 + np.linalg.norm(x)))
 
 
 def _division_free_system(c: LargeSSeries, n: int, num=float):
@@ -373,17 +362,17 @@ def solve_interpolation(
     isolated roots, and ``_homotopy_endpoints`` finds all of them.  Each
     endpoint with |Im p| below ``_REAL_TOL`` (1 + |p|) is polished by
     Newton on exact rational residuals (``_polish_extended``), and kept
-    when the polish converges and the polished point's scaled residual
-    norm is below ``RESIDUAL_ACCEPT``.  A polished root is the same
-    doubles from any start, so accepted roots that are equal doubles are
-    one root.  They are ordered by ascending |Re| of the closest complex
-    pole (solutions without one come last).  ``NoSolutionFound`` says
-    whether no root was real or no real root passed the polish.
+    when the polish converges to a point with q0 != 0: F vanishes at the
+    parity conditions only where q0 != 0.  That is the only acceptance
+    rule.  A polished root is the same doubles from any start, so
+    accepted roots that are equal doubles are one root.  They are ordered
+    by ascending |Re| of the closest complex pole (solutions without one
+    come last).  ``NoSolutionFound`` says whether no root was real or no
+    real root passed the polish.
 
     The search has no randomness and no starting guess: ``seed`` and
     ``n_multistart`` are accepted for compatibility and have no effect.
     """
-    residuals = build_residuals(c, n)
     ends = _homotopy_endpoints(c, n)
     real = np.abs(ends.imag).max(axis=1) <= _REAL_TOL * (1.0 + np.linalg.norm(ends, axis=1))
     if not real.any():
@@ -392,22 +381,12 @@ def solve_interpolation(
     accepted = []
     for p in ends[real].real:
         x = _polish_extended(system, p)
-        if x is None:
+        if x is None or x[n] == 0.0 or any(np.array_equal(x, y) for y in accepted):
             continue
-        try:
-            rnorm = _scaled_norm(residuals(x), x)
-        except DegenerateDenominator:
-            continue
-        if rnorm >= RESIDUAL_ACCEPT:
-            continue
-        if any(np.array_equal(x, y) for y, _ in accepted):
-            continue
-        accepted.append((x, rnorm))
+        accepted.append(x)
     if not accepted:
-        raise NoSolutionFound(
-            f"none of the {real.sum()} real roots of order {n} polished to below {RESIDUAL_ACCEPT}"
-        )
-    solutions = [_make_solution(n, x, rnorm) for x, rnorm in accepted]
+        raise NoSolutionFound(f"none of the {real.sum()} real roots of order {n} polished")
+    solutions = [_make_solution(n, x) for x in accepted]
     solutions.sort(
         key=lambda s: abs(s.closest_pole.real) if s.closest_pole is not None else math.inf
     )

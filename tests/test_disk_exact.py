@@ -81,6 +81,16 @@ class TestSurvivalDisk:
         ref = 4.0 / z1**2 * math.exp(-(z1**2) * t)
         assert survival_disk(t) == pytest.approx(ref, rel=1e-10)
 
+    def test_against_30_digit_eigensum(self):
+        # The sum stops only where its tail is within about one rounding.
+        from mpmath import besseljzero, exp, mp
+
+        with mp.workdps(30):
+            zeros = [besseljzero(0, k) for k in range(1, 101)]
+            for t in np.geomspace(1e-3, 3.0, 51):
+                ref = sum(4 / z**2 * exp(-(z**2) * t) for z in zeros)
+                assert abs(survival_disk(float(t)) - ref) <= 1e-15 * (1 + 6 * t) * ref
+
     def test_gamma1_weight(self):
         assert 4.0 / j0_zero(1) ** 2 == pytest.approx(0.691660, abs=5e-7)
 

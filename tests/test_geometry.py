@@ -83,9 +83,21 @@ class TestShapes:
         assert e.max_radius() == pytest.approx(e.a, rel=1e-6)
 
     def test_max_radius_sees_high_modes(self):
-        # Mode 2048 is constant on a 4096-point grid; the 8 M grid resolves it.
-        c = FourierCurve((1.0,), (0.0,) * 2047 + (0.5,))
-        assert c.max_radius() == pytest.approx(1.5, rel=1e-12)
+        # An upper bound on every computed r, with no samples: mode 2048 is
+        # constant on a 4096-point grid, and shifted by pi/8 its peak falls
+        # between the points of an 8 M grid.
+        shift = math.pi / 8
+        in_phase = FourierCurve((1.0,), (0.0,) * 2047 + (0.5,))
+        shifted = FourierCurve(
+            (1.0,) + (0.0,) * 2047 + (0.5 * math.cos(shift),),
+            (0.0,) * 2047 + (0.5 * math.sin(shift),),
+        )
+        phi = np.linspace(0.0, 2.0 * np.pi, 2**20, endpoint=False)
+        for c in (in_phase, shifted):
+            r, _, _ = c.radius(phi)
+            assert r.max() == pytest.approx(1.5, rel=1e-12)
+            assert c.max_radius() >= r.max()
+        assert in_phase.max_radius() == pytest.approx(1.5, rel=1e-11)
 
     def test_ellipse_radius_derivatives(self):
         # Finite-difference check of r' and r''.
