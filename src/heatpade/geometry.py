@@ -6,9 +6,9 @@ r(phi) = b / sqrt(1 - eps^2 cos^2 phi) with minor semiaxis b, and a general
 trigonometric polynomial.  All boundary integrals use the trapezoidal rule
 on the uniform periodic grid, which is spectrally accurate for smooth
 integrands.  ``boundary_integrals`` computes every integral a coefficient
-series needs in one quadrature pass: each grid level evaluates r, the arc
-element and the curvature once, and each integral is a row that converges
-on its own as the panel count doubles.
+series needs in one quadrature pass: the grids nest, so each grid point
+evaluates r, the arc element and the curvature once, and each integral is
+a row that converges on its own as the panel count doubles.
 """
 
 from __future__ import annotations
@@ -220,29 +220,65 @@ def curvature(curve: BoundaryCurve, phi):
     return _curvature(*curve.radius(phi))
 
 
-def periodic_quadrature(integrand, rtol=_QUAD_RTOL, n_start=_QUAD_START, n_cap=_QUAD_CAP):
+def _grid(n, first=0, step=1):
+    """Every ``step``-th angle of the uniform n-point grid, from index ``first``."""
+    return np.arange(first, n, step) * (2.0 * np.pi / n)
+
+
+def _nested_levels(pointwise, n, n_cap):
+    """Sample stacks on the grids n, 2n, 4n, ... <= n_cap, each point evaluated once.
+
+    The 2n grid is evaluated first and the n level is its even-indexed
+    samples; every later level keeps the previous one at its even indices
+    and evaluates only the odd ones.  A single level cannot converge, so
+    nothing is evaluated when 2n exceeds ``n_cap``.
+    """
+    if 2 * n > n_cap:
+        return
+    samples = pointwise(_grid(2 * n))
+    # Contiguous, as a full evaluation of the n grid would be.
+    yield np.ascontiguousarray(samples[:, ::2])
+    yield samples
+    n *= 4
+    while n <= n_cap:
+        nested = np.empty((samples.shape[0], n))
+        nested[:, ::2] = samples
+        nested[:, 1::2] = pointwise(_grid(n, 1, 2))
+        samples = nested
+        yield samples
+        n *= 2
+
+
+def periodic_quadrature(
+    integrand, rtol=_QUAD_RTOL, n_start=_QUAD_START, n_cap=_QUAD_CAP, level=None
+):
     """Integrate smooth 2*pi-periodic integrands over one period.
 
-    ``integrand(phi)`` receives the full uniform grid and returns either a
-    1-D sample array or a stack of sample rows (one integral per row).  The
-    grid is doubled while any row is unconverged; each row keeps the first
-    value that changed by less than ``rtol`` (a scalar or one entry per
-    row) relative to its magnitude, so it equals a single-row call on the
-    same samples bit for bit.
+    ``integrand(phi)`` returns either a 1-D sample array or a stack of
+    sample rows (one integral per row).  It must be pointwise: each sample
+    depends on its own angle only, since the grids nest and each angle is
+    handed to it once, in any grouping.  ``level(samples)``, if given,
+    maps each level's full stack of pointwise samples to the rows that are
+    integrated; it carries whatever needs the whole grid at once, such as
+    a spectral derivative.  The grid is doubled while any row is
+    unconverged; each row keeps the first value that changed by less than
+    ``rtol`` (a scalar or one entry per row) relative to its magnitude, so
+    it equals a single-row call on the same samples bit for bit.
     """
-    n = n_start
+
+    def pointwise(phi):
+        return np.atleast_2d(np.asarray(integrand(phi), dtype=float))
+
     prev, out = None, np.nan
-    while n <= n_cap:
-        phi = np.arange(n) * (2.0 * np.pi / n)
-        samples = np.atleast_2d(np.asarray(integrand(phi), dtype=float))
-        vals = samples.mean(axis=1) * (2.0 * np.pi)
+    for samples in _nested_levels(pointwise, n_start, n_cap):
+        rows = samples if level is None else level(samples)
+        vals = rows.mean(axis=1) * (2.0 * np.pi)
         if prev is not None:
             tol = rtol * np.maximum(np.abs(vals), 1e-3) + 1e-15
             out = np.where(np.isnan(out) & (np.abs(vals - prev) <= tol), vals, out)
             if not np.isnan(out).any():
                 return out if out.size > 1 else float(out[0])
         prev = vals
-        n *= 2
     raise QuadratureNotConverged(f"no convergence below rtol={rtol} within {n_cap} panels")
 
 
@@ -278,11 +314,12 @@ def _spectral_derivative(values):
 def boundary_integrals(curve: BoundaryCurve, max_power: int, derivatives=False):
     """Perimeter, area, the k^m integrals and optionally the k-derivative ones, in one pass.
 
-    Each grid level evaluates r(phi) once, then the arc element
-    g = sqrt(r^2 + r'^2) and k once; every integral is a row of the same
-    ``periodic_quadrature`` call and converges on its own.  Primes on k
-    denote arc-length derivatives, d/d(arc) = (d/d phi) / g, with the
-    angular derivative taken spectrally; those rows get rtol 1e-11.
+    Each grid point evaluates r(phi), the arc element g = sqrt(r^2 + r'^2)
+    and k once; every integral is a row of the same ``periodic_quadrature``
+    call and converges on its own.  Primes on k denote arc-length
+    derivatives, d/d(arc) = (d/d phi) / g, with the angular derivative
+    taken spectrally from each level's full k and g; those rows get rtol
+    1e-11.
     """
     derivatives = derivatives and not isinstance(curve, Disk)
     n_rows = max_power + 3
@@ -292,14 +329,18 @@ def boundary_integrals(curve: BoundaryCurve, max_power: int, derivatives=False):
         g = np.sqrt(r * r + rp * rp)
         k = _curvature(r, rp, rpp)
         rows = [g, 0.5 * r * r] + [k**m * g for m in range(max_power + 1)]
-        if derivatives:
-            kp = _spectral_derivative(k) / g
-            kpp = _spectral_derivative(kp) / g
-            rows += [kp * kp * g, k * kp * kp * g, k * k * kpp * g]
-        return np.stack(rows)
+        # k rides last for the derivative rows, which need each level's full grid.
+        return np.stack(rows + [k] if derivatives else rows)
+
+    def derivative_rows(samples):
+        g, k = samples[0], samples[-1]
+        kp = _spectral_derivative(k) / g
+        kpp = _spectral_derivative(kp) / g
+        return np.vstack([samples[:-1], kp * kp * g, k * kp * kp * g, k * k * kpp * g])
 
     rtol = np.array([_QUAD_RTOL] * n_rows + [1e-11] * 3 * derivatives)
-    vals = [float(v) for v in periodic_quadrature(integrand, rtol)]
+    level = derivative_rows if derivatives else None
+    vals = [float(v) for v in periodic_quadrature(integrand, rtol, level=level)]
     return BoundaryIntegrals(vals[0], vals[1], tuple(vals[2:n_rows]), *vals[n_rows:])
 
 

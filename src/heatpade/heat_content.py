@@ -12,7 +12,8 @@ Gamma(j/2 + 1) sigma_j consumed by the rational-interpolation solver,
 from one ``geometry.boundary_integrals`` pass; every sigma_j is
 c_j / Gamma(j/2 + 1) read off that series.  Half-integer Gamma values are
 kept as exact (rational, sqrt(pi)-flag) pairs so the rational parts
-combine without rounding.
+combine without rounding; each exact prefactor is rounded to a float once
+per order and cached on the order alone.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from . import geometry
 from .errors import UnsupportedOrder
@@ -50,6 +52,7 @@ def gamma_half(j: int):
     return rat, True
 
 
+@lru_cache(maxsize=None)
 def gamma_half_value(j: int) -> float:
     rat, has_root = gamma_half(j)
     return float(rat) * (SQRT_PI if has_root else 1.0)
@@ -126,6 +129,12 @@ def small_time_survival(expansion: SmallTimeExpansion, t: float) -> float:
     return 1.0 + sum(sigma * root_t**j for j, sigma in enumerate(expansion.sigma, start=1))
 
 
+@lru_cache(maxsize=None)
+def _curvature_prefactors(J: int):
+    """-a_(j-1) for j = 1..J, each exact until its one rounding to float."""
+    return tuple(float(-a) for a in asymptotic_ratio_coeffs(max(J - 1, 0))[:J])
+
+
 def tau_large_s_series(curve: BoundaryCurve, J: int, mode=ExpansionMode.CURVATURE_APPROX):
     """Coefficients c_j = Gamma(j/2 + 1) sigma_j for j = 1..J, from one quadrature pass.
 
@@ -138,8 +147,7 @@ def tau_large_s_series(curve: BoundaryCurve, J: int, mode=ExpansionMode.CURVATUR
     """
     mode = ExpansionMode(mode)
     b = _boundary_integrals(curve, J, mode)
-    a = asymptotic_ratio_coeffs(max(J - 1, 0))
-    c = [float(-a[j - 1]) * b.powers[j - 1] / b.area for j in range(1, J + 1)]
+    c = [a * b.powers[j] / b.area for j, a in enumerate(_curvature_prefactors(J))]
     for j, s in _exact_terms(b, J, mode).items():
         c[j - 1] = gamma_half_value(j) * s
     return LargeSSeries(tuple(c))

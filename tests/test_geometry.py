@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from conftest import fourier_curves
@@ -371,6 +372,8 @@ class TestQuadrature:
     def test_stacked_rows_match_single_rows(self):
         # exp(2 cos) settles at 32 panels, 1/(1.05 - cos) at 256; the first
         # row's value at 256 panels differs from its value at 32 in the last bit.
+        # The grids nest: the integrand sees the 8-point grid (levels 4 and 8),
+        # then only the new odd points of each later level.
         rows = (lambda phi: np.exp(2.0 * np.cos(phi)), lambda phi: 1.0 / (1.05 - np.cos(phi)))
         levels = []
 
@@ -382,7 +385,7 @@ class TestQuadrature:
             return periodic_quadrature(counted, n_start=4)
 
         singles = [single(f) for f in rows]
-        assert levels == [4, 8, 16, 32] + [4, 8, 16, 32, 64, 128, 256]
+        assert levels == [8, 8, 16] + [8, 8, 16, 32, 64, 128]
         stacked = periodic_quadrature(lambda phi: np.stack([f(phi) for f in rows]), n_start=4)
         assert stacked.tolist() == singles
 
@@ -393,15 +396,17 @@ class TestQuadrature:
     def test_boundary_stack_rows_match_single_rows(self, curve, monkeypatch):
         calls = []
 
-        def capture(integrand, rtol):
-            calls.append((integrand, rtol))
-            return periodic_quadrature(integrand, rtol)
+        def capture(integrand, rtol, level=None):
+            calls.append((integrand, rtol, level))
+            return periodic_quadrature(integrand, rtol, level=level)
 
         monkeypatch.setattr(geometry, "periodic_quadrature", capture)
         b = boundary_integrals(curve, 8, derivatives=True)
-        ((integrand, rtol),) = calls
+        ((integrand, rtol, level),) = calls
+        rows = level or (lambda samples: samples)
         singles = [
-            periodic_quadrature(lambda phi, i=i: integrand(phi)[i], tol) for i, tol in enumerate(rtol)
+            periodic_quadrature(integrand, tol, level=lambda s, i=i: rows(s)[i : i + 1])
+            for i, tol in enumerate(rtol)
         ]
         stacked = [b.perimeter, b.area, *b.powers]
         if not isinstance(curve, Disk):
@@ -430,6 +435,93 @@ class TestQuadrature:
         assert curvature_power_integral(e, 0) == pytest.approx(
             arc_measures(e).perimeter, rel=1e-12
         )
+
+
+def _full_grid_quadrature(integrand, rtol, levels, n=256, n_cap=2**20):
+    """``periodic_quadrature`` before the grids nested: each level evaluated in full."""
+    prev, out = None, np.nan
+    while n <= n_cap:
+        levels.append(n)
+        phi = np.arange(n) * (2.0 * np.pi / n)
+        samples = np.atleast_2d(np.asarray(integrand(phi), dtype=float))
+        vals = samples.mean(axis=1) * (2.0 * np.pi)
+        if prev is not None:
+            tol = rtol * np.maximum(np.abs(vals), 1e-3) + 1e-15
+            out = np.where(np.isnan(out) & (np.abs(vals - prev) <= tol), vals, out)
+            if not np.isnan(out).any():
+                return [float(v) for v in out]
+        prev = vals
+        n *= 2
+    raise QuadratureNotConverged("reference did not converge")
+
+
+def _full_grid_integrals(curve, max_power, derivatives, levels):
+    """Every row of ``boundary_integrals``, with all rows formed on each full grid."""
+
+    def integrand(phi):
+        r, rp, rpp = curve.radius(phi)
+        g = np.sqrt(r * r + rp * rp)
+        k = geometry._curvature(r, rp, rpp)
+        rows = [g, 0.5 * r * r] + [k**m * g for m in range(max_power + 1)]
+        if derivatives:
+            kp = geometry._spectral_derivative(k) / g
+            kpp = geometry._spectral_derivative(kp) / g
+            rows += [kp * kp * g, k * kp * kp * g, k * k * kpp * g]
+        return np.stack(rows)
+
+    rtol = np.array([1e-12] * (max_power + 3) + [1e-11] * 3 * derivatives)
+    return _full_grid_quadrature(integrand, rtol, levels)
+
+
+def _rows(b, derivatives):
+    return [b.perimeter, b.area, *b.powers] + [b.kp2, b.k_kp2, b.k2_kpp] * derivatives
+
+
+def _count_points(monkeypatch):
+    """Grid points handed to the integrands of ``periodic_quadrature``, one entry per call."""
+    points = []
+    original = geometry.periodic_quadrature
+
+    def counted(integrand, *args, **kwargs):
+        def counting(phi):
+            points.append(len(phi))
+            return integrand(phi)
+
+        return original(counting, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "periodic_quadrature", counted)
+    return points
+
+
+def _assert_matches_full_grid_reference(curve):
+    for derivatives in (False, True):
+        b = boundary_integrals(curve, 8, derivatives=derivatives)
+        assert _rows(b, derivatives) == _full_grid_integrals(curve, 8, derivatives, [])
+
+
+class TestNestedGrids:
+    @given(fourier_curves())
+    @settings(max_examples=20, deadline=None)
+    def test_fourier_matches_full_grid_reference(self, curve):
+        _assert_matches_full_grid_reference(curve)
+
+    @given(st.floats(min_value=0.0, max_value=0.95))
+    @settings(max_examples=20, deadline=None)
+    def test_ellipse_matches_full_grid_reference(self, eps):
+        _assert_matches_full_grid_reference(Ellipse(b=1.0, eps=eps))
+
+    @pytest.mark.parametrize("mode, J", [("curvature", 9), ("savo", 6)])
+    def test_each_point_evaluated_once(self, mode, J, monkeypatch):
+        # (eps, final level, points the full-grid reference evaluates): each
+        # nested call hands the integrand only the final level's points.
+        points = _count_points(monkeypatch)
+        for eps, final, full in [(0.5, 512, 768), (0.9, 512, 768), (0.97, 2048, 3840)]:
+            curve = Ellipse(b=1.0, eps=eps)
+            levels = []
+            _full_grid_integrals(curve, J - 1, mode == "savo", levels)
+            points.clear()
+            tau_large_s_series(curve, J, mode)
+            assert (sum(points), levels[-1], sum(levels)) == (final, final, full)
 
 
 class TestCurvatureDerivatives:
