@@ -56,7 +56,8 @@ def _floats(text: str, flag: str):
 
 def _ints(text: str, flag: str):
     vals = _floats(text, flag)
-    if any(v != int(v) for v in vals):
+    # isfinite first: int() raises on nan and on infinities.
+    if not all(math.isfinite(v) and v == int(v) for v in vals):
         raise UsageError(f"expected integers, got {text!r}")
     return [int(v) for v in vals]
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -299,16 +300,22 @@ class BoundaryIntegrals:
     k2_kpp: float = 0.0
 
 
+@lru_cache(maxsize=None)
+def _derivative_factors(n):
+    """i m for the modes m of an n-point rfft, read-only; n is one of the few grid levels."""
+    freqs = np.arange(n // 2 + 1)
+    if n % 2 == 0:
+        # Nyquist mode differentiates to zero for a real signal.
+        freqs[-1] = 0
+    factors = 1j * freqs
+    factors.flags.writeable = False
+    return factors
+
+
 def _spectral_derivative(values):
     """Derivative of a periodic sample set via its trigonometric interpolant."""
     n = values.shape[-1]
-    spectrum = np.fft.rfft(values)
-    freqs = np.arange(spectrum.shape[-1])
-    if n % 2 == 0:
-        # Nyquist mode differentiates to zero for a real signal.
-        freqs = freqs.copy()
-        freqs[-1] = 0
-    return np.fft.irfft(1j * freqs * spectrum, n=n)
+    return np.fft.irfft(_derivative_factors(n) * np.fft.rfft(values), n=n)
 
 
 def boundary_integrals(curve: BoundaryCurve, max_power: int, derivatives=False):

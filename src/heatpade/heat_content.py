@@ -10,10 +10,13 @@ Two coefficient families are provided for a star-shaped domain:
 ``tau_large_s_series`` alone forms coefficients, as the list c_j =
 Gamma(j/2 + 1) sigma_j consumed by the rational-interpolation solver,
 from one ``geometry.boundary_integrals`` pass; every sigma_j is
-c_j / Gamma(j/2 + 1) read off that series.  Half-integer Gamma values are
-kept as exact (rational, sqrt(pi)-flag) pairs so the rational parts
-combine without rounding; each exact prefactor is rounded to a float once
-per order and cached on the order alone.
+c_j / Gamma(j/2 + 1) read off that series.  The pass is wide enough for
+both modes and is kept for the last curve object, so a curvature series
+and an exact one on the same curve share it; each integral converges on
+its own, so the shared pass gives every value bit for bit.  Half-integer
+Gamma values are kept as exact (rational, sqrt(pi)-flag) pairs so the
+rational parts combine without rounding; each exact prefactor is rounded
+to a float once per order and cached on the order alone.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import geometry
-from .errors import UnsupportedOrder
+from .errors import QuadratureNotConverged, UnsupportedOrder
 from .geometry import BoundaryCurve
 from .series import asymptotic_ratio_coeffs
 
@@ -90,14 +93,43 @@ def sigma_savo(curve: BoundaryCurve, j: int) -> float:
     return tau_large_s_series(curve, j, ExpansionMode.SAVO_EXACT).sigma(j)
 
 
+# (curve, max_power, derivatives, BoundaryIntegrals) of the last pass.  The
+# strong reference keeps the curve's id from being reused, and the key is
+# identity: a BoundaryCurve subclass that is not a dataclass itself
+# compares equal to every other instance of its class.  It is read and
+# replaced whole, so threads that race on it cost a pass, never a value.
+_last_pass = (None, -1, False, None)
+
+
 def _boundary_integrals(curve: BoundaryCurve, J: int, mode: ExpansionMode):
-    """The one quadrature pass a series of order J needs."""
+    """The quadrature pass a series of order J needs, shared by later series on the same curve.
+
+    The pass asks for a superset, k^m up to max(J - 1, SAVO_MAX_ORDER - 1)
+    and the k-derivative rows, so one pass serves both modes.  Each row
+    converges on its own, so the values a series reads equal those of a
+    pass of its own bit for bit.  A later request on the same curve object
+    that the kept pass covers is served from it.  Should the superset not
+    converge, the series' own request runs instead, which converges or
+    fails as it would alone.
+    """
+    global _last_pass
     if J < 0:
         raise ValueError("order must be non-negative")
     exact = mode is ExpansionMode.SAVO_EXACT
     if exact and J > SAVO_MAX_ORDER:
         raise UnsupportedOrder(f"exact coefficients stop at order {SAVO_MAX_ORDER}")
-    return geometry.boundary_integrals(curve, J - 1, derivatives=exact and J >= 5)
+    max_power, derivatives = J - 1, exact and J >= 5
+    held, power, derivs, b = _last_pass
+    if held is curve and power >= max_power and (derivs or not derivatives):
+        return b
+    wide = max(max_power, SAVO_MAX_ORDER - 1)
+    try:
+        b = geometry.boundary_integrals(curve, wide, derivatives=True)
+        _last_pass = (curve, wide, True, b)
+    except QuadratureNotConverged:
+        b = geometry.boundary_integrals(curve, max_power, derivatives)
+        _last_pass = (curve, max_power, derivatives, b)
+    return b
 
 
 def _exact_terms(b: geometry.BoundaryIntegrals, J: int, mode: ExpansionMode):

@@ -64,6 +64,9 @@ _RE_SLACK = 1e-3
 _GAMMA = 0.6 + 0.8j
 _MAX_STEP = 0.1
 _MIN_STEP = 1e-14
+# A step that would leave less than this short of t = 1 ends at t = 1: ten
+# steps of 0.1 sum to 1 - 2^-53, which would cost a last full round.
+_END_SLACK = 1e-12
 _CORRECTOR_STEPS = 3
 _CORRECTOR_TOL = 1e-8
 _AT_INFINITY = 1e12
@@ -287,12 +290,13 @@ def _homotopy_endpoints(c: LargeSSeries, n: int):
     Polynomial Systems with Bertini", 2013).  A step succeeds when the
     last Newton correction is within ``_CORRECTOR_TOL`` of 1 + |p|; each
     path's step then grows by 1.5 up to ``_MAX_STEP``, and halves on
-    failure.  A path whose |p| passes ``_AT_INFINITY`` goes to a root at
-    infinity and is dropped.  ``NoSolutionFound`` is raised when a path's
-    step falls below ``_MIN_STEP`` short of that, or when two endpoints
-    coincide within ``_DEDUP_TOL``, which means a path jumped to another:
-    the root set would be incomplete.  Returns the endpoints, shape
-    (roots, n).
+    failure; a step that would stop within ``_END_SLACK`` of t = 1 is
+    stretched to end there.  A path whose |p| passes ``_AT_INFINITY``
+    goes to a root at infinity and is dropped.  ``NoSolutionFound`` is
+    raised when a path's step falls below ``_MIN_STEP`` short of that, or
+    when two endpoints coincide within ``_DEDUP_TOL``, which means a path
+    jumped to another: the root set would be incomplete.  Returns the
+    endpoints, shape (roots, n).
     """
     at, _ = _division_free_system(c, n)
     p = np.array(list(itertools.product((1.0, -1.0), repeat=n)), dtype=complex)
@@ -317,7 +321,7 @@ def _homotopy_endpoints(c: LargeSSeries, n: int):
     while live.any():
         k = np.flatnonzero(live)
         pk, tk = p[k], t[k]
-        dt = np.minimum(h[k], 1.0 - tk)
+        dt = np.where(1.0 - tk <= h[k] + _END_SLACK, 1.0 - tk, h[k])
         step = dt[:, None]
         with np.errstate(all="ignore"):
             # Classical fourth-order Runge-Kutta predictor.

@@ -228,6 +228,11 @@ class TestSweep:
         assert main(["sweep", "--eps", "0.1", "--n", ","]) == 2
         assert capsys.readouterr().err.startswith("error: --n must list")
 
+    @pytest.mark.parametrize("n", ["nan", "inf", "1e400"])
+    def test_non_finite_order_is_usage_error(self, n, capsys):
+        assert main(["sweep", "--eps", "0.5", "--n", n]) == 2
+        assert capsys.readouterr().err.startswith("error: expected integers")
+
     @pytest.mark.parametrize("eps", [",", ""])
     def test_empty_eccentricity_list_is_usage_error(self, eps, capsys):
         assert main(["sweep", "--eps", eps, "--n", "1"]) == 2

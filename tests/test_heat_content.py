@@ -1,13 +1,16 @@
+import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fourier_curves
 from heatpade import geometry
-from heatpade.errors import UnsupportedOrder
-from heatpade.geometry import Disk, Ellipse, arc_measures
+from heatpade.errors import QuadratureNotConverged, UnsupportedOrder
+from heatpade.geometry import BoundaryCurve, Disk, Ellipse, arc_measures
 from heatpade.heat_content import (
     ExpansionMode,
     gamma_half,
@@ -217,3 +220,111 @@ class TestOnePass:
         for j in range(1, 5):
             assert sigma_savo(curve, j) == sigma_curvature(curve, j) == approx[j - 1]
         assert tau_large_s_series(curve, 6).c[:4] == tau_large_s_series(curve, 6, "savo").c[:4]
+
+
+def _hex(series):
+    return [v.hex() for v in series.c]
+
+
+def _fresh(curve):
+    """An equal curve that is another object, so no kept pass serves it."""
+    return dataclasses.replace(curve)
+
+
+def _own_pass(curve, J, mode):
+    """The series from a pass of exactly its own size: the superset pass is refused."""
+    original = geometry.boundary_integrals
+    own = (J - 1, mode == "savo" and J >= 5)
+
+    def refuse_wider(c, max_power, derivatives=False):
+        if (max_power, derivatives) != own:
+            raise QuadratureNotConverged("superset refused")
+        return original(c, max_power, derivatives)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "boundary_integrals", refuse_wider)
+        return tau_large_s_series(_fresh(curve), J, mode)
+
+
+class _Lens(BoundaryCurve):
+    """Not a dataclass itself, so any two instances compare equal."""
+
+    def __init__(self, bulge):
+        object.__setattr__(self, "bulge", bulge)
+
+    def radius(self, phi):
+        phi = np.asarray(phi, dtype=float)
+        r = 1.0 + self.bulge * np.cos(2.0 * phi)
+        return r, -2.0 * self.bulge * np.sin(2.0 * phi), -4.0 * self.bulge * np.cos(2.0 * phi)
+
+
+class TestSharedPass:
+    """Both series on one curve object share one quadrature pass, bit for bit."""
+
+    def _check(self, curve):
+        calls = []
+        original = geometry.periodic_quadrature
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "periodic_quadrature", counted)
+            shared = [tau_large_s_series(curve, 9), tau_large_s_series(curve, 6, "savo")]
+        assert len(calls) == 1
+        fresh = [tau_large_s_series(_fresh(curve), 9), tau_large_s_series(_fresh(curve), 6, "savo")]
+        own = [_own_pass(curve, 9, "curvature"), _own_pass(curve, 6, "savo")]
+        assert [_hex(s) for s in shared] == [_hex(s) for s in fresh] == [_hex(s) for s in own]
+        # Savo first keeps a pass too narrow for curvature J = 9, which then runs its own.
+        reverse = _fresh(curve)
+        savo_first = [tau_large_s_series(reverse, 6, "savo"), tau_large_s_series(reverse, 9)]
+        assert [_hex(s) for s in savo_first] == [_hex(s) for s in own[::-1]]
+
+    @given(fourier_curves())
+    @settings(max_examples=20, deadline=None)
+    def test_fourier_curves(self, curve):
+        self._check(curve)
+
+    @given(st.floats(min_value=0.0, max_value=0.95))
+    @settings(max_examples=20, deadline=None)
+    def test_ellipses(self, eps):
+        self._check(Ellipse(b=1.0, eps=eps))
+
+    def test_disk(self):
+        self._check(Disk(R=1.3))
+
+    @pytest.mark.parametrize("J, mode", [(3, "curvature"), (9, "curvature"), (4, "savo"), (6, "savo")])
+    def test_unconverged_superset_runs_the_own_request(self, J, mode, monkeypatch):
+        curve = Ellipse(b=1.0, eps=0.5)
+        want, want_savo = _own_pass(curve, J, mode), _own_pass(curve, 6, "savo")
+        requests = []
+        original = geometry.boundary_integrals
+
+        def wide_fails(c, max_power, derivatives=False):
+            requests.append((max_power, derivatives))
+            if len(requests) == 1:
+                raise QuadratureNotConverged("superset did not converge")
+            return original(c, max_power, derivatives)
+
+        monkeypatch.setattr(geometry, "boundary_integrals", wide_fails)
+        assert _hex(tau_large_s_series(curve, J, mode)) == _hex(want)
+        assert requests == [(max(J - 1, 5), True), (J - 1, mode == "savo" and J >= 5)]
+        # The kept own request serves what it covers and nothing more: J = 9
+        # has every power savo J = 6 reads, but not the derivative rows.
+        assert _hex(tau_large_s_series(curve, 6, "savo")) == _hex(want_savo)
+
+    def test_unconverged_own_request_raises(self, monkeypatch):
+        def never(c, max_power, derivatives=False):
+            raise QuadratureNotConverged(f"max_power {max_power}")
+
+        monkeypatch.setattr(geometry, "boundary_integrals", never)
+        with pytest.raises(QuadratureNotConverged, match="max_power 2"):
+            tau_large_s_series(Ellipse(b=1.0, eps=0.5), 3)
+
+    def test_kept_pass_is_keyed_on_identity(self):
+        # Equal but distinct curves each get their own pass.
+        flat, round_ = _Lens(0.2), _Lens(0.0)
+        assert flat == round_
+        tau_large_s_series(flat, 9)
+        assert _hex(tau_large_s_series(round_, 6, "savo")) == _hex(tau_large_s_series(Disk(), 6, "savo"))

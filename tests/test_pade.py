@@ -598,10 +598,9 @@ class TestHomotopy:
             fd = (at(p + e)[0] - at(p - e)[0]) / (2 * h)
             assert np.allclose(J[:, :, j], fd, rtol=1e-7, atol=1e-7 * np.max(np.abs(fd)))
 
-    @pytest.mark.parametrize("n, max_calls", [(4, 332), (7, 966)])
-    def test_tracking_work(self, disk_series, monkeypatch, n, max_calls):
-        # Each bound is half the F/J evaluations of an Euler predictor
-        # with step cap 0.05 (664 at n = 4, 1932 at n = 7).
+    @staticmethod
+    def _tracking_calls(c, n, monkeypatch):
+        """F/J evaluations of one ``_homotopy_endpoints`` run, which must keep every path."""
         system = pade._division_free_system
         calls = []
 
@@ -615,8 +614,21 @@ class TestHomotopy:
             return counting_at, denominator
 
         monkeypatch.setattr(pade, "_division_free_system", counting_system)
-        assert len(_homotopy_endpoints(disk_series, n)) == 2**n
-        assert 0 < len(calls) <= max_calls
+        assert len(_homotopy_endpoints(c, n)) == 2**n
+        return len(calls)
+
+    @pytest.mark.parametrize("n, max_calls", [(4, 332), (7, 966)])
+    def test_tracking_work(self, disk_series, monkeypatch, n, max_calls):
+        # Each bound is half the F/J evaluations of an Euler predictor
+        # with step cap 0.05 (664 at n = 4, 1932 at n = 7).
+        assert 0 < self._tracking_calls(disk_series, n, monkeypatch) <= max_calls
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_no_round_after_the_last_full_step(self, disk_series, monkeypatch, n):
+        # No step fails here: ten rounds of 0.1, each 4 predictor stages and
+        # 3 corrector steps, and no eleventh round on the 1e-16 that ten
+        # rounded steps of 0.1 leave short of t = 1.
+        assert self._tracking_calls(disk_series, n, monkeypatch) == 70
 
     def test_stalled_path_raises(self, disk_series, monkeypatch):
         # No corrector step can pass, so every step size collapses short of t = 1.
