@@ -36,7 +36,7 @@ from .heat_content import (
     tau_large_s_series,
 )
 from .mc_oracle import McConfig, simulate_survival
-from .pade import ladder, select_solution, solve_interpolation
+from .pade import ladder, select_solution, selected_rows, solve_interpolation
 from .series import j0_zero, maclaurin_tau_disk
 
 
@@ -232,7 +232,7 @@ def cmd_lambda1(args, out):
 
 def _sweep_cell(task):
     eps, c, n_list = task
-    sols = [select_solution(solve_interpolation(c, n)) for n in n_list]
+    sols = selected_rows(c, n_list)
     return [(eps, sol.n, sol.lambda1, sol.closest_pole.imag, sol.closest_pole.real) for sol in sols]
 
 

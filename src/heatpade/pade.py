@@ -11,15 +11,18 @@ This yields 2n+2 polynomial equations for the n numerator and n+2
 denominator coefficients.  The large-s equations fix the denominator as
 an affine function q = b + T p of the numerator, which leaves n
 equations in the n numerator unknowns p.  Cleared of division they are
-n quadratics, with at most 2^n isolated roots, built once per solve as
+n quadratics, with at most 2^n isolated roots, built once per order as
 constant arrays F(p) = C + B p + A[p, p].  A total-degree homotopy
 tracks one path to each root, with no randomness and no starting guess:
 a fourth-order Runge-Kutta predictor, steps in t of at most 0.1, and a
-Newton corrector.  A real endpoint becomes a solution only when Newton
-on exact rational residuals of the same quadratics reaches a step below
-1e-20 (relative to 1 + |p|) within 8 steps, and the polished q0 is not
-0.  That is the one acceptance rule, and the roots are then the same
-doubles from any start.  ``build_residuals`` writes the conditions out a
+Newton corrector.  A ladder of orders is one batch: every order's paths
+advance together, padded to the highest order's unknowns.  A real
+endpoint becomes a solution only when Newton on exact rational residuals
+of the same quadratics reaches a step below 1e-20 (relative to 1 + |p|)
+within 8 steps, and the polished q0 is not 0.  Every constant is a
+dyadic rational, so the exact residuals are integer products over a
+power of two.  That is the one acceptance rule, and the roots are then
+the same doubles from any start.  ``build_residuals`` writes the conditions out a
 second way, multiplying the polynomials out, as an independent check.
 The denominator root pair closest to the origin estimates the lowest
 Dirichlet eigenvalue via lambda_1 = Im[s]^2.
@@ -190,6 +193,57 @@ def _make_solution(n: int, x) -> PadeSolution:
     )
 
 
+def _inverse_series(c: LargeSSeries, n: int, num=float):
+    """inv_0..inv_(n+2) of 1/M(u), M(u) = s^2 tau(s) in u = 1/s, from ``quotient``.
+
+    inv_k depends on c_1..c_k alone, so the series of a higher order
+    starts with the series of every lower one, bit for bit.
+    """
+    one = num(1)
+    return quotient([one], [one] + [num(v) for v in c.c[: n + 2]], n + 3)
+
+
+def _system_arrays(inv, n: int):
+    """The constant arrays of ``_division_free_system`` at order n: (C, B, S, b, T).
+
+    ``inv`` is an array holding at least inv_0..inv_(n+2), in any
+    arithmetic.  F(p) = C + B p + A[p, p] for rows p of n numerator
+    unknowns, with S laid out so that p @ S, reshaped to (n, n), is
+    (A + A^T) p; and the denominator is q_0..q_(n+2) = b + T p.
+    """
+    zero = 0 * inv[0]
+    sign = (-1) ** np.arange(n + 3)
+    # Q(s) = b + T p, of degrees 0..n+2.
+    b = inv[n + 2 :: -1]
+    T = np.array(
+        [[inv[2 + i - j] if 2 + i - j >= 0 else zero for i in range(n)] for j in range(n + 3)],
+        dtype=inv.dtype,
+    )
+    # Coefficients of Q(-s) = b' + T' p, and a zero row n+3 for the
+    # degrees outside 0..n+2.
+    b_neg = np.append(sign * b, zero)
+    T_neg = np.vstack([sign[:, None] * T, np.full((1, n), zero, dtype=inv.dtype)])
+    # Degree of Q(-s) paired with P_i (i = 0..n) in the odd coefficient 2r+1.
+    deg = 2 * np.arange(n)[:, None] + 1 - np.arange(n + 1)
+    deg = np.where((deg >= 0) & (deg <= n + 2), deg, n + 3)
+    C = b_neg[deg[:, n]]
+    B = T_neg[deg[:, n]] + b_neg[deg[:, :n]]
+    A = T_neg[deg[:, :n]]
+    # S[j, (r, m)] = (A + A^T)_rmj, so that p @ S, reshaped, is (A + A^T) p.
+    S = (A + A.transpose(0, 2, 1)).reshape(n * n, n).T
+    return C, B, S, b, T
+
+
+def _quadratics(C, B, PS, p):
+    """F and J at each row of p, from the row's C and B and PS = p @ S.
+
+    J = B + (A + A^T) p, and (B + J) p / 2 = B p + A[p, p].
+    """
+    J = B + PS.reshape(p.shape + p.shape[-1:])
+    F = C + ((B + J) @ p[..., None])[..., 0] / 2
+    return F, J
+
+
 def _division_free_system(c: LargeSSeries, n: int, num=float):
     """F(p) and its Jacobian in p, batched over rows of numerators p_0..p_(n-1).
 
@@ -202,44 +256,49 @@ def _division_free_system(c: LargeSSeries, n: int, num=float):
     exactly where the small-s conditions hold, as long as q0 != 0; unlike
     d_odd it has no division, so it is n quadratics in p.
 
-    The quadratics are built once as constant arrays,
+    The quadratics are built once as constant arrays (``_system_arrays``),
     F(p) = C + B p + A[p, p], so that J = B + (A + A^T) p.  With Q(-s)
     = b' + T' p, the coefficient of s^d in P(s) Q(-s) pairs p_i with
     b'_(d-i) + T'_(d-i) p, and the monic s^n with b'_(d-n) + T'_(d-n) p.
     ``num`` is ``float``, for complex rows, or ``Fraction``, for exact
-    object arrays (the signs of Q(-s) are integers, so they stay exact).
-    Returns ``(at, denominator)``: ``at(p)`` -> (F, J) for p of shape
-    (rows, n), and ``denominator(p)`` -> q_0..q_(n+1) = b + T p for one
-    numerator p, from the same b and T.
+    rows.  Every c_j is a double and ``quotient`` divides by q0 = 1 only,
+    so every inv_k is a dyadic rational: with ``Fraction`` the arrays are
+    Python ints over one power of two, ``at`` writes a row p as ints over
+    its common denominator, F and J are integer products with no gcd,
+    and only the results become ``Fraction``s.  Any other ``num``
+    (``mpmath.mpf``) evaluates on object arrays.  Returns
+    ``(at, denominator)``: ``at(p)`` -> (F, J) for p of shape (rows, n),
+    and ``denominator(p)`` -> q_0..q_(n+1) = b + T p for one numerator p,
+    from the same b and T.
     """
-    zero, one = num(0), num(1)
-    inv = quotient([one], [one] + [num(v) for v in c.c[: n + 2]], n + 3)
-    sign = (-1) ** np.arange(n + 3)
-    # Q(s) = b + T p, of degrees 0..n+2.
-    b = np.array(inv[::-1])
-    T = np.array([[inv[2 + i - j] if 2 + i - j >= 0 else zero for i in range(n)] for j in range(n + 3)])
+    inv = _inverse_series(c, n, num)
+    if num is not Fraction:
+        C, B, S, b, T = _system_arrays(np.array(inv), n)
+        return (lambda p: _quadratics(C, B, p @ S, p)), (lambda p: b[:-1] + T[:-1] @ np.array(p))
 
-    def denominator(p):
-        return b[:-1] + T[:-1] @ np.array(p)
+    # Every constant is an integer over one power of two, ``scale``.
+    scale = math.lcm(*(v.denominator for v in inv))
+    inv = np.array([v.numerator * (scale // v.denominator) for v in inv], dtype=object)
+    C, B, S, b, T = _system_arrays(inv, n)
+    fraction = np.frompyfunc(Fraction, 2, 1)
 
-    # Coefficients of Q(-s) = b' + T' p, and a zero row n+3 for the
-    # degrees outside 0..n+2.
-    b_neg = np.append(sign * b, zero)
-    T_neg = np.vstack([sign[:, None] * T, np.full((1, n), zero)])
-    # Degree of Q(-s) paired with P_i (i = 0..n) in the odd coefficient 2r+1.
-    deg = 2 * np.arange(n)[:, None] + 1 - np.arange(n + 1)
-    deg = np.where((deg >= 0) & (deg <= n + 2), deg, n + 3)
-    C = b_neg[deg[:, n]]
-    B = T_neg[deg[:, n]] + b_neg[deg[:, :n]]
-    A = T_neg[deg[:, :n]]
-    # S[j, (r, m)] = (A + A^T)_rmj, so that p @ S, reshaped, is (A + A^T) p.
-    S = (A + A.transpose(0, 2, 1)).reshape(n * n, n).T
+    def integers(p):
+        """p = P / d with integer P and d."""
+        p = np.asarray(p)
+        d = math.lcm(*(v.denominator for v in p.flat))
+        return np.array([v.numerator * (d // v.denominator) for v in p.flat], dtype=object).reshape(p.shape), d
 
     def at(p):
-        J = B + (p @ S).reshape(len(p), n, n)
-        # (B + J) p / 2 = B p + A[p, p].
-        F = C + ((B + J) @ p[..., None])[..., 0] / 2
-        return F, J
+        # J = (B d + P S) / (d scale) has the integer numerator Jd, and
+        # F = C + (B + J) p / 2 = (2 d^2 C + (B d + Jd) P) / (2 d^2 scale).
+        P, d = integers(p)
+        Jd = B * d + (P @ S).reshape(p.shape + p.shape[-1:])
+        Fd = 2 * d * d * C + ((B * d + Jd) @ P[..., None])[..., 0]
+        return fraction(Fd, 2 * d * d * scale), fraction(Jd, d * scale)
+
+    def denominator(p):
+        P, d = integers(p)
+        return fraction(b[:-1] * d + T[:-1] @ P, d * scale)
 
     return at, denominator
 
@@ -250,8 +309,11 @@ def _polish_extended(system, p0):
     Each step evaluates F and J exactly at the ``Fraction`` point p and
     adds the correction, solved in doubles, to p exactly: iterative
     refinement (Higham, "Accuracy and Stability of Numerical Algorithms",
-    2nd ed., 2002, ch. 12).  A step shrinks the error by cond(J) u on top
-    of Newton's square, so after a step of at most 1e-20 (1 + max |p|) the
+    2nd ed., 2002, ch. 12).  Every c_j and every step is a double, so p
+    stays a dyadic rational, and the exact system of
+    ``_division_free_system`` evaluates it in Python integers over a
+    power of two.  A step shrinks the error by cond(J) u on top of
+    Newton's square, so after a step of at most 1e-20 (1 + max |p|) the
     next is about cond(J) 1e-36, which cannot move a double at any cond(J)
     where the refinement converges: Newton stops there.  A singular J, a
     step that is not finite, an F or J beyond the double range, or no
@@ -273,111 +335,141 @@ def _polish_extended(system, p0):
     return None
 
 
-def _homotopy_endpoints(c: LargeSSeries, n: int):
-    """Finite roots of ``_division_free_system``, one per path of a total-degree homotopy.
+def _homotopy_endpoints(c: LargeSSeries, orders):
+    """Finite roots of ``_division_free_system`` at each of ``orders``, one per homotopy path.
 
-    The 2^n paths of H = (1 - t) gamma (p_i^2 - 1) + t F(p) start at
-    (+-1, ..., +-1) at t = 0.  With the complex gamma of Morgan's trick
-    every path is regular for t < 1, so the paths reach every isolated
-    root of F at t = 1 (A. Morgan, "Solving Polynomial Systems Using
-    Continuation", 1987).  All paths advance together: a classical
-    fourth-order Runge-Kutta predictor on dp/dt = -H_p^-1 H_t, then
-    ``_CORRECTOR_STEPS`` Newton steps, each stage a batched
-    ``np.linalg.solve``; F and J come from the constant arrays of
-    ``_division_free_system``.  A higher-order predictor lands closer to
-    the path, so fewer steps fail and the step cap can be larger
-    (Bates, Hauenstein, Sommese & Wampler, "Numerically Solving
+    At order n the 2^n paths of H = (1 - t) gamma (p_i^2 - 1) + t F(p)
+    start at (+-1, ..., +-1) at t = 0.  With the complex gamma of Morgan's
+    trick every path is regular for t < 1, so the paths reach every
+    isolated root of F at t = 1 (A. Morgan, "Solving Polynomial Systems
+    Using Continuation", 1987).  The paths of every order advance in one
+    batch of N = max(orders) unknowns: an order-n row carries its own C,
+    B and S from ``_system_arrays``, and its coordinates n..N-1 start at 0
+    and follow H_j = p_j, so they stay exactly 0 and every test below
+    sees only the row's own n coordinates.  Finished rows leave the
+    batch, and the live rows' arrays are gathered each time some leave,
+    not per evaluation; the rows of a single order share its arrays.
+    Each round is a classical fourth-order Runge-Kutta predictor on
+    dp/dt = -H_p^-1 H_t, then ``_CORRECTOR_STEPS`` Newton steps, each
+    stage one batched ``np.linalg.solve``.  A higher-order predictor
+    lands closer to the path, so fewer steps fail and the step cap can be
+    larger (Bates, Hauenstein, Sommese & Wampler, "Numerically Solving
     Polynomial Systems with Bertini", 2013).  A step succeeds when the
     last Newton correction is within ``_CORRECTOR_TOL`` of 1 + |p|; each
     path's step then grows by 1.5 up to ``_MAX_STEP``, and halves on
     failure; a step that would stop within ``_END_SLACK`` of t = 1 is
     stretched to end there.  A path whose |p| passes ``_AT_INFINITY``
-    goes to a root at infinity and is dropped.  ``NoSolutionFound`` is
-    raised when a path's step falls below ``_MIN_STEP`` short of that, or
-    when two endpoints coincide within ``_DEDUP_TOL``, which means a path
-    jumped to another: the root set would be incomplete.  Returns the
-    endpoints, shape (roots, n).
+    goes to a root at infinity and is dropped.  An order fails with
+    ``NoSolutionFound`` when one of its paths' step falls below
+    ``_MIN_STEP`` short of that, and its paths leave the batch, or when
+    two of its endpoints coincide within ``_DEDUP_TOL``, which means a
+    path jumped to another: its root set would be incomplete.  The other
+    orders are not affected.  Returns, for each order in ascending order,
+    its ``NoSolutionFound`` or its endpoints, shape (roots, N), whose
+    coordinates past the order's n are the padding, exactly 0.
     """
-    at, _ = _division_free_system(c, n)
-    p = np.array(list(itertools.product((1.0, -1.0), repeat=n)), dtype=complex)
+    orders = sorted(orders)
+    N = orders[-1]
+    inv = np.array(_inverse_series(c, N))
+    Cs = np.zeros((len(orders), N), dtype=complex)
+    # A padded coordinate j has F_j = p_j: a 1 on B's diagonal.
+    Bs = np.tile(np.identity(N, dtype=complex), (len(orders), 1, 1))
+    Ss = np.zeros((len(orders), N, N, N), dtype=complex)
+    pads = np.arange(N) >= np.array(orders)[:, None]
+    starts = []
+    for g, n in enumerate(orders):
+        C, B, S, _, _ = _system_arrays(inv, n)
+        Cs[g, :n] = C
+        Bs[g, :n, :n] = B
+        Ss[g, :n, :n, :n] = S.reshape(n, n, n)
+        start = np.zeros((2**n, N), dtype=complex)
+        start[:, :n] = list(itertools.product((1.0, -1.0), repeat=n))
+        starts.append(start)
+    Ss = Ss.reshape(len(orders), N, N * N)
+    # G_j = gamma (p_j^2 - 1) on a row's own coordinates, and on a padded
+    # one G_j = 0 with dG_j = 1, so that H_j = p_j there.
+    owns, pads = (~pads).astype(float), pads.astype(float)
+
+    # The live rows: their indices among all paths, and their state.
+    p = np.concatenate(starts)
+    group = np.repeat(np.arange(len(orders)), [len(s) for s in starts])
+    rows = np.arange(len(p))
     t = np.zeros(len(p))
     h = np.full(len(p), _MAX_STEP)
-    live = np.ones(len(p), dtype=bool)
-    diag = np.identity(n)
+    p_end, t_end = p.copy(), t.copy()
+    stalled = np.zeros(len(orders), dtype=bool)
 
     def homotopy(p, t):
-        """H, dH/dp and dH/dt at each row of p."""
-        F, J = at(p)
-        G = _GAMMA * (p**2 - 1.0)
+        """H, dH/dp and -dH/dt at each row of p."""
+        PS = p @ Sk if Sk.ndim == 2 else np.matmul(p[:, None, :], Sk)[:, 0]
+        F, J = _quadratics(Ck, Bk, PS, p)
+        G = _GAMMA * (p**2 - own)
         s = t[:, None]
-        dG = (_GAMMA * 2.0 * p)[:, :, None] * diag
-        return (1.0 - s) * G + s * F, (1.0 - s)[:, :, None] * dG + s[:, :, None] * J, F - G
+        r = 1.0 - s
+        Hp = s[:, :, None] * J
+        Hp.reshape(len(p), N * N)[:, :: N + 1] += r * (_GAMMA * 2.0 * p + pad)
+        return r * G + s * F, Hp, G - F
 
     def velocity(p, t):
         """dp/dt = -H_p^-1 H_t along each path."""
-        _, Hp, Ht = homotopy(p, t)
-        return -np.linalg.solve(Hp, Ht[..., None])[..., 0]
+        _, Hp, minus_Ht = homotopy(p, t)
+        return np.linalg.solve(Hp, minus_Ht[..., None])[..., 0]
 
-    while live.any():
-        k = np.flatnonzero(live)
-        pk, tk = p[k], t[k]
-        dt = np.where(1.0 - tk <= h[k] + _END_SLACK, 1.0 - tk, h[k])
-        step = dt[:, None]
-        with np.errstate(all="ignore"):
-            # Classical fourth-order Runge-Kutta predictor.
-            v1 = velocity(pk, tk)
-            v2 = velocity(pk + step / 2 * v1, tk + dt / 2)
-            v3 = velocity(pk + step / 2 * v2, tk + dt / 2)
-            v4 = velocity(pk + step * v3, tk + dt)
-            x = pk + step / 6 * (v1 + 2 * v2 + 2 * v3 + v4)
-            for _ in range(_CORRECTOR_STEPS):
-                H, Hp, _ = homotopy(x, tk + dt)
-                dx = np.linalg.solve(Hp, H[..., None])[..., 0]
-                x = x - dx
-            size = np.linalg.norm(x, axis=1)
-            ok = np.isfinite(size) & (np.linalg.norm(dx, axis=1) <= _CORRECTOR_TOL * (1.0 + size))
-        p[k[ok]] = x[ok]
-        t[k[ok]] += dt[ok]
-        h[k] = np.where(ok, np.minimum(1.5 * h[k], _MAX_STEP), 0.5 * h[k])
-        infinite = np.linalg.norm(p[k], axis=1) > _AT_INFINITY
-        if np.any((h[k] < _MIN_STEP) & ~infinite):
-            raise NoSolutionFound(f"a homotopy path stalled at a finite point at order {n}")
-        live[k[infinite | (t[k] >= 1.0)]] = False
+    while len(rows):
+        grp = group[rows]
+        # One order's rows share its arrays; a mixed batch gathers them per row.
+        sel = grp[0] if (grp == grp[0]).all() else grp
+        Ck, Bk, Sk, own, pad = Cs[sel], Bs[sel], Ss[sel], owns[sel], pads[sel]
+        done = np.zeros(len(rows), dtype=bool)
+        while not done.any():
+            dt = np.where(1.0 - t <= h + _END_SLACK, 1.0 - t, h)
+            step = dt[:, None]
+            with np.errstate(all="ignore"):
+                # Classical fourth-order Runge-Kutta predictor.
+                v1 = velocity(p, t)
+                v2 = velocity(p + step / 2 * v1, t + dt / 2)
+                v3 = velocity(p + step / 2 * v2, t + dt / 2)
+                v4 = velocity(p + step * v3, t + dt)
+                x = p + step / 6 * (v1 + 2 * v2 + 2 * v3 + v4)
+                for _ in range(_CORRECTOR_STEPS):
+                    H, Hp, _ = homotopy(x, t + dt)
+                    dx = np.linalg.solve(Hp, H[..., None])[..., 0]
+                    x = x - dx
+                size = np.linalg.norm(x, axis=1)
+                ok = np.isfinite(size) & (np.linalg.norm(dx, axis=1) <= _CORRECTOR_TOL * (1.0 + size))
+                p[ok] = x[ok]
+                t[ok] += dt[ok]
+                h = np.where(ok, np.minimum(1.5 * h, _MAX_STEP), 0.5 * h)
+                infinite = np.linalg.norm(p, axis=1) > _AT_INFINITY
+            stalled[grp[(h < _MIN_STEP) & ~infinite]] = True
+            done = infinite | (t >= 1.0) | stalled[grp]
+        # Finished rows leave the batch.
+        p_end[rows[done]], t_end[rows[done]] = p[done], t[done]
+        keep = ~done
+        rows, p, t, h = rows[keep], p[keep], t[keep], h[keep]
 
-    ends = p[t >= 1.0]
-    size = 1.0 + np.linalg.norm(ends, axis=1)
-    for i in range(len(ends) - 1):
-        gap = np.linalg.norm(ends[i + 1 :] - ends[i], axis=1)
-        if np.any(gap <= _DEDUP_TOL * np.maximum(size[i + 1 :], size[i])):
-            raise NoSolutionFound(f"two homotopy paths ended at the same root at order {n}")
-    return ends
+    results = []
+    for g, n in enumerate(orders):
+        if stalled[g]:
+            results.append(NoSolutionFound(f"a homotopy path stalled at a finite point at order {n}"))
+            continue
+        ends = p_end[(group == g) & (t_end >= 1.0)]
+        roots = ends[:, :n]
+        size = 1.0 + np.linalg.norm(roots, axis=1)
+        for i in range(len(roots) - 1):
+            gap = np.linalg.norm(roots[i + 1 :] - roots[i], axis=1)
+            if np.any(gap <= _DEDUP_TOL * np.maximum(size[i + 1 :], size[i])):
+                ends = NoSolutionFound(f"two homotopy paths ended at the same root at order {n}")
+                break
+        results.append(ends)
+    return results
 
 
-def solve_interpolation(
-    c: LargeSSeries,
-    n: int,
-    seed: int = 0,
-    n_multistart: int = 200,
-):
-    """Every real interpolant of order n, from all roots of the reduced system.
-
-    The reduced system is n quadratics in the n numerator unknowns p (the
-    large-s conditions fix the denominator), so it has at most 2^n
-    isolated roots, and ``_homotopy_endpoints`` finds all of them.  Each
-    endpoint with |Im p| below ``_REAL_TOL`` (1 + |p|) is polished by
-    Newton on exact rational residuals (``_polish_extended``), and kept
-    when the polish converges to a point with q0 != 0: F vanishes at the
-    parity conditions only where q0 != 0.  That is the only acceptance
-    rule.  A polished root is the same doubles from any start, so
-    accepted roots that are equal doubles are one root.  They are ordered
-    by ascending |Re| of the closest complex pole (solutions without one
-    come last).  ``NoSolutionFound`` says whether no root was real or no
-    real root passed the polish.
-
-    The search has no randomness and no starting guess: ``seed`` and
-    ``n_multistart`` are accepted for compatibility and have no effect.
-    """
-    ends = _homotopy_endpoints(c, n)
+def _solutions(c: LargeSSeries, n: int, ends):
+    """Every real interpolant of order n from the homotopy's ``ends`` (see ``solve_interpolation``)."""
+    if isinstance(ends, NoSolutionFound):
+        raise ends
+    ends = ends[:, :n]
     real = np.abs(ends.imag).max(axis=1) <= _REAL_TOL * (1.0 + np.linalg.norm(ends, axis=1))
     if not real.any():
         raise NoSolutionFound(f"none of the {len(ends)} finite roots of order {n} is real")
@@ -397,6 +489,51 @@ def solve_interpolation(
     return solutions
 
 
+def solve_interpolation(
+    c: LargeSSeries,
+    n: int,
+    seed: int = 0,
+    n_multistart: int = 200,
+):
+    """Every real interpolant of order n, from all roots of the reduced system.
+
+    The reduced system is n quadratics in the n numerator unknowns p (the
+    large-s conditions fix the denominator), so it has at most 2^n
+    isolated roots, and ``_homotopy_endpoints`` finds all of them, here
+    as a batch of one order.  Each endpoint with |Im p| below
+    ``_REAL_TOL`` (1 + |p|) is polished by Newton on exact rational
+    residuals (``_polish_extended``, in dyadic integers), and kept when
+    the polish converges to a point with q0 != 0: F vanishes at the
+    parity conditions only where q0 != 0.  That is the only acceptance
+    rule.  A polished root is the same doubles from any start, so
+    accepted roots that are equal doubles are one root.  They are ordered
+    by ascending |Re| of the closest complex pole (solutions without one
+    come last).  ``NoSolutionFound`` says whether a path failed, no root
+    was real or no real root passed the polish.
+
+    The search has no randomness and no starting guess: ``seed`` and
+    ``n_multistart`` are accepted for compatibility and have no effect.
+    """
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    return _solutions(c, n, _homotopy_endpoints(c, [n])[0])
+
+
+def selected_rows(c: LargeSSeries, orders):
+    """The selected physical solution at each of ``orders``, in ascending order.
+
+    Every order's paths are tracked in one ``_homotopy_endpoints`` batch;
+    then each order is polished and filtered as ``solve_interpolation``
+    and ``select_solution`` do.  The error raised is the first failing
+    order's, in ascending order, as when the orders are solved one by one.
+    """
+    orders = sorted(orders)
+    if not orders or orders[0] < 1:
+        raise ValueError("orders must be >= 1")
+    ends = _homotopy_endpoints(c, orders)
+    return [select_solution(_solutions(c, n, e)) for n, e in zip(orders, ends)]
+
+
 def ladder(
     c: LargeSSeries,
     n_max: int,
@@ -405,12 +542,13 @@ def ladder(
 ):
     """Selected physical solution at each order n = 1..n_max.
 
-    Each order is solved on its own, since ``solve_interpolation`` finds
-    every root; ``seed`` and ``n_multistart`` have no effect.
+    One ``_homotopy_endpoints`` batch tracks every order's paths
+    (``selected_rows``); ``seed`` and ``n_multistart`` have no effect.
     """
     if n_max < 1:
         raise ValueError("order must be >= 1")
-    return [select_solution(solve_interpolation(c, n)) for n in range(1, n_max + 1)]
+    return selected_rows(c, range(1, n_max + 1))
+
 
 def select_solution(solutions) -> PadeSolution:
     """Physical-solution filter: positive tau(0), stable poles, a complex pole pair, no doublet.

@@ -520,8 +520,8 @@ class TestExactDerivatives:
         ellipse = tau_large_s_series(Ellipse(b=1.0, eps=0.4), 6, ExpansionMode.SAVO_EXACT)
         count = 0
         for c, orders in ((disk, range(1, 10)), (ellipse, range(1, 5))):
-            for n in orders:
-                ends = _homotopy_endpoints(c, n)
+            for n, ends in zip(orders, _homotopy_endpoints(c, orders)):
+                ends = ends[:, :n]
                 size = 1.0 + np.linalg.norm(ends, axis=1)
                 real = ends[np.abs(ends.imag).max(axis=1) <= pade._REAL_TOL * size].real
                 exact = _exact_system(c, n)
@@ -569,7 +569,7 @@ class TestExactDerivatives:
 class TestHomotopy:
     @pytest.mark.parametrize("n, n_real", [(1, 2), (2, 2), (3, 2), (4, 4), (5, 4), (6, 8)])
     def test_every_path_ends_at_a_distinct_root(self, disk_series, n, n_real):
-        ends = _homotopy_endpoints(disk_series, n)
+        [ends] = _homotopy_endpoints(disk_series, [n])
         assert ends.shape == (2**n, n)
         assert np.isfinite(ends).all()
         size = 1.0 + np.linalg.norm(ends, axis=1)
@@ -599,36 +599,92 @@ class TestHomotopy:
             assert np.allclose(J[:, :, j], fd, rtol=1e-7, atol=1e-7 * np.max(np.abs(fd)))
 
     @staticmethod
-    def _tracking_calls(c, n, monkeypatch):
-        """F/J evaluations of one ``_homotopy_endpoints`` run, which must keep every path."""
-        system = pade._division_free_system
+    def _tracking_calls(c, orders, monkeypatch):
+        """Batched F/J evaluations of one ``_homotopy_endpoints`` run, which must keep every path."""
+        quadratics = pade._quadratics
         calls = []
 
-        def counting_system(*args):
-            at, denominator = system(*args)
+        def counting(*args):
+            calls.append(1)
+            return quadratics(*args)
 
-            def counting_at(p):
-                calls.append(1)
-                return at(p)
-
-            return counting_at, denominator
-
-        monkeypatch.setattr(pade, "_division_free_system", counting_system)
-        assert len(_homotopy_endpoints(c, n)) == 2**n
+        monkeypatch.setattr(pade, "_quadratics", counting)
+        ends = _homotopy_endpoints(c, orders)
+        assert [len(e) for e in ends] == [2**n for n in orders]
         return len(calls)
 
     @pytest.mark.parametrize("n, max_calls", [(4, 332), (7, 966)])
     def test_tracking_work(self, disk_series, monkeypatch, n, max_calls):
         # Each bound is half the F/J evaluations of an Euler predictor
         # with step cap 0.05 (664 at n = 4, 1932 at n = 7).
-        assert 0 < self._tracking_calls(disk_series, n, monkeypatch) <= max_calls
+        assert 0 < self._tracking_calls(disk_series, [n], monkeypatch) <= max_calls
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_no_round_after_the_last_full_step(self, disk_series, monkeypatch, n):
         # No step fails here: ten rounds of 0.1, each 4 predictor stages and
         # 3 corrector steps, and no eleventh round on the 1e-16 that ten
         # rounded steps of 0.1 leave short of t = 1.
-        assert self._tracking_calls(disk_series, n, monkeypatch) == 70
+        assert self._tracking_calls(disk_series, [n], monkeypatch) == 70
+
+    def test_ladder_tracks_in_one_batch(self, disk_series, monkeypatch):
+        # A round is 4 predictor stages and 3 corrector steps.  Order by
+        # order, n = 1..4 take 10 + 10 + 26 + 38 = 84 rounds; in one batch
+        # the ladder takes as many as its longest order.
+        calls = self._tracking_calls(disk_series, range(1, 5), monkeypatch)
+        assert calls % 7 == 0 and calls // 7 <= 38
+
+    def test_padded_coordinates_stay_zero(self, disk_series):
+        # A lower order's coordinates past its n start at 0 and follow
+        # H_j = p_j, so every endpoint keeps them exactly 0.
+        ends = _homotopy_endpoints(disk_series, range(1, 8))
+        for n, e in zip(range(1, 8), ends):
+            assert e.shape == (2**n, 7)
+            assert np.all(e[:, n:] == 0)
+
+    def test_batched_endpoints_are_the_single_order_roots(self, disk_series):
+        # Each order's endpoints in a batch are its roots found alone.
+        for n, e in zip(range(1, 6), _homotopy_endpoints(disk_series, range(1, 6))):
+            [alone] = _homotopy_endpoints(disk_series, [n])
+            gap = np.linalg.norm(e[:, :n] - alone, axis=1)
+            assert np.all(gap <= 1e-12 * (1.0 + np.linalg.norm(alone, axis=1)))
+
+    @staticmethod
+    def _stall_order(monkeypatch, k):
+        """Make every path of order k stall: its F is not finite anywhere."""
+        arrays = pade._system_arrays
+
+        def broken(inv, n):
+            C, B, S, b, T = arrays(inv, n)
+            return (C * np.nan if n == k else C), B, S, b, T
+
+        monkeypatch.setattr(pade, "_system_arrays", broken)
+
+    def test_stall_fails_only_its_own_order(self, disk_series, monkeypatch):
+        self._stall_order(monkeypatch, 3)
+        ends = _homotopy_endpoints(disk_series, range(1, 5))
+        assert isinstance(ends[2], NoSolutionFound)
+        assert str(ends[2]) == "a homotopy path stalled at a finite point at order 3"
+        assert [len(ends[i]) for i in (0, 1, 3)] == [2, 4, 16]
+        with pytest.raises(NoSolutionFound, match="^a homotopy path stalled at a finite point at order 3$"):
+            ladder(disk_series, 4)
+        assert len(ladder(disk_series, 2)) == 2
+
+    def test_first_failing_order_raises(self, disk_series, monkeypatch):
+        # Selection fails at order 2 and a path of order 4 stalls: as when
+        # the orders are solved one by one, order 2's error is raised.
+        self._stall_order(monkeypatch, 4)
+        select = pade.select_solution
+
+        def refuse_order_2(solutions):
+            if solutions[0].n == 2:
+                raise NoSolutionFound("order 2 refused")
+            return select(solutions)
+
+        monkeypatch.setattr(pade, "select_solution", refuse_order_2)
+        with pytest.raises(NoSolutionFound, match="^order 2 refused$"):
+            ladder(disk_series, 4)
+        with pytest.raises(NoSolutionFound, match="^order 2 refused$"):
+            [refuse_order_2(solve_interpolation(disk_series, n)) for n in range(1, 5)]
 
     def test_stalled_path_raises(self, disk_series, monkeypatch):
         # No corrector step can pass, so every step size collapses short of t = 1.
@@ -653,11 +709,11 @@ class TestHomotopy:
         n = 4
         homotopy = pade._homotopy_endpoints
 
-        def repeated(c, n):
-            ends = homotopy(c, n)
+        def repeated(c, orders):
+            [ends] = homotopy(c, orders)
             size = 1.0 + np.linalg.norm(ends, axis=1)
             real = ends[np.abs(ends.imag).max(axis=1) <= pade._REAL_TOL * size]
-            return np.vstack([ends, real[:1] * (1.0 + 1e-10)])
+            return [np.vstack([ends, real[:1] * (1.0 + 1e-10)])]
 
         want = solve_interpolation(disk_series, n)
         monkeypatch.setattr(pade, "_homotopy_endpoints", repeated)
@@ -666,7 +722,7 @@ class TestHomotopy:
 
     def test_path_past_the_bound_goes_to_infinity(self, disk_series, monkeypatch):
         monkeypatch.setattr(pade, "_AT_INFINITY", 10.0)
-        ends = _homotopy_endpoints(disk_series, 3)
+        [ends] = _homotopy_endpoints(disk_series, [3])
         assert 0 < len(ends) < 8
         assert np.all(np.linalg.norm(ends, axis=1) <= 10.0)
 
