@@ -529,7 +529,7 @@ def selected_rows(c: LargeSSeries, orders):
     """
     orders = sorted(orders)
     if not orders or orders[0] < 1:
-        raise ValueError("orders must be >= 1")
+        raise ValueError("order must be >= 1")
     ends = _homotopy_endpoints(c, orders)
     return [select_solution(_solutions(c, n, e)) for n, e in zip(orders, ends)]
 
@@ -545,8 +545,6 @@ def ladder(
     One ``_homotopy_endpoints`` batch tracks every order's paths
     (``selected_rows``); ``seed`` and ``n_multistart`` have no effect.
     """
-    if n_max < 1:
-        raise ValueError("order must be >= 1")
     return selected_rows(c, range(1, n_max + 1))
 
 
