@@ -75,11 +75,10 @@ def _order(value, flag):
 
 
 def _environment():
-    """Python, numpy and scipy versions and the platform; scipy is not imported."""
+    """Python and numpy versions and the platform."""
     return {
         "python": platform.python_version(),
         "numpy": metadata.version("numpy"),
-        "scipy": metadata.version("scipy"),
         "platform": platform.platform(),
     }
 

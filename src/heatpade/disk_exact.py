@@ -3,9 +3,10 @@
 For a disk of radius R the Laplace transform of the survival probability
 (Laplace parameter s^2) is available in closed form through modified
 Bessel functions, and S(t) itself as an eigenseries over the zeros of J0.
-Importing this module does not load scipy.  ``tau_disk`` at sR >= 1
-imports it on first use, through ``series.bessel_ratio``; ``survival_disk``
-never does, since ``series.j0_zero`` evaluates J0 and J1 itself.
+``tau_disk`` needs no cancelling difference below x0 = sR = 30 (the
+seam ``series.ASYMPTOTIC_FROM``), and loses little above it: on 400
+log-spaced x in [1e-3, 1e4] and at x0 +- 1e-12 its worst relative error
+against 30-digit mpmath is 2.3e-16.
 """
 
 from __future__ import annotations
@@ -13,12 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from .series import asymptotic_ratio_coeffs, bessel_ratio, j0_zero, maclaurin_tau_disk
+from .series import ASYMPTOTIC_FROM, asymptotic_ratio_coeffs, bessel_ratio, gauss_fraction, j0_zero
 
-# tau's Maclaurin terms in x = sR fall like (x / j0_1)^(2k): below x = 1
-# the first 20 are within 5.5e-16 of 60-digit mpmath.  The Bessel form is
-# within 3.3e-15 at x >= 1, but 2e-14 off on [0.5, 1) and worse towards 0.
-_SMALL_X_TERMS = 20
 # Below t / R^2 = 1e-3 the eigenseries needs thousands of modes and piles
 # up their rounding; the exact short-time series replaces it there, and at
 # t / R^2 = 1e-3 its terms 10 to 14 change S by < 1e-15.
@@ -27,17 +24,20 @@ _SHORT_TIME_TERMS = 12
 
 
 def tau_disk(s: float, R: float = 1.0) -> float:
-    """tau(s) = (1/s^2) [1 - 2 I1(sR) / (sR I0(sR))], by its Maclaurin series below sR = 1."""
+    """tau(s) = (1/s^2) [1 - 2 I1(sR) / (sR I0(sR))].
+
+    With x = sR and u = I1(x)/I0(x) = x K / (2 K + x^2), this is
+    R^2 / (2 K + x^2) below x = ``ASYMPTOTIC_FROM``, with K from
+    ``gauss_fraction``: a sum of positive terms, R^2/8 at x = 0.  From there
+    up it is (1 - 2u/x) / s^2, where 2u/x <= 1/15.
+    """
     if not s > 0:
         raise ValueError("Laplace variable must be positive")
     if not R > 0:
         raise ValueError("radius must be positive")
     x = s * R
-    if x < 1.0:
-        total = 0.0
-        for u in reversed(maclaurin_tau_disk(1, _SMALL_X_TERMS - 1)):
-            total = total * (x * x) + float(u)
-        return R * R * total
+    if x < ASYMPTOTIC_FROM:
+        return R * R / (2.0 * gauss_fraction(x) + x * x)
     return (1.0 - 2.0 * bessel_ratio(x) / x) / (s * s)
 
 

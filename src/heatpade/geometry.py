@@ -13,6 +13,7 @@ a row that converges on its own as the panel count doubles.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -111,8 +112,9 @@ class FourierCurve(BoundaryCurve):
     margin of K 2^-50 (|c_0| + S), K the number of coefficients, is
     accepted without evaluating r.  Otherwise min r is sampled on
     max(4096, 8 M) uniform points, M the highest mode, so that no mode
-    aliases to a constant on the grid.  ``max_radius`` is the bound c_0 + S
-    padded by the same margin, so no computed r exceeds it.
+    aliases to a constant on the grid.  ``max_radius`` is the exact bound
+    c_0 + sum_m sqrt(c_m^2 + s_m^2), padded by the same margin, so no
+    computed r exceeds it.
     """
 
     cos_coeffs: tuple = (1.0,)
@@ -144,8 +146,9 @@ class FourierCurve(BoundaryCurve):
         return c0, amplitude, (1 + len(rest)) * 2.0**-50 * (abs(c0) + amplitude)
 
     def max_radius(self):
-        c0, amplitude, margin = self._amplitude()
-        return c0 + amplitude + margin
+        c0, _, margin = self._amplitude()
+        modes = itertools.zip_longest(self.cos_coeffs[1:], self.sin_coeffs, fillvalue=0.0)
+        return c0 + sum(math.hypot(c, s) for c, s in modes) + margin
 
     def radius(self, phi):
         phi = np.asarray(phi, dtype=float)

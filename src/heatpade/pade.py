@@ -616,9 +616,8 @@ def prony_moments(d, m: int):
         sigma_prev, sigma = sigma, nxt
     if not (np.all(np.isfinite(alpha)) and np.all(beta > 0)):
         raise IllConditioned("moments are not those of a positive measure")
-    from scipy import linalg
-
-    x, vecs = linalg.eigh_tridiagonal(alpha, np.sqrt(beta[1:]))
+    off = np.sqrt(beta[1:])
+    x, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
     if np.any(x <= 0):
         raise IllConditioned("moment eigenvalues are not positive")
     lam = 1.0 / x

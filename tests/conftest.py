@@ -2,6 +2,16 @@ import numpy as np
 from hypothesis import strategies as st
 
 from heatpade.geometry import FourierCurve
+from heatpade.series import ASYMPTOTIC_FROM
+
+# Where I1/I0 and the disk's tau are checked against 30-digit mpmath: 400
+# log-spaced x in [1e-3, 1e4], and the seam of their two branches.
+BESSEL_GRID = (
+    *map(float, np.geomspace(1e-3, 1e4, 400)),
+    ASYMPTOTIC_FROM - 1e-12,
+    ASYMPTOTIC_FROM,
+    ASYMPTOTIC_FROM + 1e-12,
+)
 
 
 @st.composite

@@ -40,7 +40,6 @@ class TestManifestEnvironment:
     EXPECTED = {
         "python": platform.python_version(),
         "numpy": metadata.version("numpy"),
-        "scipy": metadata.version("scipy"),
         "platform": platform.platform(),
     }
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from conftest import BESSEL_GRID
 from heatpade import series
 from heatpade.disk_exact import survival_disk, tau_disk
 from heatpade.heat_content import small_time_expansion, small_time_survival
@@ -16,6 +17,20 @@ class TestTauDisk:
         for s in (0.5, 1.0, 3.0, 10.0):
             ref = (1.0 - 2.0 * special.iv(1, s) / (s * special.iv(0, s))) / s**2
             assert tau_disk(s) == pytest.approx(ref, rel=1e-13)
+
+    def test_against_30_digit_reference(self):
+        from mpmath import besseli, mp, mpf
+
+        with mp.workdps(30):
+            for x in BESSEL_GRID:
+                ref = (1 - 2 * besseli(1, x) / (x * besseli(0, x))) / mpf(x) ** 2
+                assert abs(tau_disk(x) - ref) <= 1e-15 * ref, x
+
+    def test_huge_argument_returns_zero_at_once(self):
+        # The fraction's depth grows with x; the large-x branch never uses it.
+        start = time.process_time()
+        assert tau_disk(1e300) == 0.0
+        assert time.process_time() - start < 0.01
 
     def test_small_s_limit(self):
         # tau(0) = R^2 / 8.
@@ -44,8 +59,8 @@ class TestTauDisk:
 
     @pytest.mark.parametrize("R", [1e-5, 1e-7])
     def test_small_radius_is_accurate(self, R):
-        # 1 - 2 I1(x)/(x I0(x)) cancels as x = sR -> 0; the Maclaurin
-        # series does not.
+        # 1 - 2 I1(x)/(x I0(x)) cancels as x = sR -> 0; R^2 / (2 K + x^2)
+        # from Gauss's continued fraction does not.
         ref = R**2 / 8 - R**4 / 48 + 11 * R**6 / 3072
         assert tau_disk(1.0, R) == pytest.approx(ref, rel=1e-15, abs=0.0)
 
@@ -53,8 +68,8 @@ class TestTauDisk:
         assert tau_disk(1.0, 1e-200) >= 0.0
 
     @pytest.mark.parametrize("side", [-1e-12, 1e-12])
-    def test_series_and_bessel_forms_meet_at_one(self, side):
-        s = 1.0 + side
+    def test_fraction_and_series_forms_meet_at_x0(self, side):
+        s = series.ASYMPTOTIC_FROM + side
         bessel = (1.0 - 2.0 * special.i1e(s) / (s * special.i0e(s))) / s**2
         assert tau_disk(s) == pytest.approx(bessel, rel=1e-14, abs=0.0)
 

@@ -100,6 +100,17 @@ class TestShapes:
             assert c.max_radius() >= r.max()
         assert in_phase.max_radius() == pytest.approx(1.5, rel=1e-11)
 
+    def test_max_radius_is_tight_for_one_mode(self):
+        # 0.15 cos phi + 0.1 sin phi peaks at hypot(0.15, 0.1), not 0.25.
+        c = FourierCurve((1.0, 0.15), (0.1,))
+        assert c.max_radius() == pytest.approx(1.0 + math.hypot(0.15, 0.1), rel=1e-14)
+
+    @given(fourier_curves(max_modes=6))
+    @settings(max_examples=20, deadline=None)
+    def test_max_radius_bounds_every_computed_radius(self, curve):
+        r, _, _ = curve.radius(np.linspace(0.0, 2.0 * np.pi, 2**20, endpoint=False))
+        assert curve.max_radius() >= r.max()
+
     def test_ellipse_radius_derivatives(self):
         # Finite-difference check of r' and r''.
         e = Ellipse(b=1.3, eps=0.7)

@@ -141,9 +141,9 @@ class TestPinnedDraws:
         "curve, cfg, expected",
         [
             (Ellipse(b=1.0, eps=0.6), ONE_CHUNK, (0.8125, 0.56)),
-            (FourierCurve((1.0, 0.15), (0.1,)), ONE_CHUNK, (0.7975, 0.545)),
+            (FourierCurve((1.0, 0.15), (0.1,)), ONE_CHUNK, (0.7975, 0.535)),
             (Ellipse(b=1.0, eps=0.6), THREE_CHUNKS, (0.8, 0.63)),
-            (FourierCurve((1.0, 0.15), (0.1,)), THREE_CHUNKS, (0.77, 0.55)),
+            (FourierCurve((1.0, 0.15), (0.1,)), THREE_CHUNKS, (0.77, 0.57)),
         ],
     )
     def test_estimates(self, curve, cfg, expected):

@@ -778,6 +778,42 @@ class TestPronyMoments:
         assert got[0][0] == pytest.approx(5.783187, rel=1e-5)
         assert got[0][1] == pytest.approx(0.691660, rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "m, expected",
+        [
+            (1, [("0x1.8000000000000p+2", "0x1.8000000000000p-1")]),
+            (
+                2,
+                [
+                    ("0x1.722f28620f650p+2", "0x1.626366c6535efp-1"),
+                    ("0x1.270f704913665p+5", "0x1.92e42c0324491p-3"),
+                ],
+            ),
+            (
+                3,
+                [
+                    ("0x1.721fbc0c373d7p+2", "0x1.6221653daabbcp-1"),
+                    ("0x1.eb64b7bf6706ap+4", "0x1.17000ef462adep-3"),
+                    ("0x1.c604d64f73fe3p+6", "0x1.c0f4b829ecdcfp-4"),
+                ],
+            ),
+            (
+                4,
+                [
+                    ("0x1.721fb804bed62p+2", "0x1.62214bb6c6030p-1"),
+                    ("0x1.e7985c91eb889p+4", "0x1.0d108b8339e3ep-3"),
+                    ("0x1.38ecc478c82efp+6", "0x1.06e04d6e1ff66p-4"),
+                    ("0x1.0d82c9c4870e5p+8", "0x1.2a1d336a4e16ap-4"),
+                ],
+            ),
+        ],
+    )
+    def test_disk_pins(self, m, expected):
+        # The values scipy.linalg.eigh_tridiagonal gave on the same Jacobi
+        # matrix, to the last bit.
+        got = prony_moments(maclaurin_tau_disk(1, 2 * m - 1), m)
+        assert [(lam.hex(), g2.hex()) for lam, g2 in got] == expected
+
     def test_moment_ratio_estimate(self):
         d = [float(v) for v in maclaurin_tau_disk(1, 4)]
         assert -d[3] / d[4] == pytest.approx(5.783186, rel=2e-3)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from conftest import BESSEL_GRID
 from heatpade.errors import DegenerateDenominator
 from heatpade.series import (
     asymptotic_ratio_coeffs,
@@ -90,6 +91,21 @@ class TestBesselI:
     def test_ratio_small_x_slope(self):
         # I1/I0 ~ x/2 for small x.
         assert bessel_ratio(1e-4) == pytest.approx(5e-5, rel=1e-3)
+
+    def test_ratio_against_30_digit_reference(self):
+        from mpmath import besseli, mp
+
+        with mp.workdps(30):
+            for x in BESSEL_GRID:
+                ref = besseli(1, x) / besseli(0, x)
+                assert abs(bessel_ratio(x) - ref) <= 1e-15 * ref, x
+                assert bessel_ratio(-x) == -bessel_ratio(x)
+
+    def test_ratio_at_zero_inf_and_nan(self):
+        assert bessel_ratio(0.0) == 0.0
+        assert bessel_ratio(math.inf) == 1.0
+        assert bessel_ratio(-math.inf) == -1.0
+        assert math.isnan(bessel_ratio(math.nan))
 
 
 class TestJ0Zeros:
