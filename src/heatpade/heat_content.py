@@ -80,6 +80,8 @@ class LargeSSeries:
     def sigma(self, j: int) -> float:
         if j < 1:
             raise ValueError("order must be >= 1")
+        if j > len(self.c):
+            raise ValueError(f"order {j} is past the series, which has order {len(self.c)}")
         return self.c[j - 1] / gamma_half_value(j)
 
 

@@ -11,19 +11,20 @@ This yields 2n+2 polynomial equations for the n numerator and n+2
 denominator coefficients.  The large-s equations fix the denominator as
 an affine function q = b + T p of the numerator, which leaves n
 equations in the n numerator unknowns p.  Cleared of division they are
-n quadratics, with at most 2^n isolated roots, built once per order as
-constant arrays F(p) = C + B p + A[p, p].  A total-degree homotopy
-tracks one path to each root, with no randomness and no starting guess:
-a fourth-order Runge-Kutta predictor, steps in t of at most 0.1, and a
-Newton corrector.  A ladder of orders is one batch: every order's paths
-advance together, padded to the highest order's unknowns.  A real
-endpoint becomes a solution only when Newton on exact rational residuals
-of the same quadratics reaches a step below 1e-20 (relative to 1 + |p|)
-within 8 steps, and the polished q0 is not 0.  Every constant is a
-dyadic rational, so the exact residuals are integer products over a
-power of two.  That is the one acceptance rule, and the roots are then
-the same doubles from any start.  ``build_residuals`` writes the conditions out a
-second way, multiplying the polynomials out, as an independent check.
+n quadratics F(p) = C + B p + A[p, p], with at most 2^n isolated roots.
+Every constant comes from one series, of 1/(s^2 tau) in 1/s, built once
+per solve and exactly: each c_j is a double, so the series and every
+order's arrays are Python integers over one power of two.  A
+total-degree homotopy tracks one path to each root on those arrays
+rounded once to doubles, with no randomness and no starting guess: a
+fourth-order Runge-Kutta predictor, steps in t of at most 0.1, and a
+Newton corrector; a ladder of orders is one batch.  A real endpoint
+becomes a solution only when Newton on the exact residuals of the same
+integers reaches a step below 1e-20 (relative to 1 + |p|) within 8
+steps, and the polished q0 is not 0: the one acceptance rule, so the
+roots are the same doubles from any start.  ``build_residuals`` writes
+the conditions out a second way, multiplying the polynomials out, as an
+independent check.
 The denominator root pair closest to the origin estimates the lowest
 Dirichlet eigenvalue via lambda_1 = Im[s]^2.
 
@@ -193,14 +194,19 @@ def _make_solution(n: int, x) -> PadeSolution:
     )
 
 
-def _inverse_series(c: LargeSSeries, n: int, num=float):
-    """inv_0..inv_(n+2) of 1/M(u), M(u) = s^2 tau(s) in u = 1/s, from ``quotient``.
+def _inverse_series(c: LargeSSeries, n: int):
+    """inv_0..inv_(n+2) of 1/M(u), M(u) = s^2 tau(s) in u = 1/s, exactly: (integers, scale).
 
-    inv_k depends on c_1..c_k alone, so the series of a higher order
-    starts with the series of every lower one, bit for bit.
+    Every c_j is a double and ``quotient`` divides by 1 only, so inv_k is
+    integers[k] / scale, ``scale`` a power of two.  inv_k depends on
+    c_1..c_k alone; past a c_j that is not finite it is NaN.
     """
-    one = num(1)
-    return quotient([one], [one] + [num(v) for v in c.c[: n + 2]], n + 3)
+    c = c.c[: n + 2]
+    k = next((j for j, v in enumerate(c) if not math.isfinite(v)), n + 2)
+    inv = quotient([Fraction(1)], [Fraction(1), *map(Fraction, c[:k])], k + 1)
+    scale = math.lcm(*(v.denominator for v in inv))
+    integers = [v.numerator * (scale // v.denominator) for v in inv]
+    return np.array(integers + [math.nan] * (n + 2 - k), dtype=object), scale
 
 
 def _system_arrays(inv, n: int):
@@ -244,14 +250,14 @@ def _quadratics(C, B, PS, p):
     return F, J
 
 
-def _division_free_system(c: LargeSSeries, n: int, num=float):
-    """F(p) and its Jacobian in p, batched over rows of numerators p_0..p_(n-1).
+def _division_free_system(inv, scale: int, n: int):
+    """The order-n quadratics F(p) and their Jacobian in p: exact, and rounded once for tracking.
 
     F is the odd coefficients 1, 3, ..., 2n-1 of P(s) Q(-s), with
     q = b + T p fixed by the large-s conditions: in u = 1/s they say
     u^(n+2) Q(1/u) = u^n P(1/u) / M(u) mod u^(n+3), M(u) = s^2 tau(s), so
-    q_j = inv_(n+2-j) + sum_i p_i inv_(2+i-j) with inv = 1/M from
-    ``quotient`` (inv_k = 0 for k < 0).  Since
+    q_j = inv_(n+2-j) + sum_i p_i inv_(2+i-j) with inv = 1/M, integers
+    over ``scale`` from ``_inverse_series`` (inv_k = 0 for k < 0).  Since
     P(s)/Q(s) - P(-s)/Q(-s) = 2 odd(P(s) Q(-s)) / (Q(s) Q(-s)), F vanishes
     exactly where the small-s conditions hold, as long as q0 != 0; unlike
     d_odd it has no division, so it is n quadratics in p.
@@ -260,25 +266,12 @@ def _division_free_system(c: LargeSSeries, n: int, num=float):
     F(p) = C + B p + A[p, p], so that J = B + (A + A^T) p.  With Q(-s)
     = b' + T' p, the coefficient of s^d in P(s) Q(-s) pairs p_i with
     b'_(d-i) + T'_(d-i) p, and the monic s^n with b'_(d-n) + T'_(d-n) p.
-    ``num`` is ``float``, for complex rows, or ``Fraction``, for exact
-    rows.  Every c_j is a double and ``quotient`` divides by q0 = 1 only,
-    so every inv_k is a dyadic rational: with ``Fraction`` the arrays are
-    Python ints over one power of two, ``at`` writes a row p as ints over
-    its common denominator, F and J are integer products with no gcd,
-    and only the results become ``Fraction``s.  Any other ``num``
-    (``mpmath.mpf``) evaluates on object arrays.  Returns
-    ``(at, denominator)``: ``at(p)`` -> (F, J) for p of shape (rows, n),
-    and ``denominator(p)`` -> q_0..q_(n+1) = b + T p for one numerator p,
-    from the same b and T.
+    Returns ``((at, denominator), (C, B, S))``: ``at(p)`` -> exact (F, J)
+    for ``Fraction`` rows p, shape (rows, n), as integer products over p's
+    common denominator; ``denominator(p)`` -> q_0..q_(n+1) = b + T p for
+    one p; and C, B and S rounded once to complex doubles (+-inf past the
+    double range), for ``_homotopy_endpoints``.
     """
-    inv = _inverse_series(c, n, num)
-    if num is not Fraction:
-        C, B, S, b, T = _system_arrays(np.array(inv), n)
-        return (lambda p: _quadratics(C, B, p @ S, p)), (lambda p: b[:-1] + T[:-1] @ np.array(p))
-
-    # Every constant is an integer over one power of two, ``scale``.
-    scale = math.lcm(*(v.denominator for v in inv))
-    inv = np.array([v.numerator * (scale // v.denominator) for v in inv], dtype=object)
     C, B, S, b, T = _system_arrays(inv, n)
     fraction = np.frompyfunc(Fraction, 2, 1)
 
@@ -300,7 +293,13 @@ def _division_free_system(c: LargeSSeries, n: int, num=float):
         P, d = integers(p)
         return fraction(b[:-1] * d + T[:-1] @ P, d * scale)
 
-    return at, denominator
+    def rounded(v):
+        try:
+            return v / scale
+        except OverflowError:
+            return math.inf if v > 0 else -math.inf if v < 0 else v  # NaN stays NaN
+
+    return (at, denominator), [np.vectorize(rounded, otypes=[complex])(v) for v in (C, B, S)]
 
 
 def _polish_extended(system, p0):
@@ -309,15 +308,14 @@ def _polish_extended(system, p0):
     Each step evaluates F and J exactly at the ``Fraction`` point p and
     adds the correction, solved in doubles, to p exactly: iterative
     refinement (Higham, "Accuracy and Stability of Numerical Algorithms",
-    2nd ed., 2002, ch. 12).  Every c_j and every step is a double, so p
-    stays a dyadic rational, and the exact system of
-    ``_division_free_system`` evaluates it in Python integers over a
-    power of two.  A step shrinks the error by cond(J) u on top of
-    Newton's square, so after a step of at most 1e-20 (1 + max |p|) the
-    next is about cond(J) 1e-36, which cannot move a double at any cond(J)
-    where the refinement converges: Newton stops there.  A singular J, a
-    step that is not finite, an F or J beyond the double range, or no
-    such step within ``_POLISH_MAX_ITER`` gives None.
+    2nd ed., 2002, ch. 12).  Every step is a double, so p stays a dyadic
+    rational, which ``at`` evaluates in integers.  A step shrinks the
+    error by cond(J) u on top of Newton's square, so after a step of at
+    most 1e-20 (1 + max |p|) the next is about cond(J) 1e-36, which cannot
+    move a double at any cond(J) where the refinement converges: Newton
+    stops there.  A singular J, a step that is not finite, an F or J
+    beyond the double range, or no such step within ``_POLISH_MAX_ITER``
+    gives None.
     """
     at, denominator = system
     p = [Fraction(v) for v in p0]
@@ -335,18 +333,19 @@ def _polish_extended(system, p0):
     return None
 
 
-def _homotopy_endpoints(c: LargeSSeries, orders):
-    """Finite roots of ``_division_free_system`` at each of ``orders``, one per homotopy path.
+def _homotopy_endpoints(tracked):
+    """Finite roots of each order's quadratics, one per homotopy path, from their doubles.
 
-    At order n the 2^n paths of H = (1 - t) gamma (p_i^2 - 1) + t F(p)
-    start at (+-1, ..., +-1) at t = 0.  With the complex gamma of Morgan's
-    trick every path is regular for t < 1, so the paths reach every
-    isolated root of F at t = 1 (A. Morgan, "Solving Polynomial Systems
-    Using Continuation", 1987).  The paths of every order advance in one
-    batch of N = max(orders) unknowns: an order-n row carries its own C,
-    B and S from ``_system_arrays``, and its coordinates n..N-1 start at 0
-    and follow H_j = p_j, so they stay exactly 0 and every test below
-    sees only the row's own n coordinates.  Finished rows leave the
+    ``tracked`` holds each order's (C, B, S) from ``_division_free_system``,
+    in ascending order.  At order n the 2^n paths of H = (1 - t) gamma
+    (p_i^2 - 1) + t F(p) start at (+-1, ..., +-1) at t = 0.  With the
+    complex gamma of Morgan's trick every path is regular for t < 1, so
+    the paths reach every isolated root of F at t = 1 (A. Morgan, "Solving
+    Polynomial Systems Using Continuation", 1987).  The paths of every
+    order advance in one batch of N = max(orders) unknowns: an order-n row
+    carries its own C, B and S, and its coordinates n..N-1 start at 0 and
+    follow H_j = p_j, so they stay exactly 0 and every test below sees
+    only the row's own n coordinates.  Finished rows leave the
     batch, and the live rows' arrays are gathered each time some leave,
     not per evaluation; the rows of a single order share its arrays.
     Each round is a classical fourth-order Runge-Kutta predictor on
@@ -368,17 +367,15 @@ def _homotopy_endpoints(c: LargeSSeries, orders):
     its ``NoSolutionFound`` or its endpoints, shape (roots, N), whose
     coordinates past the order's n are the padding, exactly 0.
     """
-    orders = sorted(orders)
+    orders = [len(C) for C, _, _ in tracked]
     N = orders[-1]
-    inv = np.array(_inverse_series(c, N))
     Cs = np.zeros((len(orders), N), dtype=complex)
     # A padded coordinate j has F_j = p_j: a 1 on B's diagonal.
     Bs = np.tile(np.identity(N, dtype=complex), (len(orders), 1, 1))
     Ss = np.zeros((len(orders), N, N, N), dtype=complex)
     pads = np.arange(N) >= np.array(orders)[:, None]
     starts = []
-    for g, n in enumerate(orders):
-        C, B, S, _, _ = _system_arrays(inv, n)
+    for g, (n, (C, B, S)) in enumerate(zip(orders, tracked)):
         Cs[g, :n] = C
         Bs[g, :n, :n] = B
         Ss[g, :n, :n, :n] = S.reshape(n, n, n)
@@ -465,28 +462,28 @@ def _homotopy_endpoints(c: LargeSSeries, orders):
     return results
 
 
-def _solutions(c: LargeSSeries, n: int, ends):
-    """Every real interpolant of order n from the homotopy's ``ends`` (see ``solve_interpolation``)."""
-    if isinstance(ends, NoSolutionFound):
-        raise ends
-    ends = ends[:, :n]
-    real = np.abs(ends.imag).max(axis=1) <= _REAL_TOL * (1.0 + np.linalg.norm(ends, axis=1))
-    if not real.any():
-        raise NoSolutionFound(f"none of the {len(ends)} finite roots of order {n} is real")
-    system = _division_free_system(c, n, Fraction)
-    accepted = []
-    for p in ends[real].real:
-        x = _polish_extended(system, p)
-        if x is None or x[n] == 0.0 or any(np.array_equal(x, y) for y in accepted):
-            continue
-        accepted.append(x)
-    if not accepted:
-        raise NoSolutionFound(f"none of the {real.sum()} real roots of order {n} polished")
-    solutions = [_make_solution(n, x) for x in accepted]
-    solutions.sort(
-        key=lambda s: abs(s.closest_pole.real) if s.closest_pole is not None else math.inf
-    )
-    return solutions
+def _solution_sets(c: LargeSSeries, orders):
+    """Each ascending order's real interpolants in turn, from one exact series and one batch."""
+    inv, scale = _inverse_series(c, orders[-1])
+    systems = [_division_free_system(inv, scale, n) for n in orders]
+    batch = _homotopy_endpoints([tracked for _, tracked in systems])
+    for n, (system, _), ends in zip(orders, systems, batch):
+        if isinstance(ends, NoSolutionFound):
+            raise ends
+        ends = ends[:, :n]
+        real = np.abs(ends.imag).max(axis=1) <= _REAL_TOL * (1.0 + np.linalg.norm(ends, axis=1))
+        if not real.any():
+            raise NoSolutionFound(f"none of the {len(ends)} finite roots of order {n} is real")
+        accepted = []
+        for p in ends[real].real:
+            x = _polish_extended(system, p)
+            if x is None or x[n] == 0.0 or any(np.array_equal(x, y) for y in accepted):
+                continue
+            accepted.append(x)
+        if not accepted:
+            raise NoSolutionFound(f"none of the {real.sum()} real roots of order {n} polished")
+        solutions = [_make_solution(n, x) for x in accepted]
+        yield sorted(solutions, key=lambda s: abs(s.closest_pole.real) if s.closest_pole else math.inf)
 
 
 def solve_interpolation(
@@ -516,22 +513,21 @@ def solve_interpolation(
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    return _solutions(c, n, _homotopy_endpoints(c, [n])[0])
+    return next(_solution_sets(c, [n]))
 
 
 def selected_rows(c: LargeSSeries, orders):
     """The selected physical solution at each of ``orders``, in ascending order.
 
-    Every order's paths are tracked in one ``_homotopy_endpoints`` batch;
-    then each order is polished and filtered as ``solve_interpolation``
-    and ``select_solution`` do.  The error raised is the first failing
-    order's, in ascending order, as when the orders are solved one by one.
+    Every order is read off one exact series and tracked in one
+    ``_homotopy_endpoints`` batch; then each is polished and filtered as
+    ``solve_interpolation`` and ``select_solution`` do.  The error raised
+    is the first failing order's, as when the orders are solved one by one.
     """
     orders = sorted(orders)
     if not orders or orders[0] < 1:
         raise ValueError("order must be >= 1")
-    ends = _homotopy_endpoints(c, orders)
-    return [select_solution(_solutions(c, n, e)) for n, e in zip(orders, ends)]
+    return [select_solution(s) for s in _solution_sets(c, orders)]
 
 
 def ladder(

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from conftest import fourier_curves
 from heatpade import geometry
 from heatpade.errors import QuadratureNotConverged, UnsupportedOrder
-from heatpade.geometry import BoundaryCurve, Disk, Ellipse, arc_measures
+from heatpade.geometry import BoundaryCurve, Disk, Ellipse, FourierCurve, arc_measures
 from heatpade.heat_content import (
     ExpansionMode,
+    LargeSSeries,
     gamma_half,
     gamma_half_value,
     sigma_curvature,
@@ -177,6 +178,17 @@ class TestLargeSSeriesModes:
         with pytest.raises(UnsupportedOrder):
             tau_large_s_series(Disk(), 7, ExpansionMode.SAVO_EXACT)
 
+    def test_sigma_order_bounds(self):
+        series = tau_large_s_series(Disk(), 3)
+        assert series.sigma(3) == sigma_curvature(Disk(), 3)
+        with pytest.raises(ValueError, match=">= 1"):
+            series.sigma(0)
+        for j in (4, 5):
+            with pytest.raises(ValueError, match=f"^order {j} is past the series, which has order 3$"):
+                series.sigma(j)
+        with pytest.raises(ValueError, match="which has order 0$"):
+            LargeSSeries(()).sigma(1)
+
     @pytest.mark.parametrize("mode", list(ExpansionMode))
     def test_order_zero_is_empty_and_negative_raises(self, mode):
         e = Ellipse(b=1.0, eps=0.5)
@@ -313,6 +325,28 @@ class TestSharedPass:
         # The kept own request serves what it covers and nothing more: J = 9
         # has every power savo J = 6 reads, but not the derivative rows.
         assert _hex(tau_large_s_series(curve, 6, "savo")) == _hex(want_savo)
+
+    def test_unconverged_superset_on_a_real_curve(self, monkeypatch):
+        # A 60-fold ripple of amplitude 0.8: the k^m rows converge, but the
+        # curvature-derivative rows do not within the panel cap, so the
+        # shared pass fails with no monkeypatched failure.  The grids at the
+        # panel cap take about 0.5 GB at their peak.
+        curve = FourierCurve((1.0,) + (0.0,) * 59 + (0.8,))
+        requests = []
+        original = geometry.boundary_integrals
+
+        def recorded(c, max_power, derivatives=False):
+            requests.append((max_power, derivatives))
+            return original(c, max_power, derivatives)
+
+        monkeypatch.setattr(geometry, "boundary_integrals", recorded)
+        got = tau_large_s_series(curve, 9)
+        assert requests == [(8, True), (8, False)]
+        with pytest.raises(QuadratureNotConverged):
+            tau_large_s_series(curve, 6, "savo")
+        assert requests[-1] == (5, True)  # savo's own request fails as well
+        monkeypatch.undo()
+        assert _hex(got) == _hex(_own_pass(curve, 9, "curvature"))
 
     def test_unconverged_own_request_raises(self, monkeypatch):
         def never(c, max_power, derivatives=False):

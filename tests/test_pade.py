@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heatpade import pade
@@ -23,23 +23,54 @@ from heatpade.pade import (
     PadeApproximant,
     PadeSolution,
     build_residuals,
-    _division_free_system,
     _homotopy_endpoints,
     _make_solution,
     _polish_extended,
+    _quadratics,
+    _system_arrays,
     ladder,
     pole_zero_gap,
     poles,
     prony_moments,
     select_solution,
+    selected_rows,
     solve_interpolation,
 )
 from heatpade.series import maclaurin_tau_disk, quotient
 
 
+def _systems(c, orders):
+    """Each order's (exact, tracked) pair from ``_division_free_system``, off one exact series."""
+    inv, scale = pade._inverse_series(c, max(orders))
+    return [pade._division_free_system(inv, scale, n) for n in orders]
+
+
 def _exact_system(c, n):
     """The exact rational system ``solve_interpolation`` hands to the polish."""
-    return _division_free_system(c, n, Fraction)
+    return _systems(c, [n])[0][0]
+
+
+def _tracked_at(c, n):
+    """F and J at rows of complex p on the doubles the homotopy tracks at order n."""
+    C, B, S = _systems(c, [n])[0][1]
+    return lambda p: _quadratics(C, B, p @ S, p)
+
+
+def _endpoints(c, orders):
+    """``_homotopy_endpoints`` on each of the ascending ``orders``' tracked doubles."""
+    return _homotopy_endpoints([tracked for _, tracked in _systems(c, orders)])
+
+
+def _digits_system(c, n, num):
+    """The order-n system built in ``num`` arithmetic (``mpmath.mpf``): (at, denominator).
+
+    The series of 1/(s^2 tau) comes from ``quotient`` in that arithmetic,
+    and F, J and q = b + T p are evaluated on object arrays.
+    """
+    one = num(1)
+    inv = np.array(quotient([one], [one] + [num(v) for v in c.c[: n + 2]], n + 3), dtype=object)
+    C, B, S, b, T = _system_arrays(inv, n)
+    return (lambda p: _quadratics(C, B, p @ S, p)), (lambda p: b[:-1] + T[:-1] @ np.array(p))
 
 
 def _polish_50_digits(system, p0):
@@ -385,7 +416,7 @@ class TestExactDerivatives:
 
         rng = np.random.default_rng(n)
         with mp.workdps(40):
-            at, _ = _division_free_system(disk_series, n, mpf)
+            at, _ = _digits_system(disk_series, n, mpf)
             h = mpf(10) ** -15
             for _ in range(3):
                 p = np.array([[mpf(v) for v in rng.normal(size=n)]], dtype=object)
@@ -403,13 +434,13 @@ class TestExactDerivatives:
         # system the homotopy tracks is the same system in 50 digits, rounded.
         from mpmath import mp, mpf
 
-        at, _ = _division_free_system(disk_series, n)
+        at = _tracked_at(disk_series, n)
         rng = np.random.default_rng(100 + n)
         for scale in (1.0, 100.0):
             p = scale * rng.normal(size=(1, n))
             F, J = at(p.astype(complex))
             with mp.workdps(50):
-                at_mp, _ = _division_free_system(disk_series, n, mpf)
+                at_mp, _ = _digits_system(disk_series, n, mpf)
                 F_mp, J_mp = at_mp(np.array([[mpf(v) for v in p[0]]], dtype=object))
             for got, ref in ((F, F_mp), (J, J_mp)):
                 ref = np.array([float(v) for v in ref.ravel()])
@@ -424,7 +455,7 @@ class TestExactDerivatives:
         from mpmath import mp, mpf
 
         with mp.workdps(50):
-            _, denominator = _division_free_system(disk_series, n, mpf)
+            _, denominator = _digits_system(disk_series, n, mpf)
             residuals = build_residuals(disk_series, n)
             rng = np.random.default_rng(200 + n)
             for _ in range(3):
@@ -437,22 +468,17 @@ class TestExactDerivatives:
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_system_denominator_is_back_substitution(self, disk_series, n):
-        # The system's b + T p, read off the series of 1/(s^2 tau), must be
-        # the denominator that back-substitution through the large-s rows
-        # gives, to 50 digits.
-        from mpmath import mp, mpf
-
-        with mp.workdps(50):
-            _, denominator = _division_free_system(disk_series, n, mpf)
-            m_asc = [mpf(v) for v in disk_series.c[: n + 2]][::-1] + [mpf(1)]
-            rng = np.random.default_rng(200 + n)
-            for _ in range(3):
-                p = [mpf(v) for v in rng.normal(scale=10.0, size=n)]
-                q = list(denominator(p))
-                ref = _back_substitution_denominator(m_asc, p)
-                assert len(q) == len(ref) == n + 2
-                gap = max(abs(a - b) for a, b in zip(q, ref))
-                assert gap <= mpf(10) ** -45 * max(abs(v) for v in ref)
+        # The exact system's b + T p, read off the series of 1/(s^2 tau),
+        # must be the denominator that back-substitution through the
+        # large-s rows gives, exactly.
+        _, denominator = _exact_system(disk_series, n)
+        m_asc = [Fraction(v) for v in disk_series.c[: n + 2]][::-1] + [Fraction(1)]
+        rng = np.random.default_rng(200 + n)
+        for _ in range(3):
+            p = [Fraction(v) for v in rng.normal(scale=10.0, size=n)]
+            q = list(denominator(p))
+            assert len(q) == n + 2
+            assert q == _back_substitution_denominator(m_asc, p)
 
     def test_polish_confirms_every_solution(self, disk_series, disk_solution_sets):
         # The reduced system is n quadratics in n unknowns: at most 2^n
@@ -469,7 +495,7 @@ class TestExactDerivatives:
     def test_polish_rejects_runaway_quickly(self, disk_series):
         # Numerators p where a local least-squares solve of the n = 2 disk
         # system ended after its coefficients ran away.
-        _, denominator = _division_free_system(disk_series, 2)
+        at, denominator = _exact_system(disk_series, 2)
         runaways = []
         for p in (
             ("-0x1.8954edd430df8p+49", "-0x1.22b608834c230p+49"),
@@ -477,7 +503,8 @@ class TestExactDerivatives:
             ("-0x1.5947d8f91dfa2p+49", "-0x1.fe64a288d0bf6p+48"),
         ):
             p = [float.fromhex(v) for v in p]
-            runaways.append(np.array(p + list(denominator(p))))
+            q = [float(v) for v in denominator([Fraction(v) for v in p])]
+            runaways.append(np.array(p + q))
         # Runaways: coefficients grown without bound while the reference
         # residual, scaled by 1 + ||x||, stays below its bound.
         res = build_residuals(disk_series, 2)
@@ -485,7 +512,6 @@ class TestExactDerivatives:
             scaled = np.linalg.norm(res(x)) / (1.0 + np.linalg.norm(x))
             assert np.linalg.norm(x) > 1e12 and scaled < RESIDUAL_ACCEPT
 
-        at, denominator = _exact_system(disk_series, 2)
         calls = []
 
         def counting_at(p):
@@ -520,13 +546,13 @@ class TestExactDerivatives:
         ellipse = tau_large_s_series(Ellipse(b=1.0, eps=0.4), 6, ExpansionMode.SAVO_EXACT)
         count = 0
         for c, orders in ((disk, range(1, 10)), (ellipse, range(1, 5))):
-            for n, ends in zip(orders, _homotopy_endpoints(c, orders)):
+            for n, ends in zip(orders, _endpoints(c, orders)):
                 ends = ends[:, :n]
                 size = 1.0 + np.linalg.norm(ends, axis=1)
                 real = ends[np.abs(ends.imag).max(axis=1) <= pade._REAL_TOL * size].real
                 exact = _exact_system(c, n)
                 with mp.workdps(50):
-                    reference = _division_free_system(c, n, mpf)
+                    reference = _digits_system(c, n, mpf)
                 for p in real:
                     got, want = _polish_extended(exact, p), _polish_50_digits(reference, p)
                     assert (got is None and want is None) or np.array_equal(got, want)
@@ -569,7 +595,7 @@ class TestExactDerivatives:
 class TestHomotopy:
     @pytest.mark.parametrize("n, n_real", [(1, 2), (2, 2), (3, 2), (4, 4), (5, 4), (6, 8)])
     def test_every_path_ends_at_a_distinct_root(self, disk_series, n, n_real):
-        [ends] = _homotopy_endpoints(disk_series, [n])
+        [ends] = _endpoints(disk_series, [n])
         assert ends.shape == (2**n, n)
         assert np.isfinite(ends).all()
         size = 1.0 + np.linalg.norm(ends, axis=1)
@@ -580,7 +606,7 @@ class TestHomotopy:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_system_vanishes_at_every_solution(self, disk_series, n):
-        at, _ = _division_free_system(disk_series, n)
+        at = _tracked_at(disk_series, n)
         for sol in solve_interpolation(disk_series, n):
             p, q = np.array(sol.approximant.p), np.array(sol.approximant.q)
             F, _ = at(p[None].astype(complex))
@@ -588,7 +614,7 @@ class TestHomotopy:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_jacobian_matches_central_differences(self, disk_series, n):
-        at, _ = _division_free_system(disk_series, n)
+        at = _tracked_at(disk_series, n)
         rng = np.random.default_rng(n)
         p = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
         _, J = at(p)
@@ -609,7 +635,7 @@ class TestHomotopy:
             return quadratics(*args)
 
         monkeypatch.setattr(pade, "_quadratics", counting)
-        ends = _homotopy_endpoints(c, orders)
+        ends = _endpoints(c, orders)
         assert [len(e) for e in ends] == [2**n for n in orders]
         return len(calls)
 
@@ -636,32 +662,32 @@ class TestHomotopy:
     def test_padded_coordinates_stay_zero(self, disk_series):
         # A lower order's coordinates past its n start at 0 and follow
         # H_j = p_j, so every endpoint keeps them exactly 0.
-        ends = _homotopy_endpoints(disk_series, range(1, 8))
+        ends = _endpoints(disk_series, range(1, 8))
         for n, e in zip(range(1, 8), ends):
             assert e.shape == (2**n, 7)
             assert np.all(e[:, n:] == 0)
 
     def test_batched_endpoints_are_the_single_order_roots(self, disk_series):
         # Each order's endpoints in a batch are its roots found alone.
-        for n, e in zip(range(1, 6), _homotopy_endpoints(disk_series, range(1, 6))):
-            [alone] = _homotopy_endpoints(disk_series, [n])
+        for n, e in zip(range(1, 6), _endpoints(disk_series, range(1, 6))):
+            [alone] = _endpoints(disk_series, [n])
             gap = np.linalg.norm(e[:, :n] - alone, axis=1)
             assert np.all(gap <= 1e-12 * (1.0 + np.linalg.norm(alone, axis=1)))
 
     @staticmethod
     def _stall_order(monkeypatch, k):
-        """Make every path of order k stall: its F is not finite anywhere."""
-        arrays = pade._system_arrays
+        """Make every path of order k stall: its tracked F is not finite anywhere."""
+        system = pade._division_free_system
 
-        def broken(inv, n):
-            C, B, S, b, T = arrays(inv, n)
-            return (C * np.nan if n == k else C), B, S, b, T
+        def broken(inv, scale, n):
+            exact, (C, B, S) = system(inv, scale, n)
+            return exact, ((C * np.nan if n == k else C), B, S)
 
-        monkeypatch.setattr(pade, "_system_arrays", broken)
+        monkeypatch.setattr(pade, "_division_free_system", broken)
 
     def test_stall_fails_only_its_own_order(self, disk_series, monkeypatch):
         self._stall_order(monkeypatch, 3)
-        ends = _homotopy_endpoints(disk_series, range(1, 5))
+        ends = _endpoints(disk_series, range(1, 5))
         assert isinstance(ends[2], NoSolutionFound)
         assert str(ends[2]) == "a homotopy path stalled at a finite point at order 3"
         assert [len(ends[i]) for i in (0, 1, 3)] == [2, 4, 16]
@@ -709,8 +735,8 @@ class TestHomotopy:
         n = 4
         homotopy = pade._homotopy_endpoints
 
-        def repeated(c, orders):
-            [ends] = homotopy(c, orders)
+        def repeated(tracked):
+            [ends] = homotopy(tracked)
             size = 1.0 + np.linalg.norm(ends, axis=1)
             real = ends[np.abs(ends.imag).max(axis=1) <= pade._REAL_TOL * size]
             return [np.vstack([ends, real[:1] * (1.0 + 1e-10)])]
@@ -722,9 +748,65 @@ class TestHomotopy:
 
     def test_path_past_the_bound_goes_to_infinity(self, disk_series, monkeypatch):
         monkeypatch.setattr(pade, "_AT_INFINITY", 10.0)
-        [ends] = _homotopy_endpoints(disk_series, [3])
+        [ends] = _endpoints(disk_series, [3])
         assert 0 < len(ends) < 8
         assert np.all(np.linalg.norm(ends, axis=1) <= 10.0)
+
+
+class TestOneExactSystem:
+    """A solve builds one exact series; the homotopy tracks its arrays rounded once."""
+
+    def test_one_series_per_ladder(self, disk_series, monkeypatch):
+        series = pade._inverse_series
+        calls = []
+
+        def counting(c, n):
+            calls.append(n)
+            return series(c, n)
+
+        monkeypatch.setattr(pade, "_inverse_series", counting)
+        assert len(ladder(disk_series, 7)) == 7
+        assert calls == [7]
+
+    @pytest.mark.parametrize(
+        "shape, mode, n_max",
+        [(Disk(), ExpansionMode.CURVATURE_APPROX, 7), (Ellipse(b=1.0, eps=0.5), ExpansionMode.SAVO_EXACT, 4)],
+    )
+    def test_tracked_constants_are_the_exact_ones_rounded_once(self, monkeypatch, shape, mode, n_max):
+        c = tau_large_s_series(shape, n_max + 2, mode)
+        homotopy = pade._homotopy_endpoints
+        seen = []
+
+        def capture(tracked):
+            seen.append(tracked)
+            return homotopy(tracked)
+
+        monkeypatch.setattr(pade, "_homotopy_endpoints", capture)
+        ladder(c, n_max)
+        [tracked] = seen
+        assert len(tracked) == n_max
+        # The arrays in Fractions, apart from the solver's integers over a power of two.
+        one = Fraction(1)
+        inv = np.array(quotient([one], [one] + [Fraction(v) for v in c.c], n_max + 3), dtype=object)
+        for n, got in enumerate(tracked, start=1):
+            for g, exact in zip(got, _system_arrays(inv, n)[:3]):
+                want = np.array([float(v) for v in exact.flat]).reshape(exact.shape)
+                assert g.dtype == complex and np.array_equal(g, want)
+
+    @pytest.mark.parametrize("value", [1e300, math.inf, math.nan])
+    def test_series_past_the_double_range_has_no_solution(self, value):
+        # The exact constants of (1e300,) * 6 pass the double range; rounded,
+        # they are +-inf, and every path stalls instead of raising OverflowError.
+        with pytest.raises(NoSolutionFound):
+            solve_interpolation(LargeSSeries((value,) * 6), 3)
+
+    def test_only_the_orders_that_read_an_infinite_coefficient_fail(self, disk_series, disk_ladder):
+        # Order n reads c_1..c_(n+2), so an infinite c_5 leaves orders 1 and 2 whole.
+        c = LargeSSeries(disk_series.c[:4] + (math.inf,) + disk_series.c[5:])
+        rows = selected_rows(c, [1, 2])
+        assert [r.approximant for r in rows] == [r.approximant for r in disk_ladder[:2]]
+        with pytest.raises(NoSolutionFound, match="at order 3$"):
+            ladder(c, 3)
 
 
 def _doublet(sol, a):
@@ -750,6 +832,10 @@ class TestPronyMoments:
         st.lists(st.floats(1.0, 50.0), min_size=2, max_size=3, unique=True),
         st.lists(st.floats(0.1, 2.0), min_size=3, max_size=3),
     )
+    # Draws that failed while d_k was summed in doubles: gamma^2 off by
+    # 1.05e-6, and lambda off by 1.2e-7.
+    @example([1.125, 36.5, 45.0], [2.0, 0.25, 0.40625])
+    @example([1.0, 36.25, 44.0], [1.0, 1.0, 0.25])
     @settings(max_examples=30, deadline=None)
     def test_synthetic_roundtrip(self, lams, weights):
         lams = sorted(lams)
@@ -757,8 +843,10 @@ class TestPronyMoments:
             return  # nearly degenerate rates are legitimately ill-conditioned
         m = len(lams)
         pairs = list(zip(lams, weights[:m]))
+        # Each d_k is summed exactly and rounded once, so the bounds below
+        # measure the estimator, not the rounding of the test's own sum.
         d = [
-            (-1) ** k * sum(g / lam ** (k + 1) for lam, g in pairs)
+            float((-1) ** k * sum(Fraction(g) / Fraction(lam) ** (k + 1) for lam, g in pairs))
             for k in range(2 * m)
         ]
         got = prony_moments(d, m)
