@@ -266,32 +266,23 @@ def _division_free_system(inv, scale: int, n: int):
     F(p) = C + B p + A[p, p], so that J = B + (A + A^T) p.  With Q(-s)
     = b' + T' p, the coefficient of s^d in P(s) Q(-s) pairs p_i with
     b'_(d-i) + T'_(d-i) p, and the monic s^n with b'_(d-n) + T'_(d-n) p.
-    Returns ``((at, denominator), (C, B, S))``: ``at(p)`` -> exact (F, J)
-    for ``Fraction`` rows p, shape (rows, n), as integer products over p's
-    common denominator; ``denominator(p)`` -> q_0..q_(n+1) = b + T p for
-    one p; and C, B and S rounded once to complex doubles (+-inf past the
-    double range), for ``_homotopy_endpoints``.
+    Returns ``((at, denominator), (C, B, S))``.  At p = P / d, integers P
+    over a power of two d, ``at(P, d)`` -> (F, J), each rounded once from
+    its exact integer quotient, and ``denominator(P, d)`` -> q_0..q_(n+1)
+    = b + T p as integers over one integer; C, B and S rounded once to
+    complex doubles (+-inf past the double range) are for the tracker.
     """
     C, B, S, b, T = _system_arrays(inv, n)
-    fraction = np.frompyfunc(Fraction, 2, 1)
 
-    def integers(p):
-        """p = P / d with integer P and d."""
-        p = np.asarray(p)
-        d = math.lcm(*(v.denominator for v in p.flat))
-        return np.array([v.numerator * (d // v.denominator) for v in p.flat], dtype=object).reshape(p.shape), d
-
-    def at(p):
+    def at(P, d):
         # J = (B d + P S) / (d scale) has the integer numerator Jd, and
         # F = C + (B + J) p / 2 = (2 d^2 C + (B d + Jd) P) / (2 d^2 scale).
-        P, d = integers(p)
-        Jd = B * d + (P @ S).reshape(p.shape + p.shape[-1:])
-        Fd = 2 * d * d * C + ((B * d + Jd) @ P[..., None])[..., 0]
-        return fraction(Fd, 2 * d * d * scale), fraction(Jd, d * scale)
+        Jd = B * d + (P @ S).reshape(n, n)
+        Fd = 2 * d * d * C + (B * d + Jd) @ P
+        return (Fd / (2 * d * d * scale)).astype(float), (Jd / (d * scale)).astype(float)
 
-    def denominator(p):
-        P, d = integers(p)
-        return fraction(b[:-1] * d + T[:-1] @ P, d * scale)
+    def denominator(P, d):
+        return b[:-1] * d + T[:-1] @ P, d * scale
 
     def rounded(v):
         try:
@@ -302,32 +293,41 @@ def _division_free_system(inv, scale: int, n: int):
     return (at, denominator), [np.vectorize(rounded, otypes=[complex])(v) for v in (C, B, S)]
 
 
+def _dyadic(values):
+    """Finite doubles as (integers, d): values[i] = integers[i] / d exactly, d a power of two."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    d = max(den for _, den in ratios)
+    return np.array([num * (d // den) for num, den in ratios], dtype=object), d
+
+
 def _polish_extended(system, p0):
     """Newton on exact rational residuals of ``system`` from p0; the (p, q) doubles, or None.
 
-    Each step evaluates F and J exactly at the ``Fraction`` point p and
-    adds the correction, solved in doubles, to p exactly: iterative
-    refinement (Higham, "Accuracy and Stability of Numerical Algorithms",
-    2nd ed., 2002, ch. 12).  Every step is a double, so p stays a dyadic
-    rational, which ``at`` evaluates in integers.  A step shrinks the
-    error by cond(J) u on top of Newton's square, so after a step of at
-    most 1e-20 (1 + max |p|) the next is about cond(J) 1e-36, which cannot
-    move a double at any cond(J) where the refinement converges: Newton
-    stops there.  A singular J, a step that is not finite, an F or J
-    beyond the double range, or no such step within ``_POLISH_MAX_ITER``
-    gives None.
+    Each step evaluates F and J at p = P / d, integers over a power of
+    two, rounded once from their exact quotients, and adds the
+    correction, solved in doubles and split by ``_dyadic``, to P at the
+    larger power of two: iterative refinement (Higham, "Accuracy and
+    Stability of Numerical Algorithms", 2nd ed., 2002, ch. 12).  A step
+    shrinks the error by cond(J) u on top of Newton's square, so after a
+    step of at most 1e-20 (1 + max |p|) the next is about cond(J) 1e-36,
+    which cannot move a double at any cond(J) where the refinement
+    converges: Newton stops there and rounds p and q once.  A singular J,
+    a step that is not finite, an F or J beyond the double range, or no
+    such step within ``_POLISH_MAX_ITER`` gives None.
     """
     at, denominator = system
-    p = [Fraction(v) for v in p0]
+    P, d = _dyadic(p0)
     try:
         for _ in range(_POLISH_MAX_ITER):
-            F, J = at(np.array([p]))
-            step = np.linalg.solve(J[0].astype(float), -F[0].astype(float))
+            F, J = at(P, d)
+            step = np.linalg.solve(J, -F)
             if not np.isfinite(step).all():
                 return None
-            p = [pi + Fraction(si) for pi, si in zip(p, step)]
-            if np.max(np.abs(step)) <= 1e-20 * (1 + max(abs(float(v)) for v in p)):
-                return np.array([float(v) for v in [*p, *denominator(p)]])
+            S, e = _dyadic(step)
+            P, d = P * max(1, e // d) + S * max(1, d // e), max(d, e)
+            if np.max(np.abs(step)) <= 1e-20 * (1 + max(abs(v / d) for v in P)):
+                Q, D = denominator(P, d)
+                return np.array([v / d for v in P] + [v / D for v in Q])
     except (np.linalg.LinAlgError, OverflowError):
         pass  # a singular J, or an F or J beyond the double range
     return None

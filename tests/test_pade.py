@@ -475,10 +475,11 @@ class TestExactDerivatives:
         m_asc = [Fraction(v) for v in disk_series.c[: n + 2]][::-1] + [Fraction(1)]
         rng = np.random.default_rng(200 + n)
         for _ in range(3):
-            p = [Fraction(v) for v in rng.normal(scale=10.0, size=n)]
-            q = list(denominator(p))
+            P, d = pade._dyadic(rng.normal(scale=10.0, size=n))
+            Q, D = denominator(P, d)
+            q = [Fraction(v, D) for v in Q]
             assert len(q) == n + 2
-            assert q == _back_substitution_denominator(m_asc, p)
+            assert q == _back_substitution_denominator(m_asc, [Fraction(v, d) for v in P])
 
     def test_polish_confirms_every_solution(self, disk_series, disk_solution_sets):
         # The reduced system is n quadratics in n unknowns: at most 2^n
@@ -503,7 +504,8 @@ class TestExactDerivatives:
             ("-0x1.5947d8f91dfa2p+49", "-0x1.fe64a288d0bf6p+48"),
         ):
             p = [float.fromhex(v) for v in p]
-            q = [float(v) for v in denominator([Fraction(v) for v in p])]
+            Q, D = denominator(*pade._dyadic(p))
+            q = [v / D for v in Q]
             runaways.append(np.array(p + q))
         # Runaways: coefficients grown without bound while the reference
         # residual, scaled by 1 + ||x||, stays below its bound.
@@ -514,9 +516,9 @@ class TestExactDerivatives:
 
         calls = []
 
-        def counting_at(p):
+        def counting_at(P, d):
             calls.append(1)
-            return at(p)
+            return at(P, d)
 
         for x in runaways:
             calls.clear()
@@ -532,10 +534,35 @@ class TestExactDerivatives:
 
     def test_polish_infinite_step_is_none(self):
         # F = 1e300 over J = 1e-300: the step in doubles overflows to inf.
-        def at(p):
-            return np.array([[Fraction(1e300)]]), np.array([[[Fraction(1e-300)]]])
+        def at(P, d):
+            return np.array([1e300]), np.array([[1e-300]])
 
         assert _polish_extended((at, None), [1.0]) is None
+
+    _EDGE_DOUBLES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308)
+
+    @given(
+        st.lists(
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_DOUBLES)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @example(list(_EDGE_DOUBLES))
+    def test_dyadic_split_is_exact(self, values):
+        # The polish holds p, and adds each double step to it, as integers
+        # over one power of two.
+        P, d = pade._dyadic(np.array(values))
+        assert type(d) is int and d > 0 and d & (d - 1) == 0
+        assert all(type(v) is int for v in P)
+        assert [Fraction(v, d) for v in P] == [Fraction(v) for v in values]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_dyadic_split_refuses_what_fraction_refuses(self, value):
+        with pytest.raises((OverflowError, ValueError)) as refused:
+            Fraction(value)
+        with pytest.raises(refused.type):
+            pade._dyadic(np.array([1.0, value]))
 
     def test_polish_matches_50_digit_newton(self):
         # From every real homotopy endpoint the exact-residual Newton and
@@ -577,9 +604,9 @@ class TestExactDerivatives:
             at, denominator = system
             evals = []
 
-            def counting_at(p):
+            def counting_at(P, d):
                 evals.append(1)
-                return at(p)
+                return at(P, d)
 
             x = polish((counting_at, denominator), p0)
             polishes.append((x, len(evals)))
