@@ -112,7 +112,7 @@ def _boundary_integrals(curve: BoundaryCurve, J: int, mode: ExpansionMode):
     pass of its own bit for bit.  A later request on the same curve object
     that the kept pass covers is served from it.  Should the superset not
     converge, the series' own request runs instead, which converges or
-    fails as it would alone.
+    fails as it would alone; when it is the superset, it has already failed.
     """
     global _last_pass
     if J < 0:
@@ -129,6 +129,8 @@ def _boundary_integrals(curve: BoundaryCurve, J: int, mode: ExpansionMode):
         b = geometry.boundary_integrals(curve, wide, derivatives=True)
         _last_pass = (curve, wide, True, b)
     except QuadratureNotConverged:
+        if (max_power, derivatives) == (wide, True):
+            raise
         b = geometry.boundary_integrals(curve, max_power, derivatives)
         _last_pass = (curve, max_power, derivatives, b)
     return b

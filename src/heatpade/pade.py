@@ -122,6 +122,12 @@ class PadeSolution:
         return closest.imag**2 if closest is not None else None
 
 
+def _require_terms(c: LargeSSeries, n: int):
+    """Order n reads c_1..c_(n+2); a shorter series is a usage error."""
+    if len(c.c) < n + 2:
+        raise ValueError(f"need large-s coefficients c_1..c_{n + 2}, got {len(c.c)}")
+
+
 def build_residuals(c: LargeSSeries, n: int):
     """Residual map (p, q) -> 2n+2 values; zero exactly at an interpolating rational.
 
@@ -134,8 +140,7 @@ def build_residuals(c: LargeSSeries, n: int):
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    if len(c.c) < n + 2:
-        raise ValueError(f"need large-s coefficients c_1..c_{n + 2}, got {len(c.c)}")
+    _require_terms(c, n)
     m_desc = np.concatenate([[1.0], np.asarray(c.c[: n + 2])])  # coeff of s^(n+2-i)
     m_asc = m_desc[::-1].copy()
 
@@ -333,6 +338,19 @@ def _polish_extended(system, p0):
     return None
 
 
+def _solve_rows(A, b):
+    """A^-1 b for each row of a batch, and NaN for a row whose A is singular.
+
+    The rows are solved one by one only when the batched solve refuses one.
+    """
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(b) == 1:
+            return np.full(b.shape, np.nan, dtype=complex)
+        return np.concatenate([_solve_rows(A[i : i + 1], b[i : i + 1]) for i in range(len(b))])
+
+
 def _homotopy_endpoints(tracked):
     """Finite roots of each order's quadratics, one per homotopy path, from their doubles.
 
@@ -350,7 +368,8 @@ def _homotopy_endpoints(tracked):
     not per evaluation; the rows of a single order share its arrays.
     Each round is a classical fourth-order Runge-Kutta predictor on
     dp/dt = -H_p^-1 H_t, then ``_CORRECTOR_STEPS`` Newton steps, each
-    stage one batched ``np.linalg.solve``.  A higher-order predictor
+    stage one batched ``np.linalg.solve`` (``_solve_rows``: a singular
+    H_p gives its row a NaN step, which fails).  A higher-order predictor
     lands closer to the path, so fewer steps fail and the step cap can be
     larger (Bates, Hauenstein, Sommese & Wampler, "Numerically Solving
     Polynomial Systems with Bertini", 2013).  A step succeeds when the
@@ -410,7 +429,7 @@ def _homotopy_endpoints(tracked):
     def velocity(p, t):
         """dp/dt = -H_p^-1 H_t along each path."""
         _, Hp, minus_Ht = homotopy(p, t)
-        return np.linalg.solve(Hp, minus_Ht[..., None])[..., 0]
+        return _solve_rows(Hp, minus_Ht)
 
     while len(rows):
         grp = group[rows]
@@ -430,7 +449,7 @@ def _homotopy_endpoints(tracked):
                 x = p + step / 6 * (v1 + 2 * v2 + 2 * v3 + v4)
                 for _ in range(_CORRECTOR_STEPS):
                     H, Hp, _ = homotopy(x, t + dt)
-                    dx = np.linalg.solve(Hp, H[..., None])[..., 0]
+                    dx = _solve_rows(Hp, H)
                     x = x - dx
                 size = np.linalg.norm(x, axis=1)
                 ok = np.isfinite(size) & (np.linalg.norm(dx, axis=1) <= _CORRECTOR_TOL * (1.0 + size))
@@ -464,6 +483,7 @@ def _homotopy_endpoints(tracked):
 
 def _solution_sets(c: LargeSSeries, orders):
     """Each ascending order's real interpolants in turn, from one exact series and one batch."""
+    _require_terms(c, orders[-1])
     inv, scale = _inverse_series(c, orders[-1])
     systems = [_division_free_system(inv, scale, n) for n in orders]
     batch = _homotopy_endpoints([tracked for _, tracked in systems])

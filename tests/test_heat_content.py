@@ -306,7 +306,7 @@ class TestSharedPass:
     def test_disk(self):
         self._check(Disk(R=1.3))
 
-    @pytest.mark.parametrize("J, mode", [(3, "curvature"), (9, "curvature"), (4, "savo"), (6, "savo")])
+    @pytest.mark.parametrize("J, mode", [(3, "curvature"), (9, "curvature"), (4, "savo"), (5, "savo")])
     def test_unconverged_superset_runs_the_own_request(self, J, mode, monkeypatch):
         curve = Ellipse(b=1.0, eps=0.5)
         want, want_savo = _own_pass(curve, J, mode), _own_pass(curve, 6, "savo")
@@ -326,6 +326,20 @@ class TestSharedPass:
         # has every power savo J = 6 reads, but not the derivative rows.
         assert _hex(tau_large_s_series(curve, 6, "savo")) == _hex(want_savo)
 
+    def test_unconverged_superset_is_not_retried(self, monkeypatch):
+        # Savo J = 6 asks for the superset itself, (k^5, derivative rows), so
+        # its own request is the one that just failed, and it raises.
+        requests = []
+
+        def wide_fails(c, max_power, derivatives=False):
+            requests.append((max_power, derivatives))
+            raise QuadratureNotConverged("superset did not converge")
+
+        monkeypatch.setattr(geometry, "boundary_integrals", wide_fails)
+        with pytest.raises(QuadratureNotConverged, match="^superset did not converge$"):
+            tau_large_s_series(Ellipse(b=1.0, eps=0.5), 6, "savo")
+        assert requests == [(5, True)]
+
     def test_unconverged_superset_on_a_real_curve(self, monkeypatch):
         # A 60-fold ripple of amplitude 0.8: the k^m rows converge, but the
         # curvature-derivative rows do not within the panel cap, so the
@@ -344,7 +358,9 @@ class TestSharedPass:
         assert requests == [(8, True), (8, False)]
         with pytest.raises(QuadratureNotConverged):
             tau_large_s_series(curve, 6, "savo")
-        assert requests[-1] == (5, True)  # savo's own request fails as well
+        # Savo J = 6 asks for the superset itself, (k^5, derivative rows):
+        # it fails once and is not retried.
+        assert requests == [(8, True), (8, False), (5, True)]
         monkeypatch.undo()
         assert _hex(got) == _hex(_own_pass(curve, 9, "curvature"))
 

@@ -722,6 +722,25 @@ class TestHomotopy:
             ladder(disk_series, 4)
         assert len(ladder(disk_series, 2)) == 2
 
+    def test_singular_jacobian_fails_only_its_own_order(self, disk_series, monkeypatch):
+        # With order 3's tracked C, B and S zero, its H_p at t = 1 is
+        # singular, which the batched solve refuses: that row's step is NaN
+        # and fails until the path stalls, and only order 3 fails.
+        want = _endpoints(disk_series, range(1, 5))
+        system = pade._division_free_system
+
+        def zeroed(inv, scale, n):
+            exact, tracked = system(inv, scale, n)
+            return exact, [0 * v if n == 3 else v for v in tracked]
+
+        monkeypatch.setattr(pade, "_division_free_system", zeroed)
+        ends = _endpoints(disk_series, range(1, 5))
+        assert isinstance(ends[2], NoSolutionFound)
+        assert str(ends[2]) == "a homotopy path stalled at a finite point at order 3"
+        assert [len(ends[i]) for i in (0, 1, 3)] == [2, 4, 16]
+        assert all(np.array_equal(ends[i], want[i]) for i in (0, 1, 3))
+        assert len(ladder(disk_series, 2)) == 2
+
     def test_first_failing_order_raises(self, disk_series, monkeypatch):
         # Selection fails at order 2 and a path of order 4 stalls: as when
         # the orders are solved one by one, order 2's error is raised.
@@ -820,12 +839,22 @@ class TestOneExactSystem:
                 want = np.array([float(v) for v in exact.flat]).reshape(exact.shape)
                 assert g.dtype == complex and np.array_equal(g, want)
 
-    @pytest.mark.parametrize("value", [1e300, math.inf, math.nan])
+    @pytest.mark.parametrize("value", [1e300, math.inf, math.nan, 1e-300])
     def test_series_past_the_double_range_has_no_solution(self, value):
         # The exact constants of (1e300,) * 6 pass the double range; rounded,
         # they are +-inf, and every path stalls instead of raising OverflowError.
+        # Those of (1e-300,) * 6 lose their 1e-600 terms to underflow, so B
+        # and H_p at t = 1 are singular: a path stalls instead of raising
+        # LinAlgError.
         with pytest.raises(NoSolutionFound):
             solve_interpolation(LargeSSeries((value,) * 6), 3)
+
+    @pytest.mark.parametrize("solve", [solve_interpolation, ladder])
+    @pytest.mark.parametrize("terms", [(), (-2.0,), (-2.0, 0.5, 0.1)])
+    def test_short_series_is_a_usage_error(self, solve, terms):
+        # Order 2 reads c_1..c_4; a missing c_j is not read as 0.
+        with pytest.raises(ValueError, match=f"^need large-s coefficients c_1..c_4, got {len(terms)}$"):
+            solve(LargeSSeries(terms), 2)
 
     def test_only_the_orders_that_read_an_infinite_coefficient_fail(self, disk_series, disk_ladder):
         # Order n reads c_1..c_(n+2), so an infinite c_5 leaves orders 1 and 2 whole.
