@@ -59,6 +59,54 @@ class TestManifestEnvironment:
         assert comments[-2] == f"# subcommand=coeffs version={__version__}"
 
 
+class TestManifestOptions:
+    """``options`` holds the normalized shape, the resolved method and every default."""
+
+    SHAPE = '{"eps":0.5,"kind":"ellipse","b":1}'
+    NORMALIZED = '{"kind": "ellipse", "b": 1.0, "eps": 0.5}'
+
+    @pytest.mark.parametrize(
+        "argv, options",
+        [
+            (["coeffs", "--shape", SHAPE], ["j_max=6", f"shape={NORMALIZED}"]),
+            (
+                ["survival", "--shape", DISK, "--times", "0.01"],
+                ["j_max=5", "method=exact", "mode=curvature",
+                 'shape={"kind": "disk", "R": 1.0}', "times=0.01"],
+            ),
+            (
+                ["tau", "--shape", SHAPE, "--s", "5,50", "--mode", "savo"],
+                ["j_max=5", "method=expansion", "mode=savo", "s=5,50", f"shape={NORMALIZED}"],
+            ),
+            (
+                ["lambda1", "--shape", SHAPE, "--n-max", "1"],
+                ["mode=curvature", "n_max=1", f"shape={NORMALIZED}"],
+            ),
+            (["sweep", "--eps", "0.2", "--n", "1"], ["b=1.0", "eps=0.2", "mode=curvature", "n=1"]),
+            (["table1", "--n-max", "1"], ["n_max=1"]),
+            (
+                ["mc", "--shape", SHAPE, "--walkers", "10", "--dt", "1e-3", "--times", "0.01"],
+                ["dt=0.001", "seed=1", f"shape={NORMALIZED}", "times=0.01", "walkers=10"],
+            ),
+        ],
+    )
+    def test_csv_options(self, argv, options, tmp_path):
+        out = tmp_path / "run.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        comments, _, _ = read_csv(out)
+        assert comments[:-2] == [f"# {line}" for line in options]
+        assert comments[-2] == f"# subcommand={argv[0]} version={__version__}"
+
+    def test_json_options(self, tmp_path):
+        out = tmp_path / "sol.json"
+        assert main(["pade", "--shape", self.SHAPE, "--n", "1", "--out", str(out)]) == 0
+        manifest = json.loads(out.read_text())["manifest"]
+        assert manifest["subcommand"] == "pade"
+        assert manifest["out"] == str(out)
+        assert manifest["options"] == {"mode": "curvature", "n": 1, "shape": self.NORMALIZED}
+        assert list(manifest["options"]) == ["mode", "n", "shape"]
+
+
 class TestSurvivalAndTau:
     def test_survival_exact_disk(self, tmp_path):
         out = tmp_path / "s.csv"
