@@ -1,9 +1,13 @@
 """Command-line front end for reproducible experiments and plot-data emission.
 
-Every output file embeds a run manifest (subcommand, options, seed,
-artifact version): as ``#`` comment lines preceding the header row in CSV
-output, or under a ``manifest`` key in JSON output.  Given the manifest,
-every subcommand is deterministic.
+Each subcommand is a function of the parsed arguments that returns its
+header and rows (``pade``: a JSON payload); ``main`` alone writes them,
+with a run manifest (subcommand, options, seed, artifact version): as
+``#`` comment lines preceding the header row in CSV output, or under a
+``manifest`` key in JSON output.  The options are the parsed arguments,
+with the shape as its normalized JSON and ``--method auto`` resolved to
+the method that ran.  Given the manifest, every subcommand is
+deterministic.
 
 Exit codes: 0 on success, 2 on usage errors, 1 on numeric failures and
 overflows, with a machine-readable JSON error record on stderr.  ``--out``
@@ -83,15 +87,13 @@ def _environment():
     }
 
 
-def _manifest(args, **extra):
+def _manifest(args):
     skip = {"func", "out", "subcommand"}
-    opts = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
-    opts.update(extra)
     return {
         "subcommand": args.subcommand,
         "version": __version__,
-        "out": getattr(args, "out", None),
-        "options": opts,
+        "out": args.out,
+        "options": {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None},
         "environment": _environment(),
     }
 
@@ -128,10 +130,13 @@ def _write_json(fh, manifest, payload):
 
 
 def _load_curve(args):
+    """The ``--shape`` curve; ``args.shape`` becomes its normalized JSON for the manifest."""
     try:
-        return curve_from_json(args.shape)
+        curve = curve_from_json(args.shape)
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"bad shape specification: {exc}") from exc
+    args.shape = json.dumps(curve_to_json(curve))
+    return curve
 
 
 def _solution_record(sol):
@@ -147,27 +152,25 @@ def _solution_record(sol):
     }
 
 
-def cmd_coeffs(args, out):
+def cmd_coeffs(args):
     curve = _load_curve(args)
     j_max = _j_max(args)
     approx = small_time_expansion(curve, j_max).sigma
     exact = small_time_expansion(curve, min(j_max, SAVO_MAX_ORDER), "savo").sigma
     rows = [(j, s, exact[j - 1] if j <= len(exact) else None) for j, s in enumerate(approx, 1)]
-    manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)))
-    _write_csv(out, manifest, ["j", "sigma_curvature", "sigma_exact"], rows)
-    return 0
+    return ["j", "sigma_curvature", "sigma_exact"], rows
 
 
 def _resolve_method(args, curve, what):
-    """``--method`` with "auto" resolved: exact for a disk, the expansion otherwise."""
+    """``args.method`` with "auto" resolved: exact for a disk, the expansion otherwise."""
     if args.method == "auto":
-        return "exact" if isinstance(curve, Disk) else "expansion"
-    if args.method == "exact" and not isinstance(curve, Disk):
+        args.method = "exact" if isinstance(curve, Disk) else "expansion"
+    elif args.method == "exact" and not isinstance(curve, Disk):
         raise UsageError(f"exact {what} are available for disks only")
     return args.method
 
 
-def cmd_survival(args, out):
+def cmd_survival(args):
     curve = _load_curve(args)
     times = _floats(args.times, "--times")
     if any(not 0 <= t < math.inf for t in times):
@@ -179,12 +182,10 @@ def cmd_survival(args, out):
     else:
         exp = small_time_expansion(curve, j_max, args.mode)
         rows = [(t, small_time_survival(exp, t)) for t in times]
-    manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)), method=method)
-    _write_csv(out, manifest, ["t", "S"], rows)
-    return 0
+    return ["t", "S"], rows
 
 
-def cmd_tau(args, out):
+def cmd_tau(args):
     curve = _load_curve(args)
     s_values = _floats(args.s, "--s")
     if any(not 0 < s < math.inf for s in s_values):
@@ -201,22 +202,18 @@ def cmd_tau(args, out):
                     for s, x in zip(s_values, np.array(s_values))]
         if not all(math.isfinite(tau) for _, tau in rows):
             raise OverflowError("the truncated expansion leaves the double range")
-    manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)), method=method)
-    _write_csv(out, manifest, ["s", "tau"], rows)
-    return 0
+    return ["s", "tau"], rows
 
 
-def cmd_pade(args, out):
+def cmd_pade(args):
     curve = _load_curve(args)
     n = _order(args.n, "--n")
     c = tau_large_s_series(curve, n + 2, args.mode)
     sol = select_solution(solve_interpolation(c, n))
-    manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)))
-    _write_json(out, manifest, {"solution": _solution_record(sol)})
-    return 0
+    return {"solution": _solution_record(sol)}
 
 
-def cmd_lambda1(args, out):
+def cmd_lambda1(args):
     curve = _load_curve(args)
     n_max = _order(args.n_max, "--n-max")
     c = tau_large_s_series(curve, n_max + 2, args.mode)
@@ -224,9 +221,7 @@ def cmd_lambda1(args, out):
     rows = [
         (sol.n, sol.closest_pole.imag, sol.closest_pole.real, sol.lambda1) for sol in sols
     ]
-    manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)))
-    _write_csv(out, manifest, ["n", "im_s", "re_s", "lambda1"], rows)
-    return 0
+    return ["n", "im_s", "re_s", "lambda1"], rows
 
 
 def _sweep_cell(task):
@@ -246,7 +241,7 @@ def _worker_cap(n_cells):
     return max(1, min(cap, n_cells))
 
 
-def cmd_sweep(args, out):
+def cmd_sweep(args):
     eps_list = sorted(set(_floats(args.eps, "--eps")))
     n_list = sorted(set(_ints(args.n, "--n")))
     if any(n < 1 for n in n_list):
@@ -265,12 +260,10 @@ def cmd_sweep(args, out):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, tasks))
     rows = sorted(r for cell in results for r in cell)
-    manifest = _manifest(args)
-    _write_csv(out, manifest, ["eps", "n", "lambda1", "im_s", "re_s"], rows)
-    return 0
+    return ["eps", "n", "lambda1", "im_s", "re_s"], rows
 
 
-def cmd_table1(args, out):
+def cmd_table1(args):
     n_max = _order(args.n_max, "--n-max")
     c = tau_large_s_series(Disk(), n_max + 2)
     sols = ladder(c, n_max)
@@ -286,22 +279,17 @@ def cmd_table1(args, out):
         rows.append(("n^-2", None, None, None, None, limit))
     d_exact = [float(v) for v in maclaurin_tau_disk(1, 3)]
     rows.append(("exact", *d_exact, j0_zero(1)))
-    manifest = _manifest(args)
-    _write_csv(out, manifest, ["pade", "d0", "d2", "d4", "d6", "im_s"], rows)
-    return 0
+    return ["pade", "d0", "d2", "d4", "d6", "im_s"], rows
 
 
-def cmd_mc(args, out):
+def cmd_mc(args):
     curve = _load_curve(args)
     times = tuple(_floats(args.times, "--times"))
     try:
         cfg = McConfig(walkers=args.walkers, dt=args.dt, t_grid=times, seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    rows = simulate_survival(curve, cfg)
-    manifest = _manifest(args, shape=json.dumps(curve_to_json(curve)))
-    _write_csv(out, manifest, ["t", "S_hat", "stderr"], rows)
-    return 0
+    return ["t", "S_hat", "stderr"], simulate_survival(curve, cfg)
 
 
 def build_parser():
@@ -365,7 +353,13 @@ def main(argv=None):
     try:
         out = _open_out(args.out)
         try:
-            return args.func(args, out)
+            # The subcommand has normalized args.shape and resolved args.method.
+            result = args.func(args)
+            if isinstance(result, dict):
+                _write_json(out, _manifest(args), result)
+            else:
+                _write_csv(out, _manifest(args), *result)
+            return 0
         finally:
             if out is not sys.stdout:
                 out.close()
