@@ -180,8 +180,32 @@ class FourierCurve(BoundaryCurve):
         return FourierCurve(self.cos_coeffs, tuple(-s for s in self.sin_coeffs))
 
 
+# Each shape kind's fields besides "kind"; a shape may hold no others.
+_SHAPE_FIELDS = {"disk": {"R"}, "ellipse": {"b", "eps"}, "fourier": {"cos", "sin"}}
+
+
+def _number(value, name):
+    """A JSON number as a float: an int or a float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{name} is outside the double range") from exc
+
+
+def _numbers(value, name):
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be an array of numbers, got {value!r}")
+    return tuple(_number(v, name) for v in value)
+
+
 def curve_from_json(spec) -> BoundaryCurve:
-    """Build a curve from a shape dict or a JSON file path / string."""
+    """Build a curve from a shape dict or a JSON file path / string.
+
+    ``R``, ``b`` and ``eps`` must be numbers and ``cos`` and ``sin``
+    arrays of numbers; a key that the kind does not read is an error.
+    """
     if isinstance(spec, str):
         try:
             with open(spec) as fh:
@@ -191,13 +215,17 @@ def curve_from_json(spec) -> BoundaryCurve:
     if not isinstance(spec, dict):
         raise ValueError(f"a shape must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
+    if kind not in _SHAPE_FIELDS:
+        raise ValueError(f"unknown shape kind {kind!r}")
+    unknown = sorted(set(spec) - _SHAPE_FIELDS[kind] - {"kind"})
+    if unknown:
+        raise ValueError(f"a {kind} shape has no field {', '.join(map(repr, unknown))}")
     if kind == "disk":
-        return Disk(R=float(spec["R"]))
+        return Disk(R=_number(spec["R"], "R"))
     if kind == "ellipse":
-        return Ellipse(b=float(spec["b"]), eps=float(spec["eps"]))
-    if kind == "fourier":
-        return FourierCurve(tuple(spec.get("cos", [1.0])), tuple(spec.get("sin", [])))
-    raise ValueError(f"unknown shape kind {kind!r}")
+        return Ellipse(b=_number(spec["b"], "b"), eps=_number(spec["eps"], "eps"))
+    cos = _numbers(spec.get("cos", [1.0]), "cos")
+    return FourierCurve(cos, _numbers(spec.get("sin", []), "sin"))
 
 
 def curve_to_json(curve: BoundaryCurve) -> dict:

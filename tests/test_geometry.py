@@ -315,6 +315,49 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="JSON object"):
             curve_from_json(spec)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"kind":"fourier","cos":"3"}',
+            '{"kind":"fourier","cos":{"1":0}}',
+            '{"kind":"fourier","sin":"0"}',
+            '{"kind":"fourier","cos":[2.0,true]}',
+            '{"kind":"fourier","cos":[1.0,"0.1"]}',
+            '{"kind":"disk","R":true}',
+            '{"kind":"disk","R":"2"}',
+            pytest.param('{"kind":"disk","R":1' + "0" * 400 + "}", id="R-past-double-range"),
+            '{"kind":"ellipse","b":"1","eps":0.5}',
+            '{"kind":"ellipse","b":1.0,"eps":false}',
+        ],
+    )
+    def test_values_must_be_numbers(self, spec):
+        with pytest.raises(ValueError, match="number|double range"):
+            curve_from_json(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"kind":"fourier","cos":[1.0],"sn":[0.2]}',
+            '{"kind":"disk","R":1.0,"eps":0.5}',
+            '{"kind":"ellipse","b":1.0,"eps":0.5,"R":2.0}',
+        ],
+    )
+    def test_unknown_field_rejected(self, spec):
+        with pytest.raises(ValueError, match="has no field"):
+            curve_from_json(spec)
+
+    @pytest.mark.parametrize(
+        "spec, curve",
+        [
+            ('{"kind":"disk","R":2}', Disk(R=2.0)),
+            ('{"kind":"ellipse","b":1,"eps":0}', Ellipse(b=1.0, eps=0.0)),
+            ('{"kind":"fourier","cos":[1,0]}', FourierCurve((1.0, 0.0))),
+            ('{"kind":"fourier"}', FourierCurve((1.0,), ())),
+        ],
+    )
+    def test_integers_and_defaults_accepted(self, spec, curve):
+        assert curve_from_json(spec) == curve
+
 
 class TestMeasures:
     def test_disk(self):
