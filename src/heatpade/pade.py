@@ -42,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import IllConditioned, NoSolutionFound
+from .errors import IllConditioned, NoSolutionFound, UnsupportedOrder
 from .heat_content import LargeSSeries
 from .series import quotient
 
@@ -76,6 +76,14 @@ _CORRECTOR_TOL = 1e-8
 _AT_INFINITY = 1e12
 # Endpoints this close to real, relative to 1 + |p|, are polished.
 _REAL_TOL = 1e-6
+# Highest order the solver takes.  A batch tracks 2^n paths per order n,
+# and the mixed batch's per-row gather of the tracked arrays costs
+# O(2^n n^3) memory, about 2.4 times more per order: the disk ladder peaks
+# at 120-145 MB for n <= 10, 254 MB and 15 CPU s for n <= 11, and 613 MB
+# and 55 CPU s for n <= 12 (2 cores, single-threaded BLAS).  At n = 40 the
+# start array alone would need 640 TiB.  The disk has no physical row
+# from n = 11 on; n = 12 keeps a 12-row Table 1 within reach.
+MAX_ORDER = 12
 
 
 @dataclass(frozen=True)
@@ -483,6 +491,8 @@ def _homotopy_endpoints(tracked):
 
 def _solution_sets(c: LargeSSeries, orders):
     """Each ascending order's real interpolants in turn, from one exact series and one batch."""
+    if orders[-1] > MAX_ORDER:
+        raise UnsupportedOrder(f"the solver stops at order {MAX_ORDER}, got {orders[-1]}")
     _require_terms(c, orders[-1])
     inv, scale = _inverse_series(c, orders[-1])
     systems = [_division_free_system(inv, scale, n) for n in orders]
@@ -609,6 +619,8 @@ def prony_moments(d, m: int):
     sorted by ascending lambda.
     """
     d = np.asarray([float(v) for v in d])
+    if m < 1:
+        raise ValueError(f"need m >= 1 modes, got {m}")
     if len(d) < 2 * m:
         raise ValueError(f"need 2m = {2 * m} coefficients, got {len(d)}")
     mu = np.array([(-1) ** k * d[k] for k in range(2 * m)])

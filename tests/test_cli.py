@@ -203,6 +203,14 @@ class TestPadeAndLambda1:
         assert sol["closest_pole"][1] == pytest.approx(1.756, rel=1e-2)
         assert len(sol["poles"]) == 3
 
+    def test_order_past_the_solver_ceiling_is_numeric_error(self, tmp_path, capsys):
+        out = tmp_path / "sol.json"
+        assert main(["pade", "--shape", DISK, "--n", "13", "--out", str(out)]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "UnsupportedOrder"
+        assert record["subcommand"] == "pade"
+        assert out.read_text() == ""
+
     def test_lambda1_ladder(self, tmp_path):
         out = tmp_path / "lam.csv"
         code = main(

@@ -14,6 +14,7 @@ from heatpade.errors import (
     DegenerateDenominator,
     IllConditioned,
     NoSolutionFound,
+    UnsupportedOrder,
 )
 from heatpade.geometry import Disk, Ellipse
 from heatpade.heat_content import ExpansionMode, LargeSSeries, tau_large_s_series
@@ -856,6 +857,27 @@ class TestOneExactSystem:
         with pytest.raises(ValueError, match=f"^need large-s coefficients c_1..c_4, got {len(terms)}$"):
             solve(LargeSSeries(terms), 2)
 
+    @pytest.mark.parametrize("solve", [solve_interpolation, ladder])
+    def test_order_past_the_ceiling_is_refused(self, solve, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an order past the ceiling must be refused before any work")
+
+        monkeypatch.setattr(pade, "_inverse_series", refuse)
+        monkeypatch.setattr(pade, "_homotopy_endpoints", refuse)
+        with pytest.raises(UnsupportedOrder, match="stops at order 12, got 13$"):
+            solve(tau_large_s_series(Disk(), 15), 13)
+
+    def test_order_at_the_ceiling_is_tracked(self, monkeypatch):
+        class Tracked(Exception):
+            pass
+
+        def stop(tracked):
+            raise Tracked
+
+        monkeypatch.setattr(pade, "_homotopy_endpoints", stop)
+        with pytest.raises(Tracked):
+            solve_interpolation(tau_large_s_series(Disk(), 14), pade.MAX_ORDER)
+
     def test_only_the_orders_that_read_an_infinite_coefficient_fail(self, disk_series, disk_ladder):
         # Order n reads c_1..c_(n+2), so an infinite c_5 leaves orders 1 and 2 whole.
         c = LargeSSeries(disk_series.c[:4] + (math.inf,) + disk_series.c[5:])
@@ -965,6 +987,11 @@ class TestPronyMoments:
     def test_requires_enough_coefficients(self):
         with pytest.raises(ValueError):
             prony_moments([0.125, -0.02], 2)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_requires_a_mode(self, m):
+        with pytest.raises(ValueError, match="m >= 1"):
+            prony_moments(maclaurin_tau_disk(1, 3), m)
 
     def test_ill_conditioned_raises(self):
         d = [float(v) for v in maclaurin_tau_disk(1, 9)]
