@@ -81,8 +81,8 @@ _REAL_TOL = 1e-6
 # O(2^n n^3) memory, about 2.4 times more per order: the disk ladder peaks
 # at 120-145 MB for n <= 10, 254 MB and 15 CPU s for n <= 11, and 613 MB
 # and 55 CPU s for n <= 12 (2 cores, single-threaded BLAS).  At n = 40 the
-# start array alone would need 640 TiB.  The disk has no physical row
-# from n = 11 on; n = 12 keeps a 12-row Table 1 within reach.
+# start array alone would need 640 TiB.  The disk has no physical row at
+# n = 11 already; n = 12 keeps `heatpade table1 --n-max 12` possible.
 MAX_ORDER = 12
 
 
