@@ -198,10 +198,20 @@ def cmd_tau(args):
         c = tau_large_s_series(curve, j_max, args.mode)
         # A power of s past the double range gives a term of +-0, one below it +-inf.
         with np.errstate(all="ignore"):
-            rows = [(s, 1.0 / x**2 + sum(cj / x ** (j + 2) for j, cj in enumerate(c.c, start=1)))
-                    for s, x in zip(s_values, np.array(s_values))]
+            xs = np.array(s_values)
+            lead = [1.0 / x**2 for x in xs]
+            rows = [(s, bound + sum(cj / x ** (j + 2) for j, cj in enumerate(c.c, start=1)))
+                    for s, x, bound in zip(s_values, xs, lead)]
         if not all(math.isfinite(tau) for _, tau in rows):
             raise OverflowError("the truncated expansion leaves the double range")
+        # 0 <= S(t) <= 1 bounds tau(s) by 1/s^2, the leading term: computed on doubles
+        # under the errstate above, it underflows to 0 where s^2 would overflow.
+        for (s, tau), bound in zip(rows, lead):
+            if not 0.0 <= tau <= bound:
+                raise HeatPadeError(
+                    f"the truncated expansion gives tau({s!r}) = {float(tau)!r},"
+                    f" outside [0, 1/s^2] = [0, {float(bound)!r}]"
+                )
     return ["s", "tau"], rows
 
 

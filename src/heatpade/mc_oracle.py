@@ -5,22 +5,26 @@ uniformly in the domain and are killed the first time a step ends outside
 the boundary.  The surviving fraction estimates S(t) independently of the
 analytic modules, at first-passage bias O(sqrt(dt)).
 
-Each walker draws from its own counter-based stream derived from
-(seed, walker index), so results are bit-identical for a fixed seed no
-matter how the walkers are batched or parallelized.
+Each walker draws from its own SFC64 stream (Doty-Humphrey's Small Fast
+Chaotic generator), seeded through a SeedSequence of (seed, walker index),
+so results are bit-identical for a fixed seed no matter how the walkers
+are batched or parallelized.  SFC64 fills a (2048, 2) buffer of normals
+in about two thirds of Philox's time, and the draws are most of a
+walker's cost.
 
 A walker's path is built and tested in chunks of ``_PATH_CHUNK`` steps.
-One chunk costs about 13 us fixed plus 0.044 us per step (disk and
-ellipse alike, best of 200 timings on a 2-core x86-64 VM, numpy 2.4),
-and drawing the normals is most of the per-step part.  On the disk with
-dt = 1e-5 up to t = 0.1 (10 000 steps), a walker needs 5745 steps on
-average but a fixed 2048 generates 6486 in 3.2 chunks.  Fixed 1024
-(6100 in 6.1 chunks), fixed 512 (5916 in 11.7) and schedules growing from
-64 or 256 to 2048 (6144 in 6.7, 6182 in 5.4) save steps but pay more in
-fixed costs, so the chunk stays fixed.  The chunking also sets the
-rounding of the positions, since the running sum restarts at every chunk
-and the chunk's start position is added afterwards: any change to it
-changes the estimates.
+One chunk costs about 10 us fixed plus 0.029 us per step (disk and
+ellipse alike, 10th percentile of 400 interleaved timings per chunk size
+on a 2-core x86-64 VM, numpy 2.4), and drawing the normals is most of
+the per-step part.  On the disk with dt = 1e-5 up to t = 0.1 (10 000
+steps), a walker needs 5813 steps on average (4000 walkers, seed 0) but
+a fixed 2048 generates 6553 in 3.3 chunks.  Fixed 1024 (6166 in 6.1
+chunks), fixed 512 (5984 in 11.9) and schedules growing from 64 or 256
+to 2048 (6209 in 6.7, 6248 in 5.4) save steps but pay more in fixed
+costs, so the chunk stays fixed.  The chunking also sets the rounding of
+the positions, since the running sum restarts at every chunk and the
+chunk's start position is added afterwards: any change to it changes the
+estimates.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from .geometry import BoundaryCurve
 
-# Most steps per walker: about 45 s at the docstring's 0.044 us per step,
+# Most steps per walker: about 35 s on the docstring's cost model,
 # while every use here needs at most 10^4; a tiny dt would otherwise never end.
 _MAX_STEPS = 10**9
 
@@ -46,6 +50,11 @@ class McConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
+        for name in ("walkers", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.walkers < 1:
             raise ValueError("need at least one walker")
         if self.seed < 0:
@@ -61,7 +70,7 @@ class McConfig:
 
 
 def _walker_stream(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, index])))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, index])))
 
 
 def _uniform_start(curve: BoundaryCurve, rmax: float, rng: np.random.Generator):

@@ -184,6 +184,17 @@ class TestSurvivalAndTau:
         assert record["error"] == "OverflowError"
         assert record["subcommand"] == "tau"
 
+    def test_tau_expansion_outside_its_bound_is_numeric_error(self, capsys):
+        # 0 <= S <= 1 bounds tau(5) by 1/25; the sum to j = 40 diverges to about 2e5.
+        argv = ["tau", "--shape", ELLIPSE, "--s", "5", "--j-max", "40"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "HeatPadeError"
+        assert record["subcommand"] == "tau"
+        assert "1/s^2" in record["message"]
+
     def test_survival_overflow_is_numeric_error(self, capsys):
         assert main(["survival", "--shape", ELLIPSE, "--times", "1e300"]) == 1
         record = json.loads(capsys.readouterr().err)
