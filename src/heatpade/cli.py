@@ -40,7 +40,7 @@ from .heat_content import (
     tau_large_s_series,
 )
 from .mc_oracle import McConfig, simulate_survival
-from .pade import ladder, select_solution, selected_rows, solve_interpolation
+from .pade import selected_rows
 from .series import j0_zero, maclaurin_tau_disk
 
 
@@ -182,6 +182,11 @@ def cmd_survival(args):
     else:
         exp = small_time_expansion(curve, j_max, args.mode)
         rows = [(t, small_time_survival(exp, t)) for t in times]
+        for t, S in rows:
+            if not 0.0 <= S <= 1.0:
+                raise HeatPadeError(
+                    f"the truncated expansion gives S({t!r}) = {S!r}, outside [0, 1]"
+                )
     return ["t", "S"], rows
 
 
@@ -219,7 +224,7 @@ def cmd_pade(args):
     curve = _load_curve(args)
     n = _order(args.n, "--n")
     c = tau_large_s_series(curve, n + 2, args.mode)
-    sol = select_solution(solve_interpolation(c, n))
+    [sol] = selected_rows(c, [n])
     return {"solution": _solution_record(sol)}
 
 
@@ -227,28 +232,11 @@ def cmd_lambda1(args):
     curve = _load_curve(args)
     n_max = _order(args.n_max, "--n-max")
     c = tau_large_s_series(curve, n_max + 2, args.mode)
-    sols = ladder(c, n_max)
+    sols = selected_rows(c, range(1, n_max + 1))
     rows = [
         (sol.n, sol.closest_pole.imag, sol.closest_pole.real, sol.lambda1) for sol in sols
     ]
     return ["n", "im_s", "re_s", "lambda1"], rows
-
-
-def _sweep_cell(task):
-    eps, c, n_list = task
-    sols = selected_rows(c, n_list)
-    return [(eps, sol.n, sol.lambda1, sol.closest_pole.imag, sol.closest_pole.real) for sol in sols]
-
-
-def _worker_cap(n_cells):
-    text = os.environ.get("HEATPADE_THREADS")
-    try:
-        cap = int(text) if text else os.cpu_count() or 1
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise UsageError(f"HEATPADE_THREADS must be a positive integer, got {text!r}")
-    return max(1, min(cap, n_cells))
 
 
 def cmd_sweep(args):
@@ -262,21 +250,28 @@ def cmd_sweep(args):
         raise UsageError(str(exc)) from exc
     # An order beyond the mode's reach fails here, before any cell is solved.
     series = [tau_large_s_series(curve, max(n_list) + 2, args.mode) for curve in curves]
-    tasks = [(e, c, n_list) for e, c in zip(eps_list, series)]
-    workers = _worker_cap(len(tasks))
+    # One worker per cell, up to the CPUs this process may run on (taskset caps them).
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(series), cpus or 1)
+    cells = (series, [n_list] * len(series))
     if workers == 1:
-        results = [_sweep_cell(t) for t in tasks]
+        results = list(map(selected_rows, *cells))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, tasks))
-    rows = sorted(r for cell in results for r in cell)
+            results = list(pool.map(selected_rows, *cells))
+    # The cells are in ascending eps, and each one's rows in ascending n.
+    rows = [
+        (e, sol.n, sol.lambda1, sol.closest_pole.imag, sol.closest_pole.real)
+        for e, sols in zip(eps_list, results)
+        for sol in sols
+    ]
     return ["eps", "n", "lambda1", "im_s", "re_s"], rows
 
 
 def cmd_table1(args):
     n_max = _order(args.n_max, "--n-max")
     c = tau_large_s_series(Disk(), n_max + 2)
-    sols = ladder(c, n_max)
+    sols = selected_rows(c, range(1, n_max + 1))
     rows = []
     for sol in sols:
         d = sol.small_s_coeffs

@@ -491,6 +491,8 @@ def _homotopy_endpoints(tracked):
 
 def _solution_sets(c: LargeSSeries, orders):
     """Each ascending order's real interpolants in turn, from one exact series and one batch."""
+    if not orders or orders[0] < 1:
+        raise ValueError("order must be >= 1")
     if orders[-1] > MAX_ORDER:
         raise UnsupportedOrder(f"the solver stops at order {MAX_ORDER}, got {orders[-1]}")
     _require_terms(c, orders[-1])
@@ -541,8 +543,6 @@ def solve_interpolation(
     The search has no randomness and no starting guess: ``seed`` and
     ``n_multistart`` are accepted for compatibility and have no effect.
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
     return next(_solution_sets(c, [n]))
 
 
@@ -554,10 +554,7 @@ def selected_rows(c: LargeSSeries, orders):
     ``solve_interpolation`` and ``select_solution`` do.  The error raised
     is the first failing order's, as when the orders are solved one by one.
     """
-    orders = sorted(orders)
-    if not orders or orders[0] < 1:
-        raise ValueError("order must be >= 1")
-    return [select_solution(s) for s in _solution_sets(c, orders)]
+    return [select_solution(s) for s in _solution_sets(c, sorted(orders))]
 
 
 def ladder(

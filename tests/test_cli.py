@@ -5,8 +5,9 @@ from importlib import metadata
 
 import pytest
 
-from heatpade import __version__, cli
+from heatpade import Ellipse, __version__, cli, tau_large_s_series
 from heatpade.cli import main
+from heatpade.pade import selected_rows
 
 DISK = '{"kind":"disk","R":1.0}'
 ELLIPSE = '{"kind":"ellipse","b":1.0,"eps":0.5}'
@@ -195,6 +196,23 @@ class TestSurvivalAndTau:
         assert record["subcommand"] == "tau"
         assert "1/s^2" in record["message"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--shape", ELLIPSE, "--times", "0.01,0.5", "--j-max", "40"],
+            ["--shape", DISK, "--method", "expansion", "--times", "5"],
+        ],
+    )
+    def test_survival_expansion_outside_0_1_is_numeric_error(self, argv, capsys):
+        # The truncated sums are about 2e10 and 12.75: no probability.
+        assert main(["survival"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "HeatPadeError"
+        assert record["subcommand"] == "survival"
+        assert "outside [0, 1]" in record["message"]
+
     def test_survival_overflow_is_numeric_error(self, capsys):
         assert main(["survival", "--shape", ELLIPSE, "--times", "1e300"]) == 1
         record = json.loads(capsys.readouterr().err)
@@ -263,8 +281,7 @@ class TestSweep:
         _, _, lam_rows = read_csv(lam_out)
         assert float(sweep_rows[0][2]) == pytest.approx(float(lam_rows[-1][3]), rel=1e-9)
 
-    def test_rows_sorted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HEATPADE_THREADS", "1")
+    def test_rows_sorted(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(
             ["sweep", "--eps", "0.3,0.1", "--n", "2,1", "--out", str(out)]
@@ -274,6 +291,42 @@ class TestSweep:
         keys = [(float(r[0]), int(r[1])) for r in rows]
         assert keys == sorted(keys)
         assert len(keys) == 4
+
+    def test_rows_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        # One CPU solves the cells inline, two in a process pool of two workers.
+        pools = []
+
+        class RecordingPool(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        eps, n_list = [0.1, 0.3, 0.5], [2, 3]
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)))
+            out = tmp_path / f"sweep{cpus}.csv"
+            argv = ["sweep", "--eps", ",".join(map(str, eps)), "--n", ",".join(map(str, n_list))]
+            assert main(argv + ["--out", str(out)]) == 0
+            runs.append(read_csv(out)[2])
+        assert pools == [2]
+        assert runs[0] == runs[1]
+        series = [tau_large_s_series(Ellipse(b=1.0, eps=e), max(n_list) + 2) for e in eps]
+        expected = [
+            (e, sol.n, sol.lambda1, sol.closest_pole.imag, sol.closest_pole.real)
+            for e, c in zip(eps, series)
+            for sol in selected_rows(c, n_list)
+        ]
+        assert [(float(r[0]), int(r[1]), *map(float, r[2:])) for r in runs[0]] == expected
+
+    def test_unknown_cpu_count_solves_inline(self, monkeypatch, capsys):
+        # Without the affinity call, os.cpu_count() counts, and None means one CPU.
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+        assert main(["sweep", "--eps", "0.1,0.3", "--n", "1"]) == 0
+        assert capsys.readouterr().out.count("\n0.") == 2
 
     def test_savo_order_cap_is_numeric_error(self, capsys):
         code = main(["sweep", "--eps", "0.1", "--n", "5", "--mode", "savo"])
@@ -442,12 +495,6 @@ class TestUsage:
     def test_bad_order_is_usage_error(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {argv[-2]} must be >= 1")
-
-    @pytest.mark.parametrize("threads", ["x", "0", "-2", "1.5"])
-    def test_bad_worker_count_is_usage_error(self, threads, monkeypatch, capsys):
-        monkeypatch.setenv("HEATPADE_THREADS", threads)
-        assert main(["sweep", "--eps", "0.1", "--n", "1"]) == 2
-        assert capsys.readouterr().err.startswith("error: HEATPADE_THREADS must be a positive")
 
     def test_out_into_missing_directory_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "coeffs.csv"
