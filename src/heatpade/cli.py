@@ -40,7 +40,7 @@ from .heat_content import (
     tau_large_s_series,
 )
 from .mc_oracle import McConfig, simulate_survival
-from .pade import selected_rows
+from .pade import selected_rows, solver_orders
 from .series import j0_zero, maclaurin_tau_disk
 
 
@@ -73,8 +73,10 @@ def _j_max(args):
 
 
 def _order(value, flag):
+    """The highest solver order, checked before any series is built."""
     if value < 1:
         raise UsageError(f"{flag} must be >= 1, got {value}")
+    solver_orders([value])
     return value
 
 
@@ -244,6 +246,7 @@ def cmd_sweep(args):
     n_list = sorted(set(_ints(args.n, "--n")))
     if any(n < 1 for n in n_list):
         raise UsageError("orders must be >= 1")
+    solver_orders(n_list)
     try:
         curves = [Disk(R=args.b) if e == 0.0 else Ellipse(b=args.b, eps=e) for e in eps_list]
     except ValueError as exc:

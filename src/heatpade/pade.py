@@ -15,10 +15,13 @@ n quadratics F(p) = C + B p + A[p, p], with at most 2^n isolated roots.
 Every constant comes from one series, of 1/(s^2 tau) in 1/s, built once
 per solve and exactly: each c_j is a double, so the series and every
 order's arrays are Python integers over one power of two.  A
-total-degree homotopy tracks one path to each root on those arrays
-rounded once to doubles, with no randomness and no starting guess: a
-fourth-order Runge-Kutta predictor, steps in t of at most 0.1, and a
-Newton corrector; a ladder of orders is one batch.  A real endpoint
+total-degree homotopy (``_homotopy_endpoints``) tracks one path to each
+root on those arrays rounded once to doubles, with no randomness and no
+starting guess; a ladder of orders is one batch.  It supplies the
+start points and H, H_p and H_t, and judges each order's endpoints; the
+path tracker (``_track``: a fourth-order Runge-Kutta predictor, steps in
+t of at most 0.1 and a Newton corrector) takes any homotopy in that
+form.  A real endpoint
 becomes a solution only when Newton on the exact residuals of the same
 integers reaches a step below 1e-20 (relative to 1 + |p|) within 8
 steps, and the polished q0 is not 0: the one acceptance rule, so the
@@ -66,6 +69,7 @@ _RE_SLACK = 1e-3
 # phases of gamma let a path pass through a singular point for t < 1; a
 # fixed gamma away from the real axis makes the tracking reproducible.
 _GAMMA = 0.6 + 0.8j
+# Path tracking (``_track``).
 _MAX_STEP = 0.1
 _MIN_STEP = 1e-14
 # A step that would leave less than this short of t = 1 ends at t = 1: ten
@@ -359,6 +363,61 @@ def _solve_rows(A, b):
         return np.concatenate([_solve_rows(A[i : i + 1], b[i : i + 1]) for i in range(len(b))])
 
 
+def _track(at, p, group):
+    """Follow each row of p from t = 0 to t = 1: (ends, t at the ends, each group's stall flag).
+
+    ``group`` numbers each row's group from 0, and ``at(groups)`` returns
+    the homotopy of live rows of those groups, (p, t) -> (H, H_p, -H_t)
+    at each row; it is called again only when rows leave.  Each round is
+    the classical four-stage Runge-Kutta predictor (RK4) on
+    dp/dt = -H_p^-1 H_t, then ``_CORRECTOR_STEPS`` Newton steps, each
+    stage one batched ``np.linalg.solve`` (``_solve_rows``: a singular
+    H_p gives its row a NaN step, which fails).  RK4 lands closer to the
+    path than an Euler step, so fewer steps fail and the step cap can be
+    larger (Bates, Hauenstein, Sommese & Wampler, "Numerically Solving
+    Polynomial Systems with Bertini", 2013).  A step succeeds when the
+    last Newton correction is within ``_CORRECTOR_TOL`` of 1 + |p|; each
+    row's step then grows by 1.5 up to ``_MAX_STEP``, and halves on
+    failure; a step that would stop within ``_END_SLACK`` of t = 1 is
+    stretched to end there.  A row leaves when it reaches t = 1, when its
+    |p| passes ``_AT_INFINITY`` (a path to a root at infinity: it ends at
+    t < 1 and is no stall), or when its group stalls: the step of one of
+    the group's rows fell below ``_MIN_STEP`` short of infinity.
+    """
+    p_end, t_end = np.empty_like(p), np.empty(len(p))
+    p, t, h = p.copy(), np.zeros(len(p)), np.full(len(p), _MAX_STEP)
+    stalled = np.zeros(group.max() + 1, dtype=bool)
+    rows, homotopy = np.arange(len(p)), at(group)
+    with np.errstate(all="ignore"):
+        while True:
+            dt = np.where(1.0 - t <= h + _END_SLACK, 1.0 - t, h)
+            step = dt[:, None]
+            # RK4 predictor; each stage solves H_p v = -H_t.
+            v1 = _solve_rows(*homotopy(p, t)[1:])
+            v2 = _solve_rows(*homotopy(p + step / 2 * v1, t + dt / 2)[1:])
+            v3 = _solve_rows(*homotopy(p + step / 2 * v2, t + dt / 2)[1:])
+            v4 = _solve_rows(*homotopy(p + step * v3, t + dt)[1:])
+            x = p + step / 6 * (v1 + 2 * v2 + 2 * v3 + v4)
+            for _ in range(_CORRECTOR_STEPS):
+                H, Hp, _ = homotopy(x, t + dt)
+                dx = _solve_rows(Hp, H)
+                x = x - dx
+            size = np.linalg.norm(x, axis=1)
+            ok = np.isfinite(size) & (np.linalg.norm(dx, axis=1) <= _CORRECTOR_TOL * (1.0 + size))
+            p[ok] = x[ok]
+            t[ok] += dt[ok]
+            h = np.where(ok, np.minimum(1.5 * h, _MAX_STEP), 0.5 * h)
+            infinite = np.linalg.norm(p, axis=1) > _AT_INFINITY
+            stalled[group[rows][(h < _MIN_STEP) & ~infinite]] = True
+            done = infinite | (t >= 1.0) | stalled[group[rows]]
+            if done.any():
+                p_end[rows[done]], t_end[rows[done]] = p[done], t[done]
+                rows, p, t, h = rows[~done], p[~done], t[~done], h[~done]
+                if not len(rows):
+                    return p_end, t_end, stalled
+                homotopy = at(group[rows])
+
+
 def _homotopy_endpoints(tracked):
     """Finite roots of each order's quadratics, one per homotopy path, from their doubles.
 
@@ -368,133 +427,93 @@ def _homotopy_endpoints(tracked):
     complex gamma of Morgan's trick every path is regular for t < 1, so
     the paths reach every isolated root of F at t = 1 (A. Morgan, "Solving
     Polynomial Systems Using Continuation", 1987).  The paths of every
-    order advance in one batch of N = max(orders) unknowns: an order-n row
-    carries its own C, B and S, and its coordinates n..N-1 start at 0 and
-    follow H_j = p_j, so they stay exactly 0 and every test below sees
-    only the row's own n coordinates.  Finished rows leave the
-    batch, and the live rows' arrays are gathered each time some leave,
-    not per evaluation; the rows of a single order share its arrays.
-    Each round is a classical fourth-order Runge-Kutta predictor on
-    dp/dt = -H_p^-1 H_t, then ``_CORRECTOR_STEPS`` Newton steps, each
-    stage one batched ``np.linalg.solve`` (``_solve_rows``: a singular
-    H_p gives its row a NaN step, which fails).  A higher-order predictor
-    lands closer to the path, so fewer steps fail and the step cap can be
-    larger (Bates, Hauenstein, Sommese & Wampler, "Numerically Solving
-    Polynomial Systems with Bertini", 2013).  A step succeeds when the
-    last Newton correction is within ``_CORRECTOR_TOL`` of 1 + |p|; each
-    path's step then grows by 1.5 up to ``_MAX_STEP``, and halves on
-    failure; a step that would stop within ``_END_SLACK`` of t = 1 is
-    stretched to end there.  A path whose |p| passes ``_AT_INFINITY``
-    goes to a root at infinity and is dropped.  An order fails with
-    ``NoSolutionFound`` when one of its paths' step falls below
-    ``_MIN_STEP`` short of that, and its paths leave the batch, or when
-    two of its endpoints coincide within ``_DEDUP_TOL``, which means a
-    path jumped to another: its root set would be incomplete.  The other
+    order are one ``_track`` batch of N = max(orders) unknowns, one group
+    per order: an order-n row carries its own C, B and S, and its
+    coordinates n..N-1 start at 0 and follow H_j = p_j, so they stay
+    exactly 0 and every test sees only the row's own n coordinates.  The
+    live rows' arrays are gathered each time some rows leave, not per
+    evaluation; the rows of a single order share its arrays.  An order
+    fails with ``NoSolutionFound`` when its group stalls, or when two of
+    its endpoints coincide within ``_DEDUP_TOL``, which means a path
+    jumped to another: its root set would be incomplete.  The other
     orders are not affected.  Returns, for each order in ascending order,
-    its ``NoSolutionFound`` or its endpoints, shape (roots, N), whose
-    coordinates past the order's n are the padding, exactly 0.
+    its ``NoSolutionFound`` or the ends of its paths that reached t = 1,
+    shape (roots, N), whose coordinates past the order's n are the
+    padding, exactly 0.
     """
     orders = [len(C) for C, _, _ in tracked]
-    N = orders[-1]
-    Cs = np.zeros((len(orders), N), dtype=complex)
+    k, N = len(orders), orders[-1]
+    Cs = np.zeros((k, N), dtype=complex)
     # A padded coordinate j has F_j = p_j: a 1 on B's diagonal.
-    Bs = np.tile(np.identity(N, dtype=complex), (len(orders), 1, 1))
-    Ss = np.zeros((len(orders), N, N, N), dtype=complex)
-    pads = np.arange(N) >= np.array(orders)[:, None]
-    starts = []
+    Bs = np.tile(np.identity(N, dtype=complex), (k, 1, 1))
+    Ss = np.zeros((k, N, N, N), dtype=complex)
+    group = np.repeat(np.arange(k), 2 ** np.array(orders))
+    starts = np.zeros((len(group), N), dtype=complex)
     for g, (n, (C, B, S)) in enumerate(zip(orders, tracked)):
-        Cs[g, :n] = C
-        Bs[g, :n, :n] = B
-        Ss[g, :n, :n, :n] = S.reshape(n, n, n)
-        start = np.zeros((2**n, N), dtype=complex)
-        start[:, :n] = list(itertools.product((1.0, -1.0), repeat=n))
-        starts.append(start)
-    Ss = Ss.reshape(len(orders), N, N * N)
+        Cs[g, :n], Bs[g, :n, :n], Ss[g, :n, :n, :n] = C, B, S.reshape(n, n, n)
+        starts[group == g, :n] = list(itertools.product((1.0, -1.0), repeat=n))
+    Ss = Ss.reshape(k, N, N * N)
     # G_j = gamma (p_j^2 - 1) on a row's own coordinates, and on a padded
     # one G_j = 0 with dG_j = 1, so that H_j = p_j there.
-    owns, pads = (~pads).astype(float), pads.astype(float)
+    pads = (np.arange(N) >= np.array(orders)[:, None]).astype(float)
 
-    # The live rows: their indices among all paths, and their state.
-    p = np.concatenate(starts)
-    group = np.repeat(np.arange(len(orders)), [len(s) for s in starts])
-    rows = np.arange(len(p))
-    t = np.zeros(len(p))
-    h = np.full(len(p), _MAX_STEP)
-    p_end, t_end = p.copy(), t.copy()
-    stalled = np.zeros(len(orders), dtype=bool)
-
-    def homotopy(p, t):
-        """H, dH/dp and -dH/dt at each row of p."""
-        PS = p @ Sk if Sk.ndim == 2 else np.matmul(p[:, None, :], Sk)[:, 0]
-        F, J = _quadratics(Ck, Bk, PS, p)
-        G = _GAMMA * (p**2 - own)
-        s = t[:, None]
-        r = 1.0 - s
-        Hp = s[:, :, None] * J
-        Hp.reshape(len(p), N * N)[:, :: N + 1] += r * (_GAMMA * 2.0 * p + pad)
-        return r * G + s * F, Hp, G - F
-
-    def velocity(p, t):
-        """dp/dt = -H_p^-1 H_t along each path."""
-        _, Hp, minus_Ht = homotopy(p, t)
-        return _solve_rows(Hp, minus_Ht)
-
-    while len(rows):
-        grp = group[rows]
+    def at(groups):
         # One order's rows share its arrays; a mixed batch gathers them per row.
-        sel = grp[0] if (grp == grp[0]).all() else grp
-        Ck, Bk, Sk, own, pad = Cs[sel], Bs[sel], Ss[sel], owns[sel], pads[sel]
-        done = np.zeros(len(rows), dtype=bool)
-        while not done.any():
-            dt = np.where(1.0 - t <= h + _END_SLACK, 1.0 - t, h)
-            step = dt[:, None]
-            with np.errstate(all="ignore"):
-                # Classical fourth-order Runge-Kutta predictor.
-                v1 = velocity(p, t)
-                v2 = velocity(p + step / 2 * v1, t + dt / 2)
-                v3 = velocity(p + step / 2 * v2, t + dt / 2)
-                v4 = velocity(p + step * v3, t + dt)
-                x = p + step / 6 * (v1 + 2 * v2 + 2 * v3 + v4)
-                for _ in range(_CORRECTOR_STEPS):
-                    H, Hp, _ = homotopy(x, t + dt)
-                    dx = _solve_rows(Hp, H)
-                    x = x - dx
-                size = np.linalg.norm(x, axis=1)
-                ok = np.isfinite(size) & (np.linalg.norm(dx, axis=1) <= _CORRECTOR_TOL * (1.0 + size))
-                p[ok] = x[ok]
-                t[ok] += dt[ok]
-                h = np.where(ok, np.minimum(1.5 * h, _MAX_STEP), 0.5 * h)
-                infinite = np.linalg.norm(p, axis=1) > _AT_INFINITY
-            stalled[grp[(h < _MIN_STEP) & ~infinite]] = True
-            done = infinite | (t >= 1.0) | stalled[grp]
-        # Finished rows leave the batch.
-        p_end[rows[done]], t_end[rows[done]] = p[done], t[done]
-        keep = ~done
-        rows, p, t, h = rows[keep], p[keep], t[keep], h[keep]
+        sel = groups[0] if (groups == groups[0]).all() else groups
+        C, B, S, pad, own = Cs[sel], Bs[sel], Ss[sel], pads[sel], 1.0 - pads[sel]
 
+        def homotopy(p, t):
+            PS = p @ S if S.ndim == 2 else np.matmul(p[:, None, :], S)[:, 0]
+            F, J = _quadratics(C, B, PS, p)
+            G = _GAMMA * (p**2 - own)
+            s = t[:, None]
+            r = 1.0 - s
+            Hp = s[:, :, None] * J
+            Hp.reshape(len(p), N * N)[:, :: N + 1] += r * (_GAMMA * 2.0 * p + pad)
+            return r * G + s * F, Hp, G - F
+
+        return homotopy
+
+    p, t, stalled = _track(at, starts, group)
     results = []
     for g, n in enumerate(orders):
-        if stalled[g]:
-            results.append(NoSolutionFound(f"a homotopy path stalled at a finite point at order {n}"))
-            continue
-        ends = p_end[(group == g) & (t_end >= 1.0)]
+        ends = p[(group == g) & (t >= 1.0)]
         roots = ends[:, :n]
-        size = 1.0 + np.linalg.norm(roots, axis=1)
-        for i in range(len(roots) - 1):
-            gap = np.linalg.norm(roots[i + 1 :] - roots[i], axis=1)
-            if np.any(gap <= _DEDUP_TOL * np.maximum(size[i + 1 :], size[i])):
-                ends = NoSolutionFound(f"two homotopy paths ended at the same root at order {n}")
-                break
+        bound = _DEDUP_TOL * (1.0 + np.linalg.norm(roots, axis=1))
+        near = (np.linalg.norm(roots[i + 1 :] - roots[i], axis=1) <= np.maximum(bound[i + 1 :], bound[i])
+                for i in range(len(roots)))
+        if stalled[g]:
+            ends = NoSolutionFound(f"a homotopy path stalled at a finite point at order {n}")
+        elif any(map(np.any, near)):
+            ends = NoSolutionFound(f"two homotopy paths ended at the same root at order {n}")
         results.append(ends)
     return results
 
 
-def _solution_sets(c: LargeSSeries, orders):
-    """Each ascending order's real interpolants in turn, from one exact series and one batch."""
-    if not orders or orders[0] < 1:
-        raise ValueError("order must be >= 1")
+def solver_orders(orders):
+    """``orders`` as ascending ints, each an integer from 1 to ``MAX_ORDER``.
+
+    A numpy integer becomes the int it holds.  A bool or a float, 2.0
+    too, raises ``ValueError`` naming it, as do no order at all and an
+    order below 1; an order past ``MAX_ORDER`` raises ``UnsupportedOrder``.
+    """
+    orders = list(orders)
+    if not orders:
+        raise ValueError("no order was given")
+    for n in orders:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"order must be an integer, got {n!r}")
+    orders = sorted(int(n) for n in orders)
+    if orders[0] < 1:
+        raise ValueError(f"order must be >= 1, got {orders[0]}")
     if orders[-1] > MAX_ORDER:
         raise UnsupportedOrder(f"the solver stops at order {MAX_ORDER}, got {orders[-1]}")
+    return orders
+
+
+def _solution_sets(c: LargeSSeries, orders):
+    """Each of ``orders``' real interpolants in ascending order, from one exact series and one batch."""
+    orders = solver_orders(orders)
     _require_terms(c, orders[-1])
     inv, scale = _inverse_series(c, orders[-1])
     systems = [_division_free_system(inv, scale, n) for n in orders]
@@ -554,7 +573,7 @@ def selected_rows(c: LargeSSeries, orders):
     ``solve_interpolation`` and ``select_solution`` do.  The error raised
     is the first failing order's, as when the orders are solved one by one.
     """
-    return [select_solution(s) for s in _solution_sets(c, sorted(orders))]
+    return [select_solution(s) for s in _solution_sets(c, orders)]
 
 
 def ladder(
@@ -568,6 +587,7 @@ def ladder(
     One ``_homotopy_endpoints`` batch tracks every order's paths
     (``selected_rows``); ``seed`` and ``n_multistart`` have no effect.
     """
+    [n_max] = solver_orders([n_max])
     return selected_rows(c, range(1, n_max + 1))
 
 

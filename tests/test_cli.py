@@ -232,12 +232,31 @@ class TestPadeAndLambda1:
         assert sol["closest_pole"][1] == pytest.approx(1.756, rel=1e-2)
         assert len(sol["poles"]) == 3
 
-    def test_order_past_the_solver_ceiling_is_numeric_error(self, tmp_path, capsys):
-        out = tmp_path / "sol.json"
-        assert main(["pade", "--shape", DISK, "--n", "13", "--out", str(out)]) == 1
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pade", "--shape", DISK, "--n", "13"],
+            ["pade", "--shape", DISK, "--n", "300"],
+            ["pade", "--shape", DISK, "--n", "600"],
+            ["lambda1", "--shape", DISK, "--n-max", "300"],
+            ["sweep", "--eps", "0.2", "--n", "3,300"],
+            ["table1", "--n-max", "300"],
+        ],
+        ids=["pade-13", "pade-300", "pade-600", "lambda1-300", "sweep-300", "table1-300"],
+    )
+    def test_order_past_the_solver_ceiling_is_numeric_error(self, argv, tmp_path, capsys, monkeypatch):
+        # The order is refused before any series is built: one of order 300
+        # overflows a double, and one of order 600 takes seconds.
+        def refuse(*args):
+            raise AssertionError("an order past the ceiling must be refused before any series")
+
+        monkeypatch.setattr(cli, "tau_large_s_series", refuse)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "UnsupportedOrder"
-        assert record["subcommand"] == "pade"
+        assert record["message"] == f"the solver stops at order 12, got {argv[-1].split(',')[-1]}"
+        assert record["subcommand"] == argv[0]
         assert out.read_text() == ""
 
     def test_lambda1_ladder(self, tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -620,6 +621,58 @@ class TestExactDerivatives:
         assert all(1 <= evals <= 2 for evals in accepted)
 
 
+def _two_roots(groups, broken=None):
+    """H = (1 - t) gamma (p^2 - 1) + t (p^2 - 4) at rows of one unknown; NaN in group ``broken``."""
+
+    def homotopy(p, t):
+        s, G, F = t[:, None], pade._GAMMA * (p**2 - 1.0), p**2 - 4.0
+        H = (1.0 - s) * G + s * F
+        H[groups == broken] = np.nan
+        return H, ((1.0 - s) * pade._GAMMA * 2.0 * p + s * 2.0 * p)[:, :, None], G - F
+
+    return homotopy
+
+
+class TestTrack:
+    """``_track`` alone, on homotopies written out by hand."""
+
+    def test_paths_from_the_start_roots_end_at_the_target_roots(self):
+        ends, t, stalled = pade._track(_two_roots, np.array([[1.0], [-1.0]], dtype=complex), np.zeros(2, int))
+        assert np.array_equal(ends, [[2.0], [-2.0]])
+        assert np.array_equal(t, [1.0, 1.0])
+        assert np.array_equal(stalled, [False])
+
+    def test_a_stalling_group_stalls_alone(self):
+        calls = []
+
+        def at(groups):
+            calls.append(groups.tolist())
+            return _two_roots(groups, broken=1)
+
+        start = np.array([[1.0], [-1.0], [1.0], [-1.0]], dtype=complex)
+        ends, t, stalled = pade._track(at, start, np.array([0, 0, 1, 1]))
+        assert np.array_equal(stalled, [False, True])
+        assert np.array_equal(ends[:2], [[2.0], [-2.0]]) and np.array_equal(t[:2], [1.0, 1.0])
+        # A stalled row leaves where it stood, and the homotopy is asked for
+        # again only when rows leave.
+        assert np.array_equal(ends[2:], start[2:]) and np.array_equal(t[2:], [0.0, 0.0])
+        assert calls == [[0, 0, 1, 1], [1, 1]]
+
+    def test_a_path_past_the_bound_leaves_before_t_1_without_a_stall(self):
+        def at(groups):
+            # H = e^(-60 t) p - 1: p = e^(60 t) passes 1e12 near t = 0.46.
+            def homotopy(p, t):
+                e = np.exp(-60.0 * t)[:, None]
+                return e * p - 1.0, np.ones_like(p)[:, :, None] * e[:, :, None], 60.0 * e * p
+
+            return homotopy
+
+        ends, t, stalled = pade._track(at, np.array([[1.0]], dtype=complex), np.zeros(1, int))
+        assert abs(ends[0, 0]) > pade._AT_INFINITY
+        assert 0.0 < t[0] < 1.0
+        assert np.array_equal(stalled, [False])
+
+
 class TestHomotopy:
     @pytest.mark.parametrize("n, n_real", [(1, 2), (2, 2), (3, 2), (4, 4), (5, 4), (6, 8)])
     def test_every_path_ends_at_a_distinct_root(self, disk_series, n, n_real):
@@ -866,6 +919,31 @@ class TestOneExactSystem:
         monkeypatch.setattr(pade, "_homotopy_endpoints", refuse)
         with pytest.raises(UnsupportedOrder, match="stops at order 12, got 13$"):
             solve(tau_large_s_series(Disk(), 15), 13)
+
+    @pytest.mark.parametrize(
+        "solve", [solve_interpolation, ladder, lambda c, n: selected_rows(c, [1, n])],
+        ids=["solve_interpolation", "ladder", "selected_rows"],
+    )
+    @pytest.mark.parametrize(
+        "order, message",
+        [pytest.param(v, f"order must be an integer, got {v!r}", id=repr(v))
+         for v in (2.5, 2.0, True, np.float64(2.0), "2")]
+        + [pytest.param(0, "order must be >= 1, got 0", id="0")],
+    )
+    def test_order_must_be_a_positive_integer(self, disk_series, solve, order, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve(disk_series, order)
+
+    def test_no_order_is_a_usage_error(self, disk_series):
+        with pytest.raises(ValueError, match="^no order was given$"):
+            selected_rows(disk_series, [])
+
+    def test_numpy_integer_orders_are_ints(self, disk_series, disk_ladder):
+        rows = selected_rows(disk_series, [np.int64(2), np.uint8(1)])
+        assert [type(r.n) for r in rows] == [int, int]
+        assert [r.approximant for r in rows] == [r.approximant for r in disk_ladder[:2]]
+        assert type(solve_interpolation(disk_series, np.int32(1))[0].n) is int
+        assert type(ladder(disk_series, np.int64(1))[0].n) is int
 
     def test_order_at_the_ceiling_is_tracked(self, monkeypatch):
         class Tracked(Exception):
