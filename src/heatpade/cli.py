@@ -209,8 +209,11 @@ def cmd_tau(args):
             lead = [1.0 / x**2 for x in xs]
             rows = [(s, bound + sum(cj / x ** (j + 2) for j, cj in enumerate(c.c, start=1)))
                     for s, x, bound in zip(s_values, xs, lead)]
-        if not all(math.isfinite(tau) for _, tau in rows):
-            raise OverflowError("the truncated expansion leaves the double range")
+    # By either method, a tau past the double range is an overflow.
+    bad = [s for s, tau in rows if not math.isfinite(tau)]
+    if bad:
+        raise OverflowError(f"tau({bad[0]!r}) leaves the double range")
+    if method == "expansion":
         # 0 <= S(t) <= 1 bounds tau(s) by 1/s^2, the leading term: computed on doubles
         # under the errstate above, it underflows to 0 where s^2 would overflow.
         for (s, tau), bound in zip(rows, lead):

@@ -51,7 +51,8 @@ def survival_disk(t: float, R: float = 1.0) -> float:
     t / R^2 = ``_SHORT_TIME`` S is the disk's exact short-time series
     1 + sum_j sigma_j t^(j/2), with
     sigma_j = -2 a_(j-1) / (Gamma(j/2 + 1) R^j) from the series of I1/I0.
-    S(0) = 1 exactly: every walker starts inside.
+    S(0) = 1 exactly: every walker starts inside.  Where R^2 underflows to 0,
+    S is that of the unit disk at t / R / R (0.0 where that overflows).
     """
     if not t >= 0:
         raise ValueError("time must be non-negative")
@@ -59,6 +60,9 @@ def survival_disk(t: float, R: float = 1.0) -> float:
         raise ValueError("radius must be positive")
     if t == 0.0:
         return 1.0
+    if R * R == 0.0:
+        # S depends on t / R^2 alone; t / R / R is +inf unless t is subnormal.
+        return survival_disk(t / R / R)
     total = 0.0
     if t < _SHORT_TIME * R * R:
         a = asymptotic_ratio_coeffs(_SHORT_TIME_TERMS - 1)

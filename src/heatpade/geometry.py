@@ -295,7 +295,8 @@ def periodic_quadrature(
     a spectral derivative.  The grid is doubled while any row is
     unconverged; each row keeps the first value that changed by less than
     ``rtol`` (a scalar or one entry per row) relative to its magnitude, so
-    it equals a single-row call on the same samples bit for bit.
+    it equals a single-row call on the same samples bit for bit.  A row
+    that is not finite before it converges never will, and raises at once.
     """
 
     def pointwise(phi):
@@ -305,6 +306,11 @@ def periodic_quadrature(
     for samples in _nested_levels(pointwise, n_start, n_cap):
         rows = samples if level is None else level(samples)
         vals = rows.mean(axis=1) * (2.0 * np.pi)
+        # A sample past the double range stays in every finer grid.
+        pending = np.isnan(out) & ~np.isfinite(vals)
+        if pending.any():
+            bad = np.flatnonzero(pending).tolist()
+            raise QuadratureNotConverged(f"rows {bad} are not finite before they converged")
         if prev is not None:
             tol = rtol * np.maximum(np.abs(vals), 1e-3) + 1e-15
             out = np.where(np.isnan(out) & (np.abs(vals - prev) <= tol), vals, out)

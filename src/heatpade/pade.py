@@ -15,19 +15,15 @@ n quadratics F(p) = C + B p + A[p, p], with at most 2^n isolated roots.
 Every constant comes from one series, of 1/(s^2 tau) in 1/s, built once
 per solve and exactly: each c_j is a double, so the series and every
 order's arrays are Python integers over one power of two.  A
-total-degree homotopy (``_homotopy_endpoints``) tracks one path to each
-root on those arrays rounded once to doubles, with no randomness and no
-starting guess; a ladder of orders is one batch.  It supplies the
-start points and H, H_p and H_t, and judges each order's endpoints; the
-path tracker (``_track``: a fourth-order Runge-Kutta predictor, steps in
-t of at most 0.1 and a Newton corrector) takes any homotopy in that
-form.  A real endpoint
-becomes a solution only when Newton on the exact residuals of the same
-integers reaches a step below 1e-20 (relative to 1 + |p|) within 8
-steps, and the polished q0 is not 0: the one acceptance rule, so the
-roots are the same doubles from any start.  ``build_residuals`` writes
-the conditions out a second way, multiplying the polynomials out, as an
-independent check.
+total-degree homotopy (``_homotopy_endpoints``) on those arrays rounded
+once to doubles follows one path to each root on the tracker of
+``tracking``, with no randomness and no starting guess; a ladder of
+orders is one batch.  A real endpoint becomes a solution only when
+Newton on the exact residuals of the same integers reaches a step below
+1e-20 (relative to 1 + |p|) within 8 steps, and the polished q0 is not
+0: the one acceptance rule, so the roots are the same doubles from any
+start.  ``build_residuals`` writes the conditions out a second way,
+multiplying the polynomials out, as an independent check.
 The denominator root pair closest to the origin estimates the lowest
 Dirichlet eigenvalue via lambda_1 = Im[s]^2.
 
@@ -48,6 +44,7 @@ import numpy as np
 from .errors import IllConditioned, NoSolutionFound, UnsupportedOrder
 from .heat_content import LargeSSeries
 from .series import quotient
+from .tracking import track
 
 # Bound on the scaled ``build_residuals`` norm, ||r|| / (1 + ||x||), of an
 # accepted solution: a bound for the reference check, not a rule of the
@@ -69,15 +66,6 @@ _RE_SLACK = 1e-3
 # phases of gamma let a path pass through a singular point for t < 1; a
 # fixed gamma away from the real axis makes the tracking reproducible.
 _GAMMA = 0.6 + 0.8j
-# Path tracking (``_track``).
-_MAX_STEP = 0.1
-_MIN_STEP = 1e-14
-# A step that would leave less than this short of t = 1 ends at t = 1: ten
-# steps of 0.1 sum to 1 - 2^-53, which would cost a last full round.
-_END_SLACK = 1e-12
-_CORRECTOR_STEPS = 3
-_CORRECTOR_TOL = 1e-8
-_AT_INFINITY = 1e12
 # Endpoints this close to real, relative to 1 + |p|, are polished.
 _REAL_TOL = 1e-6
 # Highest order the solver takes.  A batch tracks 2^n paths per order n,
@@ -350,74 +338,6 @@ def _polish_extended(system, p0):
     return None
 
 
-def _solve_rows(A, b):
-    """A^-1 b for each row of a batch, and NaN for a row whose A is singular.
-
-    The rows are solved one by one only when the batched solve refuses one.
-    """
-    try:
-        return np.linalg.solve(A, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if len(b) == 1:
-            return np.full(b.shape, np.nan, dtype=complex)
-        return np.concatenate([_solve_rows(A[i : i + 1], b[i : i + 1]) for i in range(len(b))])
-
-
-def _track(at, p, group):
-    """Follow each row of p from t = 0 to t = 1: (ends, t at the ends, each group's stall flag).
-
-    ``group`` numbers each row's group from 0, and ``at(groups)`` returns
-    the homotopy of live rows of those groups, (p, t) -> (H, H_p, -H_t)
-    at each row; it is called again only when rows leave.  Each round is
-    the classical four-stage Runge-Kutta predictor (RK4) on
-    dp/dt = -H_p^-1 H_t, then ``_CORRECTOR_STEPS`` Newton steps, each
-    stage one batched ``np.linalg.solve`` (``_solve_rows``: a singular
-    H_p gives its row a NaN step, which fails).  RK4 lands closer to the
-    path than an Euler step, so fewer steps fail and the step cap can be
-    larger (Bates, Hauenstein, Sommese & Wampler, "Numerically Solving
-    Polynomial Systems with Bertini", 2013).  A step succeeds when the
-    last Newton correction is within ``_CORRECTOR_TOL`` of 1 + |p|; each
-    row's step then grows by 1.5 up to ``_MAX_STEP``, and halves on
-    failure; a step that would stop within ``_END_SLACK`` of t = 1 is
-    stretched to end there.  A row leaves when it reaches t = 1, when its
-    |p| passes ``_AT_INFINITY`` (a path to a root at infinity: it ends at
-    t < 1 and is no stall), or when its group stalls: the step of one of
-    the group's rows fell below ``_MIN_STEP`` short of infinity.
-    """
-    p_end, t_end = np.empty_like(p), np.empty(len(p))
-    p, t, h = p.copy(), np.zeros(len(p)), np.full(len(p), _MAX_STEP)
-    stalled = np.zeros(group.max() + 1, dtype=bool)
-    rows, homotopy = np.arange(len(p)), at(group)
-    with np.errstate(all="ignore"):
-        while True:
-            dt = np.where(1.0 - t <= h + _END_SLACK, 1.0 - t, h)
-            step = dt[:, None]
-            # RK4 predictor; each stage solves H_p v = -H_t.
-            v1 = _solve_rows(*homotopy(p, t)[1:])
-            v2 = _solve_rows(*homotopy(p + step / 2 * v1, t + dt / 2)[1:])
-            v3 = _solve_rows(*homotopy(p + step / 2 * v2, t + dt / 2)[1:])
-            v4 = _solve_rows(*homotopy(p + step * v3, t + dt)[1:])
-            x = p + step / 6 * (v1 + 2 * v2 + 2 * v3 + v4)
-            for _ in range(_CORRECTOR_STEPS):
-                H, Hp, _ = homotopy(x, t + dt)
-                dx = _solve_rows(Hp, H)
-                x = x - dx
-            size = np.linalg.norm(x, axis=1)
-            ok = np.isfinite(size) & (np.linalg.norm(dx, axis=1) <= _CORRECTOR_TOL * (1.0 + size))
-            p[ok] = x[ok]
-            t[ok] += dt[ok]
-            h = np.where(ok, np.minimum(1.5 * h, _MAX_STEP), 0.5 * h)
-            infinite = np.linalg.norm(p, axis=1) > _AT_INFINITY
-            stalled[group[rows][(h < _MIN_STEP) & ~infinite]] = True
-            done = infinite | (t >= 1.0) | stalled[group[rows]]
-            if done.any():
-                p_end[rows[done]], t_end[rows[done]] = p[done], t[done]
-                rows, p, t, h = rows[~done], p[~done], t[~done], h[~done]
-                if not len(rows):
-                    return p_end, t_end, stalled
-                homotopy = at(group[rows])
-
-
 def _homotopy_endpoints(tracked):
     """Finite roots of each order's quadratics, one per homotopy path, from their doubles.
 
@@ -426,20 +346,16 @@ def _homotopy_endpoints(tracked):
     (p_i^2 - 1) + t F(p) start at (+-1, ..., +-1) at t = 0.  With the
     complex gamma of Morgan's trick every path is regular for t < 1, so
     the paths reach every isolated root of F at t = 1 (A. Morgan, "Solving
-    Polynomial Systems Using Continuation", 1987).  The paths of every
-    order are one ``_track`` batch of N = max(orders) unknowns, one group
-    per order: an order-n row carries its own C, B and S, and its
-    coordinates n..N-1 start at 0 and follow H_j = p_j, so they stay
-    exactly 0 and every test sees only the row's own n coordinates.  The
-    live rows' arrays are gathered each time some rows leave, not per
-    evaluation; the rows of a single order share its arrays.  An order
-    fails with ``NoSolutionFound`` when its group stalls, or when two of
-    its endpoints coincide within ``_DEDUP_TOL``, which means a path
-    jumped to another: its root set would be incomplete.  The other
-    orders are not affected.  Returns, for each order in ascending order,
-    its ``NoSolutionFound`` or the ends of its paths that reached t = 1,
-    shape (roots, N), whose coordinates past the order's n are the
-    padding, exactly 0.
+    Polynomial Systems Using Continuation", 1987).  Every order's paths
+    are one ``tracking.track`` batch of N = max(orders) unknowns: an
+    order-n row has its own C, B and S, and its coordinates n..N-1 start
+    at 0 and follow H_j = p_j, so they stay exactly 0.  Only this function
+    maps rows to orders.  An order fails with ``NoSolutionFound`` when one
+    of its rows stalls, or when two of its endpoints coincide within
+    ``_DEDUP_TOL``: a path jumped to another, so its root set would be
+    incomplete.  The other orders are not affected.  Returns, for each
+    order in ascending order, its ``NoSolutionFound`` or the ends of its
+    paths that reached t = 1, shape (roots, N), padding exactly 0.
     """
     orders = [len(C) for C, _, _ in tracked]
     k, N = len(orders), orders[-1]
@@ -457,24 +373,23 @@ def _homotopy_endpoints(tracked):
     # one G_j = 0 with dG_j = 1, so that H_j = p_j there.
     pads = (np.arange(N) >= np.array(orders)[:, None]).astype(float)
 
-    def at(groups):
-        # One order's rows share its arrays; a mixed batch gathers them per row.
-        sel = groups[0] if (groups == groups[0]).all() else groups
+    def at(rows):
+        # Rows and their orders ascend: one order's rows share its arrays, a mix gathers them.
+        sel = group[rows[0]] if group[rows[0]] == group[rows[-1]] else group[rows]
         C, B, S, pad, own = Cs[sel], Bs[sel], Ss[sel], pads[sel], 1.0 - pads[sel]
 
         def homotopy(p, t):
             PS = p @ S if S.ndim == 2 else np.matmul(p[:, None, :], S)[:, 0]
             F, J = _quadratics(C, B, PS, p)
             G = _GAMMA * (p**2 - own)
-            s = t[:, None]
-            r = 1.0 - s
+            s, r = t[:, None], 1.0 - t[:, None]
             Hp = s[:, :, None] * J
             Hp.reshape(len(p), N * N)[:, :: N + 1] += r * (_GAMMA * 2.0 * p + pad)
             return r * G + s * F, Hp, G - F
 
         return homotopy
 
-    p, t, stalled = _track(at, starts, group)
+    p, t, stalled = track(at, starts)
     results = []
     for g, n in enumerate(orders):
         ends = p[(group == g) & (t >= 1.0)]
@@ -482,7 +397,7 @@ def _homotopy_endpoints(tracked):
         bound = _DEDUP_TOL * (1.0 + np.linalg.norm(roots, axis=1))
         near = (np.linalg.norm(roots[i + 1 :] - roots[i], axis=1) <= np.maximum(bound[i + 1 :], bound[i])
                 for i in range(len(roots)))
-        if stalled[g]:
+        if stalled[group == g].any():
             ends = NoSolutionFound(f"a homotopy path stalled at a finite point at order {n}")
         elif any(map(np.any, near)):
             ends = NoSolutionFound(f"two homotopy paths ended at the same root at order {n}")

@@ -148,6 +148,27 @@ class TestSurvivalAndTau:
         _, _, rows = read_csv(out)
         assert float(rows[0][1]) >= 0.0
 
+    def test_survival_disk_whose_radius_squared_underflows(self, tmp_path):
+        # R^2 underflows to 0 and t / R^2 overflows: S = 0 (this raised ZeroDivisionError).
+        out = tmp_path / "s.csv"
+        shape = '{"kind":"disk","R":1e-300}'
+        assert main(["survival", "--shape", shape, "--times", "1", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert rows == [["1.0", "0.0"]]
+
+    def test_tau_exact_overflow_is_numeric_error(self, capsys):
+        # At sR = 1, tau = R^2 / (2 K + 1), and R^2 = 1e600 overflows: this printed inf.
+        shape = '{"kind":"disk","R":1e300}'
+        assert main(["tau", "--shape", shape, "--s", "1e-300", "--method", "exact"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record == {
+            "error": "OverflowError",
+            "message": "tau(1e-300) leaves the double range",
+            "subcommand": "tau",
+        }
+
     def test_tau_rejects_nonpositive_s(self):
         assert main(["tau", "--shape", DISK, "--s", "0,1"]) == 2
 

@@ -140,6 +140,15 @@ class TestSurvivalDisk:
             with pytest.raises(ValueError, match="radius"):
                 survival_disk(0.1, R=R)
 
+    def test_radius_whose_square_underflows(self):
+        # R^2 is 0 below R = 2.2e-162, where S is the unit disk's at t / R / R:
+        # 0.0 where that overflows (this raised ZeroDivisionError).
+        assert survival_disk(1.0, R=1e-300) == 0.0
+        assert survival_disk(math.inf, R=1e-300) == 0.0
+        t, R = 5e-324, 1.5e-162
+        assert R * R == 0.0
+        assert survival_disk(t, R) == survival_disk(t / R / R) > 0.0
+
     def test_overflowing_term_ends_the_sum(self):
         with np.errstate(all="ignore"):
             assert math.isnan(survival_disk(math.inf, R=1e200))

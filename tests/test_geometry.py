@@ -474,6 +474,39 @@ class TestQuadrature:
                 lambda phi: np.stack([np.cos(phi) ** 2, rng.normal(size=phi.shape)]), n_cap=2048
             )
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_row_that_is_not_finite_raises_at_once(self, bad):
+        # Such a row never converges; the grid used to double to 2^20 panels.
+        calls = []
+
+        def integrand(phi):
+            calls.append(len(phi))
+            return np.stack([np.cos(phi) ** 2, np.full(phi.shape, bad)])
+
+        message = r"^rows \[1\] are not finite before they converged$"
+        with pytest.raises(QuadratureNotConverged, match=message):
+            periodic_quadrature(integrand)
+        assert len(calls) == 1
+
+    def test_converged_row_that_turns_infinite_keeps_its_value(self):
+        # exp(2 cos) converges on the third call (n_start = 4, as in
+        # test_stacked_rows_match_single_rows) and is inf from the fourth on;
+        # only the rows that have not converged must be finite.
+        calls = []
+
+        def integrand(phi):
+            calls.append(len(phi))
+            first = np.exp(2.0 * np.cos(phi)) if len(calls) <= 3 else np.full(phi.shape, math.inf)
+            return np.stack([first, 1.0 / (1.05 - np.cos(phi))])
+
+        with np.errstate(invalid="ignore"):  # inf - inf in the converged row
+            got = periodic_quadrature(integrand, n_start=4)
+        want = periodic_quadrature(
+            lambda phi: np.stack([np.exp(2.0 * np.cos(phi)), 1.0 / (1.05 - np.cos(phi))]), n_start=4
+        )
+        assert got.tolist() == want.tolist()
+        assert calls == [8, 8, 16, 32, 64, 128]
+
     def test_per_row_rtol(self):
         f = lambda phi: 1.0 / (1.05 - np.cos(phi))  # noqa: E731
         loose, tight = periodic_quadrature(

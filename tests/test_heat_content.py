@@ -258,6 +258,47 @@ def _own_pass(curve, J, mode):
         return tau_large_s_series(_fresh(curve), J, mode)
 
 
+class TestRowsPastTheDoubleRange:
+    """A quadrature row that is not finite fails its pass on the first grid that shows it."""
+
+    @staticmethod
+    def _integrand_calls(monkeypatch):
+        calls = []
+        original = geometry.periodic_quadrature
+
+        def counted(integrand, *args, **kwargs):
+            def counting(phi):
+                calls.append(len(phi))
+                return integrand(phi)
+
+            return original(counting, *args, **kwargs)
+
+        monkeypatch.setattr(geometry, "periodic_quadrature", counted)
+        return calls
+
+    def test_overflowing_superset_falls_back_at_once(self, monkeypatch):
+        # kappa^5 = 1e350 overflows in the shared superset pass; the series'
+        # own pass reads kappa^2 at most.  It took 13 calls and 0.5 s.
+        calls = self._integrand_calls(monkeypatch)
+        with np.errstate(all="ignore"):
+            got = tau_large_s_series(Disk(1e-70), 3)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert _hex(got) == _hex(_own_pass(Disk(1e-70), 3, "curvature"))
+
+    @pytest.mark.parametrize(
+        "curve, J, mode, n_calls",
+        [(Disk(1e-100), 9, "curvature", 2), (Ellipse(b=1e-300, eps=0.5), 6, "savo", 1)],
+    )
+    def test_overflowing_own_pass_raises_at_once(self, monkeypatch, curve, J, mode, n_calls):
+        # These took 24 and 12 calls, 2 s and 0.8 s, to reach the panel cap.
+        calls = self._integrand_calls(monkeypatch)
+        with np.errstate(all="ignore"):
+            with pytest.raises(QuadratureNotConverged, match="not finite before they converged$"):
+                tau_large_s_series(curve, J, mode)
+        assert len(calls) == n_calls
+
+
 class _Lens(BoundaryCurve):
     """Not a dataclass itself, so any two instances compare equal."""
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heatpade import pade
+from heatpade import pade, tracking
 from heatpade.errors import (
     DegenerateDenominator,
     IllConditioned,
@@ -621,58 +621,6 @@ class TestExactDerivatives:
         assert all(1 <= evals <= 2 for evals in accepted)
 
 
-def _two_roots(groups, broken=None):
-    """H = (1 - t) gamma (p^2 - 1) + t (p^2 - 4) at rows of one unknown; NaN in group ``broken``."""
-
-    def homotopy(p, t):
-        s, G, F = t[:, None], pade._GAMMA * (p**2 - 1.0), p**2 - 4.0
-        H = (1.0 - s) * G + s * F
-        H[groups == broken] = np.nan
-        return H, ((1.0 - s) * pade._GAMMA * 2.0 * p + s * 2.0 * p)[:, :, None], G - F
-
-    return homotopy
-
-
-class TestTrack:
-    """``_track`` alone, on homotopies written out by hand."""
-
-    def test_paths_from_the_start_roots_end_at_the_target_roots(self):
-        ends, t, stalled = pade._track(_two_roots, np.array([[1.0], [-1.0]], dtype=complex), np.zeros(2, int))
-        assert np.array_equal(ends, [[2.0], [-2.0]])
-        assert np.array_equal(t, [1.0, 1.0])
-        assert np.array_equal(stalled, [False])
-
-    def test_a_stalling_group_stalls_alone(self):
-        calls = []
-
-        def at(groups):
-            calls.append(groups.tolist())
-            return _two_roots(groups, broken=1)
-
-        start = np.array([[1.0], [-1.0], [1.0], [-1.0]], dtype=complex)
-        ends, t, stalled = pade._track(at, start, np.array([0, 0, 1, 1]))
-        assert np.array_equal(stalled, [False, True])
-        assert np.array_equal(ends[:2], [[2.0], [-2.0]]) and np.array_equal(t[:2], [1.0, 1.0])
-        # A stalled row leaves where it stood, and the homotopy is asked for
-        # again only when rows leave.
-        assert np.array_equal(ends[2:], start[2:]) and np.array_equal(t[2:], [0.0, 0.0])
-        assert calls == [[0, 0, 1, 1], [1, 1]]
-
-    def test_a_path_past_the_bound_leaves_before_t_1_without_a_stall(self):
-        def at(groups):
-            # H = e^(-60 t) p - 1: p = e^(60 t) passes 1e12 near t = 0.46.
-            def homotopy(p, t):
-                e = np.exp(-60.0 * t)[:, None]
-                return e * p - 1.0, np.ones_like(p)[:, :, None] * e[:, :, None], 60.0 * e * p
-
-            return homotopy
-
-        ends, t, stalled = pade._track(at, np.array([[1.0]], dtype=complex), np.zeros(1, int))
-        assert abs(ends[0, 0]) > pade._AT_INFINITY
-        assert 0.0 < t[0] < 1.0
-        assert np.array_equal(stalled, [False])
-
-
 class TestHomotopy:
     @pytest.mark.parametrize("n, n_real", [(1, 2), (2, 2), (3, 2), (4, 4), (5, 4), (6, 8)])
     def test_every_path_ends_at_a_distinct_root(self, disk_series, n, n_real):
@@ -795,6 +743,21 @@ class TestHomotopy:
         assert all(np.array_equal(ends[i], want[i]) for i in (0, 1, 3))
         assert len(ladder(disk_series, 2)) == 2
 
+    def test_one_stalled_row_fails_its_order(self, disk_series, monkeypatch):
+        # The tracker flags rows; one stalled row of order 2 (rows 2..5 of
+        # the batch) fails that order alone.
+        track = pade.track
+
+        def one_stall(at, p):
+            ends, t, stalled = track(at, p)
+            stalled[3] = True
+            return ends, t, stalled
+
+        monkeypatch.setattr(pade, "track", one_stall)
+        ends = _endpoints(disk_series, range(1, 4))
+        assert str(ends[1]) == "a homotopy path stalled at a finite point at order 2"
+        assert [len(ends[i]) for i in (0, 2)] == [2, 8]
+
     def test_first_failing_order_raises(self, disk_series, monkeypatch):
         # Selection fails at order 2 and a path of order 4 stalls: as when
         # the orders are solved one by one, order 2's error is raised.
@@ -814,7 +777,7 @@ class TestHomotopy:
 
     def test_stalled_path_raises(self, disk_series, monkeypatch):
         # No corrector step can pass, so every step size collapses short of t = 1.
-        monkeypatch.setattr(pade, "_CORRECTOR_TOL", -1.0)
+        monkeypatch.setattr(tracking, "_CORRECTOR_TOL", -1.0)
         with pytest.raises(NoSolutionFound):
             solve_interpolation(disk_series, 2)
 
@@ -847,7 +810,7 @@ class TestHomotopy:
         assert [s.approximant for s in got] == [s.approximant for s in want]
 
     def test_path_past_the_bound_goes_to_infinity(self, disk_series, monkeypatch):
-        monkeypatch.setattr(pade, "_AT_INFINITY", 10.0)
+        monkeypatch.setattr(tracking, "_AT_INFINITY", 10.0)
         [ends] = _endpoints(disk_series, [3])
         assert 0 < len(ends) < 8
         assert np.all(np.linalg.norm(ends, axis=1) <= 10.0)
