@@ -8,7 +8,9 @@ on the uniform periodic grid, which is spectrally accurate for smooth
 integrands.  ``boundary_integrals`` computes every integral a coefficient
 series needs in one quadrature pass: the grids nest, so each grid point
 evaluates r, the arc element and the curvature once, and each integral is
-a row that converges on its own as the panel count doubles.
+a row that converges on its own as the panel count doubles.  The
+integrands take no np.power, np.exp or np.log, whose kernels numpy picks
+per CPU at run time, so that every numpy build gives the same bits.
 """
 
 from __future__ import annotations
@@ -94,12 +96,18 @@ class Ellipse(BoundaryCurve):
     def radius(self, phi):
         phi = np.asarray(phi, dtype=float)
         e2 = self.eps**2
-        u = 1.0 - e2 * np.cos(phi) ** 2
+        cos = np.cos(phi)
+        u = 1.0 - e2 * (cos * cos)
         up = e2 * np.sin(2.0 * phi)
         upp = 2.0 * e2 * np.cos(2.0 * phi)
-        r = self.b * u**-0.5
-        rp = -0.5 * self.b * u**-1.5 * up
-        rpp = 0.75 * self.b * u**-2.5 * up * up - 0.5 * self.b * u**-1.5 * upp
+        # u^-1/2, u^-3/2 and u^-5/2 by sqrt and division, which every numpy
+        # build rounds alike; np.power's kernels differ in the last bits.
+        h1 = 1.0 / np.sqrt(u)
+        h3 = h1 / u
+        h5 = h3 / u
+        r = self.b * h1
+        rp = -0.5 * self.b * h3 * up
+        rpp = 0.75 * self.b * h5 * up * up - 0.5 * self.b * h3 * upp
         return r, rp, rpp
 
 
@@ -239,7 +247,8 @@ def curve_to_json(curve: BoundaryCurve) -> dict:
 
 
 def _curvature(r, rp, rpp):
-    return (r * r + 2.0 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
+    d = r * r + rp * rp
+    return (r * r + 2.0 * rp * rp - r * rpp) / (d * np.sqrt(d))
 
 
 def curvature(curve: BoundaryCurve, phi):
@@ -372,7 +381,11 @@ def boundary_integrals(curve: BoundaryCurve, max_power: int, derivatives=False):
         r, rp, rpp = curve.radius(phi)
         g = np.sqrt(r * r + rp * rp)
         k = _curvature(r, rp, rpp)
-        rows = [g, 0.5 * r * r] + [k**m * g for m in range(max_power + 1)]
+        # k^m as a running product, for the reason in Ellipse.radius.
+        powers = [np.ones_like(k)]
+        for _ in range(max_power):
+            powers.append(powers[-1] * k)
+        rows = [g, 0.5 * r * r] + [km * g for km in powers[: max_power + 1]]
         # k rides last for the derivative rows, which need each level's full grid.
         return np.stack(rows + [k] if derivatives else rows)
 
@@ -384,7 +397,9 @@ def boundary_integrals(curve: BoundaryCurve, max_power: int, derivatives=False):
 
     rtol = np.array([_QUAD_RTOL] * n_rows + [1e-11] * 3 * derivatives)
     level = derivative_rows if derivatives else None
-    vals = [float(v) for v in periodic_quadrature(integrand, rtol, level=level)]
+    # A row past the double range fails the pass, so its overflow is no news.
+    with np.errstate(over="ignore"):
+        vals = [float(v) for v in periodic_quadrature(integrand, rtol, level=level)]
     return BoundaryIntegrals(vals[0], vals[1], tuple(vals[2:n_rows]), *vals[n_rows:])
 
 

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
 import platform
+import subprocess
+import sys
 from importlib import metadata
 
 import pytest
 
+import heatpade
 from heatpade import Ellipse, __version__, cli, tau_large_s_series
 from heatpade.cli import main
 from heatpade.pade import selected_rows
@@ -168,6 +172,16 @@ class TestSurvivalAndTau:
             "message": "tau(1e-300) leaves the double range",
             "subcommand": "tau",
         }
+
+    def test_coeffs_overflowing_superset_writes_no_warning(self):
+        # kappa^5 = 1e350 overflows in the shared superset pass, which falls
+        # back to the series' own; numpy's RuntimeWarning reached stderr.
+        shape = '{"kind":"disk","R":1e-70}'
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(heatpade.__file__)))
+        argv = [sys.executable, "-m", "heatpade.cli", "coeffs", "--shape", shape, "--j-max", "3"]
+        out = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout.splitlines()[-1].startswith("3,")
 
     def test_tau_rejects_nonpositive_s(self):
         assert main(["tau", "--shape", DISK, "--s", "0,1"]) == 2

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -285,6 +286,13 @@ class TestRowsPastTheDoubleRange:
         assert len(calls) == 2
         monkeypatch.undo()
         assert _hex(got) == _hex(_own_pass(Disk(1e-70), 3, "curvature"))
+
+    def test_overflowing_superset_warns_nothing(self):
+        # The superset's kappa^5 overflow reached the caller as numpy's RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tau_large_s_series(Disk(1e-70), 3)
+        assert _hex(got) == ["-0x1.72ebad6ddc73ep+233", "0x1.0cb70d24b7378p+465", "0x1.8557f31326bbdp+695"]
 
     @pytest.mark.parametrize(
         "curve, J, mode, n_calls",

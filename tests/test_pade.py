@@ -323,33 +323,46 @@ class TestSolveInterpolation:
 
 
 def _pinned_roots():
-    with open(Path(__file__).parent / "data" / "pade_roots.json") as fh:
-        return json.load(fh)
+    """Per-order views of two solve-corpus cases, keyed ``shape/n``.
+
+    Each key maps to the case's committed c and its accepted rows at order n:
+    the unit disk in curvature mode to n = 7 and the savo ellipse eps = 0.4 to
+    n = 4.
+    """
+    with open(Path(__file__).parent / "data" / "solve_corpus.json") as fh:
+        cases = json.load(fh)
+    views = {
+        "disk": ({"kind": "disk", "R": 1.0}, "curvature", 7),
+        "ellipse-savo-0.4": ({"kind": "ellipse", "b": 1.0, "eps": 0.4}, "savo", 4),
+    }
+    pinned = {}
+    for name, (shape, mode, n_max) in views.items():
+        (case,) = [c for c in cases if c["shape"] == shape and c["mode"] == mode]
+        for n in range(1, n_max + 1):
+            pinned[f"{name}/{n}"] = (case["c"], case["orders"][n - 1]["accepted"])
+    return pinned
 
 
 class TestPinnedRoots:
     """Every accepted root, bit for bit, as the solver first produced them.
 
     The polish settles each real endpoint of the homotopy on its root, so a change to how the paths are tracked must leave these
-    doubles unchanged.
+    doubles unchanged.  The rows and the c they are solved from are those committed in the solve corpus.
     """
 
     @pytest.mark.parametrize("key", list(_pinned_roots()))
-    def test_accepted_set_is_unchanged(self, disk_series, key):
-        shape, n = key.split("/")
-        if shape == "disk":
-            c = disk_series
-        else:
-            c = tau_large_s_series(Ellipse(b=1.0, eps=0.4), 6, ExpansionMode.SAVO_EXACT)
+    def test_accepted_set_is_unchanged(self, key):
+        c, accepted = _pinned_roots()[key]
+        n = int(key.split("/")[1])
         got = [
             {
-                "lambda1": s.lambda1.hex() if s.lambda1 is not None else None,
                 "p": [v.hex() for v in s.approximant.p],
                 "q": [v.hex() for v in s.approximant.q],
+                "lambda1": s.lambda1.hex() if s.lambda1 is not None else None,
             }
-            for s in solve_interpolation(c, int(n))
+            for s in solve_interpolation(LargeSSeries([float.fromhex(v) for v in c]), n)
         ]
-        assert got == _pinned_roots()[key]
+        assert got == accepted
 
 
 class TestSelection:

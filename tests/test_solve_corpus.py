@@ -1,12 +1,18 @@
 """Solver outputs pinned bit for bit as float hex.
 
-``tests/data/solve_corpus.json`` holds, for each case of ``corpus()`` and
-each order n, every accepted (p, q) of ``solve_interpolation`` as float
-hex, or its ``NoSolutionFound`` message, and the index of the solution
-``select_solution`` picks, or its message.  Each case also holds what
-``ladder`` gives up to its highest order: the selected (p, q) of every
-order, or the message it raises.  Running this file as a script rewrites
-that file from the installed code:
+``tests/data/solve_corpus.json`` holds one entry per case.  Its inputs are
+frozen: the coefficients c_1..c_J as float hex, taken once from
+``tau_large_s_series`` of the shape, mode and J stored next to them, and
+the highest order ``n_max``.  Its outputs are, for each order n <= n_max,
+every accepted (p, q) of ``solve_interpolation`` as float hex with its
+lambda1, or its ``NoSolutionFound`` message, and the index of the
+solution ``select_solution`` picks, or its message; and what ``ladder``
+gives up to n_max: the selected row of every order, or the message it
+raises.  The solver reads the committed c alone, so no change to the
+quadrature or to numpy's kernels can move these pins; the coefficient
+layer has its own pins in ``tests/test_series_pins.py``.  Running this
+file as a script rewrites every case's outputs from its committed inputs
+with the installed solver; it never recomputes c:
 
     PYTHONPATH=src python tests/test_solve_corpus.py
 """
@@ -14,38 +20,29 @@ that file from the installed code:
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from conftest import random_fourier_curve
 from heatpade.errors import NoSolutionFound
-from heatpade.geometry import Disk, Ellipse, curve_to_json
-from heatpade.heat_content import tau_large_s_series
+from heatpade.heat_content import LargeSSeries
 from heatpade.pade import ladder, select_solution, solve_interpolation
 
 CORPUS = Path(__file__).parent / "data" / "solve_corpus.json"
-
-
-def corpus():
-    """(curve, mode, J, n_max) for every pinned case."""
-    rng = np.random.default_rng(7)
-    ellipses = [Ellipse(b=1.0, eps=eps) for eps in (0.2, 0.4, 0.6, 0.8, 0.9)]
-    return [
-        (Disk(), "curvature", 11, 9),
-        *((e, "curvature", 9, 7) for e in ellipses),
-        *((e, "savo", 6, 4) for e in ellipses),
-        *((random_fourier_curve(rng), "curvature", 8, 6) for _ in range(6)),
-    ]
+INPUTS = ("shape", "mode", "J", "n_max", "c")
 
 
 def _row(sol):
     a = sol.approximant
-    return {"p": [v.hex() for v in a.p], "q": [v.hex() for v in a.q]}
+    return {
+        "p": [v.hex() for v in a.p],
+        "q": [v.hex() for v in a.q],
+        "lambda1": None if sol.lambda1 is None else sol.lambda1.hex(),
+    }
 
 
-def record(curve, mode, J, n_max):
-    """The pinned outputs of one case."""
-    c = tau_large_s_series(curve, J, mode)
+def record(case):
+    """A case's inputs, and the outputs the installed solver gives on its c."""
+    c = LargeSSeries([float.fromhex(v) for v in case["c"]])
+    n_max = case["n_max"]
     orders = []
     for n in range(1, n_max + 1):
         try:
@@ -62,13 +59,7 @@ def record(curve, mode, J, n_max):
         rows = [_row(s) for s in ladder(c, n_max)]
     except NoSolutionFound as exc:
         rows = str(exc)
-    return {
-        "shape": curve_to_json(curve),
-        "mode": mode,
-        "J": J,
-        "orders": orders,
-        "ladder": rows,
-    }
+    return {**{k: case[k] for k in INPUTS}, "orders": orders, "ladder": rows}
 
 
 def _load():
@@ -77,15 +68,21 @@ def _load():
 
 
 def test_every_case_is_pinned():
-    assert len(_load()) == len(corpus())
+    cases = _load()
+    assert len(cases) == 17
+    for case in cases:
+        assert len(case["c"]) == case["J"]
+        assert len(case["orders"]) == case["n_max"]
 
 
-@pytest.mark.parametrize("i", range(len(corpus())))
+@pytest.mark.parametrize("i", range(len(_load())))
 def test_outputs_are_pinned(i):
-    assert record(*corpus()[i]) == _load()[i]
+    case = _load()[i]
+    assert record(case) == case
 
 
 if __name__ == "__main__":
+    cases = [record(case) for case in _load()]
     with open(CORPUS, "w") as fh:
-        json.dump([record(*case) for case in corpus()], fh, indent=1)
+        json.dump(cases, fh, indent=1)
         fh.write("\n")
