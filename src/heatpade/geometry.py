@@ -397,8 +397,9 @@ def boundary_integrals(curve: BoundaryCurve, max_power: int, derivatives=False):
 
     rtol = np.array([_QUAD_RTOL] * n_rows + [1e-11] * 3 * derivatives)
     level = derivative_rows if derivatives else None
-    # A row past the double range fails the pass, so its overflow is no news.
-    with np.errstate(over="ignore"):
+    # A row past the double range or not a number (0/0 where r^2 underflows)
+    # fails the pass, so its overflow or invalid value is no news.
+    with np.errstate(over="ignore", invalid="ignore"):
         vals = [float(v) for v in periodic_quadrature(integrand, rtol, level=level)]
     return BoundaryIntegrals(vals[0], vals[1], tuple(vals[2:n_rows]), *vals[n_rows:])
 

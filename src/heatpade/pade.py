@@ -9,9 +9,10 @@ A monic [n/n+2] rational P(s)/Q(s) is fitted simultaneously to
 
 This yields 2n+2 polynomial equations for the n numerator and n+2
 denominator coefficients.  The large-s equations fix the denominator as
-an affine function q = b + T p of the numerator, which leaves n
-equations in the n numerator unknowns p.  Cleared of division they are
-n quadratics F(p) = C + B p + A[p, p], with at most 2^n isolated roots.
+a linear function q = W p~ of p~ = (p_0, ..., p_(n-1), 1), which leaves
+n equations in the n numerator unknowns p.  Cleared of division they are
+the odd coefficients of P(s) Q(-s): n quadratic forms F_r = p~ M_r p~ / 2,
+with at most 2^n isolated roots.
 Every constant comes from one series, of 1/(s^2 tau) in 1/s, built once
 per solve and exactly: each c_j is a double, so the series and every
 order's arrays are Python integers over one power of two.  A
@@ -69,12 +70,13 @@ _GAMMA = 0.6 + 0.8j
 # Endpoints this close to real, relative to 1 + |p|, are polished.
 _REAL_TOL = 1e-6
 # Highest order the solver takes.  A batch tracks 2^n paths per order n,
-# and the mixed batch's per-row gather of the tracked arrays costs
-# O(2^n n^3) memory, about 2.4 times more per order: the disk ladder peaks
-# at 120-145 MB for n <= 10, 254 MB and 15 CPU s for n <= 11, and 613 MB
-# and 55 CPU s for n <= 12 (2 cores, single-threaded BLAS).  At n = 40 the
-# start array alone would need 640 TiB.  The disk has no physical row at
-# n = 11 already; n = 12 keeps `heatpade table1 --n-max 12` possible.
+# and the mixed batch's per-row gather of the tracked arrays, (N+1)^2 N
+# complex doubles a row, costs O(2^n n^3) memory, about twice as much per
+# order: the disk ladder peaks at 88 MB and 7 CPU s for n <= 10, 174 MB
+# and 18 CPU s for n <= 11, and 385 MB and 44 CPU s for n <= 12 (2 cores,
+# single-threaded BLAS).  At n = 40 the start array alone would need
+# 640 TiB.  The disk has no physical row at n = 11 already; n = 12 keeps
+# `heatpade table1 --n-max 12` possible.
 MAX_ORDER = 12
 
 
@@ -215,79 +217,69 @@ def _inverse_series(c: LargeSSeries, n: int):
 
 
 def _system_arrays(inv, n: int):
-    """The constant arrays of ``_division_free_system`` at order n: (C, B, S, b, T).
+    """The constant arrays of ``_division_free_system`` at order n: (M, W).
 
     ``inv`` is an array holding at least inv_0..inv_(n+2), in any
-    arithmetic.  F(p) = C + B p + A[p, p] for rows p of n numerator
-    unknowns, with S laid out so that p @ S, reshaped to (n, n), is
-    (A + A^T) p; and the denominator is q_0..q_(n+2) = b + T p.
+    arithmetic.  With p~ = (p_0, ..., p_(n-1), 1) the ascending
+    coefficients of P, the denominator is q_0..q_(n+2) = W p~ and
+    F_r = p~ M_r p~ / 2 for r = 0..n-1, M_r symmetric.
     """
     zero = 0 * inv[0]
-    sign = (-1) ** np.arange(n + 3)
-    # Q(s) = b + T p, of degrees 0..n+2.
-    b = inv[n + 2 :: -1]
-    T = np.array(
-        [[inv[2 + i - j] if 2 + i - j >= 0 else zero for i in range(n)] for j in range(n + 3)],
-        dtype=inv.dtype,
-    )
-    # Coefficients of Q(-s) = b' + T' p, and a zero row n+3 for the
-    # degrees outside 0..n+2.
-    b_neg = np.append(sign * b, zero)
-    T_neg = np.vstack([sign[:, None] * T, np.full((1, n), zero, dtype=inv.dtype)])
-    # Degree of Q(-s) paired with P_i (i = 0..n) in the odd coefficient 2r+1.
-    deg = 2 * np.arange(n)[:, None] + 1 - np.arange(n + 1)
-    deg = np.where((deg >= 0) & (deg <= n + 2), deg, n + 3)
-    C = b_neg[deg[:, n]]
-    B = T_neg[deg[:, n]] + b_neg[deg[:, :n]]
-    A = T_neg[deg[:, :n]]
-    # S[j, (r, m)] = (A + A^T)_rmj, so that p @ S, reshaped, is (A + A^T) p.
-    S = (A + A.transpose(0, 2, 1)).reshape(n * n, n).T
-    return C, B, S, b, T
+    # inv_k at index k + 2n, with inv_k = 0 for k < 0.
+    ext = np.concatenate([np.full(2 * n, zero, dtype=inv.dtype), inv[: n + 3]])
+    j, i = np.ogrid[: n + 3, : n + 1]
+    W = ext[2 * n + 2 + i - j]
+    # Coefficient 2r+1 of P(s) Q(-s) pairs p~_i with (-1)^(i+1) q_(2r+1-i)
+    # = sum_m (-1)^(i+1) inv_(1+i+m-2r) p~_m, and with 0 for i > 2r+1.
+    r, i, m = np.ogrid[:n, : n + 1, : n + 1]
+    v = ext[2 * n + np.where(i <= 2 * r + 1, 1 + i + m - 2 * r, -1)]
+    K = np.where(i % 2 == 1, v, -v)
+    return K + K.transpose(0, 2, 1), W
 
 
-def _quadratics(C, B, PS, p):
-    """F and J at each row of p, from the row's C and B and PS = p @ S.
+def _quadratics(L, p):
+    """F and J at each row of p, from one order's L or from one L per row.
 
-    J = B + (A + A^T) p, and (B + J) p / 2 = B p + A[p, p].
+    L[b, (r, a)] = M_r[b, a], so that p~ @ L is G = M p~ with p~ = (p, 1);
+    then F = G p~ / 2 and J = G[:, :n].
     """
-    J = B + PS.reshape(p.shape + p.shape[-1:])
-    F = C + ((B + J) @ p[..., None])[..., 0] / 2
-    return F, J
+    pt = np.concatenate([p, np.ones((len(p), 1))], axis=1)
+    G = pt @ L if L.ndim == 2 else np.matmul(pt[:, None, :], L)[:, 0]
+    G = G.reshape(len(p), -1, pt.shape[1])
+    return (G @ pt[:, :, None])[..., 0] / 2, G[..., :-1]
 
 
 def _division_free_system(inv, scale: int, n: int):
     """The order-n quadratics F(p) and their Jacobian in p: exact, and rounded once for tracking.
 
     F is the odd coefficients 1, 3, ..., 2n-1 of P(s) Q(-s), with
-    q = b + T p fixed by the large-s conditions: in u = 1/s they say
+    q = W p~ fixed by the large-s conditions: in u = 1/s they say
     u^(n+2) Q(1/u) = u^n P(1/u) / M(u) mod u^(n+3), M(u) = s^2 tau(s), so
-    q_j = inv_(n+2-j) + sum_i p_i inv_(2+i-j) with inv = 1/M, integers
+    q_j = sum_i p~_i inv_(2+i-j) with p~ = (p, 1) and inv = 1/M, integers
     over ``scale`` from ``_inverse_series`` (inv_k = 0 for k < 0).  Since
     P(s)/Q(s) - P(-s)/Q(-s) = 2 odd(P(s) Q(-s)) / (Q(s) Q(-s)), F vanishes
     exactly where the small-s conditions hold, as long as q0 != 0; unlike
     d_odd it has no division, so it is n quadratics in p.
 
-    The quadratics are built once as constant arrays (``_system_arrays``),
-    F(p) = C + B p + A[p, p], so that J = B + (A + A^T) p.  With Q(-s)
-    = b' + T' p, the coefficient of s^d in P(s) Q(-s) pairs p_i with
-    b'_(d-i) + T'_(d-i) p, and the monic s^n with b'_(d-n) + T'_(d-n) p.
-    Returns ``((at, denominator), (C, B, S))``.  At p = P / d, integers P
-    over a power of two d, ``at(P, d)`` -> (F, J), each rounded once from
-    its exact integer quotient, and ``denominator(P, d)`` -> q_0..q_(n+1)
-    = b + T p as integers over one integer; C, B and S rounded once to
-    complex doubles (+-inf past the double range) are for the tracker.
+    The quadratics are built once as constant arrays (``_system_arrays``):
+    the coefficient of s^(2r+1) in P(s) Q(-s) is F_r = p~ M_r p~ / 2, so
+    with G = M p~ the Jacobian is J = G[:, :n].  Returns ``((at,
+    denominator), M)``.  At p = P / d, integers P over a power of two d,
+    ``at(P, d)`` -> (F, J), each rounded once from its exact integer
+    quotient, and ``denominator(P, d)`` -> q_0..q_(n+1) = W p~ as integers
+    over one integer; M rounded once to complex doubles (+-inf past the
+    double range) is for the tracker.
     """
-    C, B, S, b, T = _system_arrays(inv, n)
+    M, W = _system_arrays(inv, n)
 
     def at(P, d):
-        # J = (B d + P S) / (d scale) has the integer numerator Jd, and
-        # F = C + (B + J) p / 2 = (2 d^2 C + (B d + Jd) P) / (2 d^2 scale).
-        Jd = B * d + (P @ S).reshape(n, n)
-        Fd = 2 * d * d * C + (B * d + Jd) @ P
-        return (Fd / (2 * d * d * scale)).astype(float), (Jd / (d * scale)).astype(float)
+        # With P~ = (P, d), G = M P~ / (d scale) and F = M P~ . P~ / (2 d^2 scale).
+        Pt = np.append(P, d)
+        Gd = M @ Pt
+        return (Gd @ Pt / (2 * d * d * scale)).astype(float), (Gd[:, :n] / (d * scale)).astype(float)
 
     def denominator(P, d):
-        return b[:-1] * d + T[:-1] @ P, d * scale
+        return W[:-1] @ np.append(P, d), d * scale
 
     def rounded(v):
         try:
@@ -295,7 +287,7 @@ def _division_free_system(inv, scale: int, n: int):
         except OverflowError:
             return math.inf if v > 0 else -math.inf if v < 0 else v  # NaN stays NaN
 
-    return (at, denominator), [np.vectorize(rounded, otypes=[complex])(v) for v in (C, B, S)]
+    return (at, denominator), np.vectorize(rounded, otypes=[complex])(M)
 
 
 def _dyadic(values):
@@ -341,46 +333,45 @@ def _polish_extended(system, p0):
 def _homotopy_endpoints(tracked):
     """Finite roots of each order's quadratics, one per homotopy path, from their doubles.
 
-    ``tracked`` holds each order's (C, B, S) from ``_division_free_system``,
-    in ascending order.  At order n the 2^n paths of H = (1 - t) gamma
+    ``tracked`` holds each order's M from ``_division_free_system``, in
+    ascending order.  At order n the 2^n paths of H = (1 - t) gamma
     (p_i^2 - 1) + t F(p) start at (+-1, ..., +-1) at t = 0.  With the
     complex gamma of Morgan's trick every path is regular for t < 1, so
     the paths reach every isolated root of F at t = 1 (A. Morgan, "Solving
     Polynomial Systems Using Continuation", 1987).  Every order's paths
     are one ``tracking.track`` batch of N = max(orders) unknowns: an
-    order-n row has its own C, B and S, and its coordinates n..N-1 start
-    at 0 and follow H_j = p_j, so they stay exactly 0.  Only this function
-    maps rows to orders.  An order fails with ``NoSolutionFound`` when one
-    of its rows stalls, or when two of its endpoints coincide within
+    order-n row has its own M, and its coordinates n..N-1 start at 0 and
+    follow H_j = p_j, so they stay exactly 0.  Only this function maps
+    rows to orders.  An order fails with ``NoSolutionFound`` when one of
+    its rows stalls, or when two of its endpoints coincide within
     ``_DEDUP_TOL``: a path jumped to another, so its root set would be
     incomplete.  The other orders are not affected.  Returns, for each
     order in ascending order, its ``NoSolutionFound`` or the ends of its
     paths that reached t = 1, shape (roots, N), padding exactly 0.
     """
-    orders = [len(C) for C, _, _ in tracked]
+    orders = [len(M) for M in tracked]
     k, N = len(orders), orders[-1]
-    Cs = np.zeros((k, N), dtype=complex)
-    # A padded coordinate j has F_j = p_j: a 1 on B's diagonal.
-    Bs = np.tile(np.identity(N, dtype=complex), (k, 1, 1))
-    Ss = np.zeros((k, N, N, N), dtype=complex)
+    # A padded coordinate j has F_j = p_j: M_j pairs p_j with the 1 of p~.
+    Ms = np.zeros((k, N, N + 1, N + 1), dtype=complex)
+    Ms[:, range(N), range(N), N] = Ms[:, range(N), N, range(N)] = 1.0
     group = np.repeat(np.arange(k), 2 ** np.array(orders))
     starts = np.zeros((len(group), N), dtype=complex)
-    for g, (n, (C, B, S)) in enumerate(zip(orders, tracked)):
-        Cs[g, :n], Bs[g, :n, :n], Ss[g, :n, :n, :n] = C, B, S.reshape(n, n, n)
+    for g, (n, M) in enumerate(zip(orders, tracked)):
+        Ms[g][np.ix_(range(n), [*range(n), N], [*range(n), N])] = M
         starts[group == g, :n] = list(itertools.product((1.0, -1.0), repeat=n))
-    Ss = Ss.reshape(k, N, N * N)
+    # Each M_r is symmetric, so Ls[g] holds order g's M_r[b, a] at [b, (r, a)].
+    Ls = Ms.transpose(0, 2, 1, 3).reshape(k, N + 1, N * (N + 1))
     # G_j = gamma (p_j^2 - 1) on a row's own coordinates, and on a padded
     # one G_j = 0 with dG_j = 1, so that H_j = p_j there.
     pads = (np.arange(N) >= np.array(orders)[:, None]).astype(float)
 
     def at(rows):
-        # Rows and their orders ascend: one order's rows share its arrays, a mix gathers them.
+        # Rows and their orders ascend: one order's rows share its array, a mix gathers them.
         sel = group[rows[0]] if group[rows[0]] == group[rows[-1]] else group[rows]
-        C, B, S, pad, own = Cs[sel], Bs[sel], Ss[sel], pads[sel], 1.0 - pads[sel]
+        L, pad, own = Ls[sel], pads[sel], 1.0 - pads[sel]
 
         def homotopy(p, t):
-            PS = p @ S if S.ndim == 2 else np.matmul(p[:, None, :], S)[:, 0]
-            F, J = _quadratics(C, B, PS, p)
+            F, J = _quadratics(L, p)
             G = _GAMMA * (p**2 - own)
             s, r = t[:, None], 1.0 - t[:, None]
             Hp = s[:, :, None] * J

@@ -81,4 +81,6 @@ def track(at, p):
                 rows, p, t, h = rows[~done], p[~done], t[~done], h[~done]
                 if not len(rows):
                     return p_end, t_end, stalled
+                # Let the old rows' arrays go before ``at`` gathers the live rows' own.
+                del homotopy
                 homotopy = at(rows)

@@ -183,6 +183,25 @@ class TestSurvivalAndTau:
         assert (out.returncode, out.stderr) == (0, "")
         assert out.stdout.splitlines()[-1].startswith("3,")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # r^2 = 1e-400 underflows to 0, so the curvature is 0/0.
+            (["coeffs", "--shape", '{"kind":"disk","R":1e-200}', "--j-max", "3"],
+             "rows [3, 4] are not finite before they converged"),
+            (["tau", "--shape", '{"kind":"disk","R":1e300}', "--s", "1e-300", "--method", "expansion"],
+             "rows [0, 1, 2, 3, 4, 5, 6] are not finite before they converged"),
+        ],
+        ids=["coeffs", "tau"],
+    )
+    def test_quadrature_failure_writes_only_its_record(self, argv, message):
+        # numpy's "invalid value" RuntimeWarning reached stderr above the record.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(heatpade.__file__)))
+        out = subprocess.run([sys.executable, "-m", "heatpade.cli", *argv], env=env, capture_output=True, text=True)
+        record = {"error": "QuadratureNotConverged", "message": message, "subcommand": argv[0]}
+        assert out.returncode == 1
+        assert out.stderr == json.dumps(record) + "\n"
+
     def test_tau_rejects_nonpositive_s(self):
         assert main(["tau", "--shape", DISK, "--s", "0,1"]) == 2
 

@@ -52,10 +52,14 @@ def _exact_system(c, n):
     return _systems(c, [n])[0][0]
 
 
+def _quadratics_of(M):
+    """F and J at rows of p from one order's M, laid out as the homotopy lays it out."""
+    return lambda p: _quadratics(M.transpose(1, 0, 2).reshape(len(M) + 1, -1), p)
+
+
 def _tracked_at(c, n):
     """F and J at rows of complex p on the doubles the homotopy tracks at order n."""
-    C, B, S = _systems(c, [n])[0][1]
-    return lambda p: _quadratics(C, B, p @ S, p)
+    return _quadratics_of(_systems(c, [n])[0][1])
 
 
 def _endpoints(c, orders):
@@ -67,12 +71,12 @@ def _digits_system(c, n, num):
     """The order-n system built in ``num`` arithmetic (``mpmath.mpf``): (at, denominator).
 
     The series of 1/(s^2 tau) comes from ``quotient`` in that arithmetic,
-    and F, J and q = b + T p are evaluated on object arrays.
+    and F, J and q = W (p, 1) are evaluated on object arrays.
     """
     one = num(1)
     inv = np.array(quotient([one], [one] + [num(v) for v in c.c[: n + 2]], n + 3), dtype=object)
-    C, B, S, b, T = _system_arrays(inv, n)
-    return (lambda p: _quadratics(C, B, p @ S, p)), (lambda p: b[:-1] + T[:-1] @ np.array(p))
+    M, W = _system_arrays(inv, n)
+    return _quadratics_of(M), (lambda p: W[:-1] @ np.array([*p, one], dtype=object))
 
 
 def _polish_50_digits(system, p0):
@@ -464,7 +468,7 @@ class TestExactDerivatives:
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_large_s_denominator_is_exact(self, disk_series, n):
-        # The polish takes q from the system's own b + T p, read off the
+        # The polish takes q from the system's own W (p, 1), read off the
         # series of 1/(s^2 tau); to 50 digits it must meet the large-s rows
         # of build_residuals, which multiply the polynomials out instead.
         from mpmath import mp, mpf
@@ -483,7 +487,7 @@ class TestExactDerivatives:
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_system_denominator_is_back_substitution(self, disk_series, n):
-        # The exact system's b + T p, read off the series of 1/(s^2 tau),
+        # The exact system's W (p, 1), read off the series of 1/(s^2 tau),
         # must be the denominator that back-substitution through the
         # large-s rows gives, exactly.
         _, denominator = _exact_system(disk_series, n)
@@ -634,6 +638,43 @@ class TestExactDerivatives:
         assert all(1 <= evals <= 2 for evals in accepted)
 
 
+class TestQuadraticForms:
+    """The solver's arrays against the product P(s) Q(-s), multiplied out in Fractions."""
+
+    @staticmethod
+    def _inv(c, n):
+        one = Fraction(1)
+        return np.array(quotient([one], [one, *c], n + 3), dtype=object)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_forms_are_the_odd_coefficients_of_p_times_q_of_minus_s(self, n):
+        rng = np.random.default_rng(300 + n)
+        c = [Fraction(int(v), 64) for v in rng.integers(-256, 257, size=n + 2)]
+        M, W = _system_arrays(self._inv(c, n), n)
+        m_asc = c[::-1] + [Fraction(1)]
+        for _ in range(3):
+            nums, powers = rng.integers(-999, 1000, size=n), rng.integers(0, 12, size=n)
+            p = [Fraction(int(v), 2 ** int(e)) for v, e in zip(nums, powers)]
+            pt = np.array([*p, Fraction(1)], dtype=object)
+            q = _back_substitution_denominator(m_asc, p) + [Fraction(1)]
+            assert list(W @ pt) == q
+            product = [Fraction(0)] * (2 * n + 3)
+            for i, a in enumerate(pt):
+                for j, b in enumerate(q):
+                    product[i + j] += a * (-1) ** j * b
+            assert [pt @ M[r] @ pt / 2 for r in range(n)] == product[1 : 2 * n : 2]
+
+    def test_each_order_is_a_leading_block_of_the_highest(self):
+        rng = np.random.default_rng(400)
+        c = [Fraction(int(v), 64) for v in rng.integers(-256, 257, size=14)]
+        inv = self._inv(c, 12)
+        M, W = _system_arrays(inv, 12)
+        for k in range(1, 12):
+            Mk, Wk = _system_arrays(inv, k)
+            assert Mk.shape == (k, k + 1, k + 1) and Wk.shape == (k + 3, k + 1)
+            assert np.array_equal(Mk, M[:k, : k + 1, : k + 1]) and np.array_equal(Wk, W[: k + 3, : k + 1])
+
+
 class TestHomotopy:
     @pytest.mark.parametrize("n, n_real", [(1, 2), (2, 2), (3, 2), (4, 4), (5, 4), (6, 8)])
     def test_every_path_ends_at_a_distinct_root(self, disk_series, n, n_real):
@@ -722,8 +763,11 @@ class TestHomotopy:
         system = pade._division_free_system
 
         def broken(inv, scale, n):
-            exact, (C, B, S) = system(inv, scale, n)
-            return exact, ((C * np.nan if n == k else C), B, S)
+            exact, M = system(inv, scale, n)
+            if n == k:
+                M = M.copy()
+                M[:, n, n] = np.nan  # twice F's constant term
+            return exact, M
 
         monkeypatch.setattr(pade, "_division_free_system", broken)
 
@@ -738,15 +782,15 @@ class TestHomotopy:
         assert len(ladder(disk_series, 2)) == 2
 
     def test_singular_jacobian_fails_only_its_own_order(self, disk_series, monkeypatch):
-        # With order 3's tracked C, B and S zero, its H_p at t = 1 is
+        # With order 3's tracked M zero, its H_p at t = 1 is
         # singular, which the batched solve refuses: that row's step is NaN
         # and fails until the path stalls, and only order 3 fails.
         want = _endpoints(disk_series, range(1, 5))
         system = pade._division_free_system
 
         def zeroed(inv, scale, n):
-            exact, tracked = system(inv, scale, n)
-            return exact, [0 * v if n == 3 else v for v in tracked]
+            exact, M = system(inv, scale, n)
+            return exact, 0 * M if n == 3 else M
 
         monkeypatch.setattr(pade, "_division_free_system", zeroed)
         ends = _endpoints(disk_series, range(1, 5))
@@ -865,9 +909,9 @@ class TestOneExactSystem:
         one = Fraction(1)
         inv = np.array(quotient([one], [one] + [Fraction(v) for v in c.c], n_max + 3), dtype=object)
         for n, got in enumerate(tracked, start=1):
-            for g, exact in zip(got, _system_arrays(inv, n)[:3]):
-                want = np.array([float(v) for v in exact.flat]).reshape(exact.shape)
-                assert g.dtype == complex and np.array_equal(g, want)
+            exact, _ = _system_arrays(inv, n)
+            want = np.array([float(v) for v in exact.flat]).reshape(exact.shape)
+            assert got.dtype == complex and np.array_equal(got, want)
 
     @pytest.mark.parametrize("value", [1e300, math.inf, math.nan, 1e-300])
     def test_series_past_the_double_range_has_no_solution(self, value):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 
 from heatpade import tracking
@@ -42,6 +44,20 @@ class TestTrack:
         # again only when rows leave.
         assert np.array_equal(ends[2:], start[2:]) and np.array_equal(t[2:], [0.0, 0.0])
         assert calls == [[0, 1, 2, 3], [2, 3]]
+
+    def test_the_old_rows_homotopy_is_released_before_the_next_is_asked_for(self):
+        # A batched homotopy holds arrays gathered per row; two at once would
+        # double the tracker's peak memory.
+        returned = []
+
+        def at(rows):
+            assert all(ref() is None for ref in returned)
+            homotopy = _two_roots(rows, broken=[2, 3])
+            returned.append(weakref.ref(homotopy))
+            return homotopy
+
+        tracking.track(at, np.array([[1.0], [-1.0], [1.0], [-1.0]], dtype=complex))
+        assert len(returned) == 2
 
     def test_a_path_past_the_bound_leaves_before_t_1_without_a_stall(self):
         def at(rows):
