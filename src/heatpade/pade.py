@@ -18,13 +18,16 @@ per solve and exactly: each c_j is a double, so the series and every
 order's arrays are Python integers over one power of two.  A
 total-degree homotopy (``_homotopy_endpoints``) on those arrays rounded
 once to doubles follows one path to each root on the tracker of
-``tracking``, with no randomness and no starting guess; a ladder of
-orders is one batch.  A real endpoint becomes a solution only when
-Newton on the exact residuals of the same integers reaches a step below
-1e-20 (relative to 1 + |p|) within 8 steps, and the polished q0 is not
-0: the one acceptance rule, so the roots are the same doubles from any
-start.  ``build_residuals`` writes the conditions out a second way,
-multiplying the polynomials out, as an independent check.
+``tracking``, with no randomness and no starting guess.  A ladder
+(``selected_rows``) solves orders 1 and 2 that way, in one batch, and
+climbs to each order above along one path from the row below
+(``_step``), with total degree as the fallback.  A real endpoint
+becomes a solution only when Newton on the exact residuals of the same
+integers reaches a step below 1e-20 (relative to 1 + |p|) within 8
+steps, and the polished q0 is not 0: the one acceptance rule, so the
+roots are the same doubles from any start.  ``build_residuals`` writes
+the conditions out a second way, multiplying the polynomials out, as an
+independent check.
 The denominator root pair closest to the origin estimates the lowest
 Dirichlet eigenvalue via lambda_1 = Im[s]^2.
 
@@ -63,20 +66,22 @@ _DEDUP_TOL = 1e-8
 _POLISH_MAX_ITER = 8
 # Largest Re of a pole a physical solution may have.
 _RE_SLACK = 1e-3
-# Total-degree homotopy (``_homotopy_endpoints``).  Only finitely many
-# phases of gamma let a path pass through a singular point for t < 1; a
-# fixed gamma away from the real axis makes the tracking reproducible.
+# Total-degree homotopy (``_homotopy_endpoints``) and one-path step
+# (``_step``).  Only finitely many phases of gamma let a path pass
+# through a singular point for t < 1; a fixed gamma away from the real
+# axis makes the tracking reproducible.
 _GAMMA = 0.6 + 0.8j
 # Endpoints this close to real, relative to 1 + |p|, are polished.
 _REAL_TOL = 1e-6
-# Highest order the solver takes.  A batch tracks 2^n paths per order n,
-# and the mixed batch's per-row gather of the tracked arrays, (N+1)^2 N
-# complex doubles a row, costs O(2^n n^3) memory, about twice as much per
-# order: the disk ladder peaks at 88 MB and 7 CPU s for n <= 10, 174 MB
-# and 18 CPU s for n <= 11, and 385 MB and 44 CPU s for n <= 12 (2 cores,
-# single-threaded BLAS).  At n = 40 the start array alone would need
-# 640 TiB.  The disk has no physical row at n = 11 already; n = 12 keeps
-# `heatpade table1 --n-max 12` possible.
+# Highest order the solver takes.  Total degree tracks 2^n paths at
+# order n, so its time and memory about double per order: the disk's
+# order alone takes 2.5 CPU s at n = 10, 6.9 s at n = 11 and 19 s at
+# n = 12, and the process peaks at 40, 53 and 81 MB (one core of a
+# 2-core Xeon, single-threaded BLAS).  A batch of mixed orders also
+# gathers each row's tracked array, (N+1)^2 N complex doubles a row.  A
+# ladder tracks one path per order above 2 and pays this only where a
+# step falls back to total degree, which it may at any order.  At
+# n = 40 the start array alone would need 640 TiB.
 MAX_ORDER = 12
 
 
@@ -417,30 +422,74 @@ def solver_orders(orders):
     return orders
 
 
-def _solution_sets(c: LargeSSeries, orders):
-    """Each of ``orders``' real interpolants in ascending order, from one exact series and one batch."""
+def _systems(c: LargeSSeries, orders):
+    """``orders`` checked, and each one's ``_division_free_system``, off one exact series."""
     orders = solver_orders(orders)
     _require_terms(c, orders[-1])
     inv, scale = _inverse_series(c, orders[-1])
-    systems = [_division_free_system(inv, scale, n) for n in orders]
-    batch = _homotopy_endpoints([tracked for _, tracked in systems])
-    for n, (system, _), ends in zip(orders, systems, batch):
-        if isinstance(ends, NoSolutionFound):
-            raise ends
-        ends = ends[:, :n]
-        real = np.abs(ends.imag).max(axis=1) <= _REAL_TOL * (1.0 + np.linalg.norm(ends, axis=1))
-        if not real.any():
-            raise NoSolutionFound(f"none of the {len(ends)} finite roots of order {n} is real")
-        accepted = []
-        for p in ends[real].real:
-            x = _polish_extended(system, p)
-            if x is None or x[n] == 0.0 or any(np.array_equal(x, y) for y in accepted):
-                continue
-            accepted.append(x)
-        if not accepted:
-            raise NoSolutionFound(f"none of the {real.sum()} real roots of order {n} polished")
-        solutions = [_make_solution(n, x) for x in accepted]
-        yield sorted(solutions, key=lambda s: abs(s.closest_pole.real) if s.closest_pole else math.inf)
+    return orders, [_division_free_system(inv, scale, n) for n in orders]
+
+
+def _accepted(n: int, system, ends):
+    """The real interpolants of order n among ``ends``, rows of complex p: polished and ordered.
+
+    ``ends`` may be a ``NoSolutionFound`` from ``_homotopy_endpoints``,
+    which is raised.
+    """
+    if isinstance(ends, NoSolutionFound):
+        raise ends
+    ends = ends[:, :n]
+    real = np.abs(ends.imag).max(axis=1) <= _REAL_TOL * (1.0 + np.linalg.norm(ends, axis=1))
+    if not real.any():
+        raise NoSolutionFound(f"none of the {len(ends)} finite roots of order {n} is real")
+    accepted = []
+    for p in ends[real].real:
+        x = _polish_extended(system, p)
+        if x is None or x[n] == 0.0 or any(np.array_equal(x, y) for y in accepted):
+            continue
+        accepted.append(x)
+    if not accepted:
+        raise NoSolutionFound(f"none of the {real.sum()} real roots of order {n} polished")
+    solutions = [_make_solution(n, x) for x in accepted]
+    return sorted(solutions, key=lambda s: abs(s.closest_pole.real) if s.closest_pole else math.inf)
+
+
+def _step(row: PadeSolution, system, tracked):
+    """Order n's physical row on one path from ``row``, order n - 1's, or None.
+
+    P_(n-1)(s) (s + 5n) is order n - 1's interpolant with a pole-zero
+    doublet at s = -5n; its first n coefficients p0 start the one path of
+    the Newton homotopy H = gamma (1 - t) (F(p) - F(p0)) + t F(p), with F
+    order n's quadratics on ``tracked``, its M rounded once: coefficient-
+    parameter continuation (A. Morgan and A. Sommese, Appl. Math. Comput.
+    29, 1989).  The endpoint is screened, polished and filtered as
+    ``solve_interpolation`` and ``select_solution`` do.  A path that
+    stalls or runs to infinity, and an endpoint that is not a physical
+    row, give None.  The shift 5n is an observation on the disk: smaller
+    shifts often end on a complex root.
+    """
+    n = len(tracked)
+    L = tracked.transpose(1, 0, 2).reshape(n + 1, -1)
+    p0 = np.convolve(row.approximant.numerator(), [5.0 * n, 1.0])[None, :n].astype(complex)
+    with np.errstate(all="ignore"):
+        F0 = _quadratics(L, p0)[0]
+
+    def at(rows):
+        def homotopy(p, t):
+            F, J = _quadratics(L, p)
+            G = _GAMMA * (F - F0)
+            s, r = t[:, None], 1.0 - t[:, None]
+            return r * G + s * F, (r * _GAMMA + s)[:, :, None] * J, G - F
+
+        return homotopy
+
+    ends, t, _ = track(at, p0)
+    if t[0] < 1.0:
+        return None
+    try:
+        return select_solution(_accepted(n, system, ends))
+    except NoSolutionFound:
+        return None
 
 
 def solve_interpolation(
@@ -468,18 +517,37 @@ def solve_interpolation(
     The search has no randomness and no starting guess: ``seed`` and
     ``n_multistart`` are accepted for compatibility and have no effect.
     """
-    return next(_solution_sets(c, [n]))
+    [n], [(system, tracked)] = _systems(c, [n])
+    [ends] = _homotopy_endpoints([tracked])
+    return _accepted(n, system, ends)
 
 
 def selected_rows(c: LargeSSeries, orders):
     """The selected physical solution at each of ``orders``, in ascending order.
 
-    Every order is read off one exact series and tracked in one
-    ``_homotopy_endpoints`` batch; then each is polished and filtered as
-    ``solve_interpolation`` and ``select_solution`` do.  The error raised
-    is the first failing order's, as when the orders are solved one by one.
+    Every order is read off one exact series.  An order n <= 2, or one
+    whose predecessor n - 1 is not among ``orders``, is complete: all its
+    roots come from one ``_homotopy_endpoints`` batch, and
+    ``select_solution`` picks among them, as in ``solve_interpolation``.
+    Every other order is tracked: ``_step`` follows one path from order
+    n - 1's row.  A tracked row is a physical row of order n, which every
+    checked case shows to be the one ``select_solution`` would pick among
+    all roots, but no path proves it.  Where the step reaches no physical
+    row, total degree solves that order alone, and the climb goes on from
+    the row it selects.  The error raised is the first failing order's,
+    as when the orders are solved one by one.
     """
-    return [select_solution(s) for s in _solution_sets(c, orders)]
+    orders, systems = _systems(c, orders)
+    complete = {n: tracked for n, (_, tracked) in zip(orders, systems) if n <= 2 or n - 1 not in orders}
+    batch = dict(zip(complete, _homotopy_endpoints(list(complete.values()))))
+    rows = []
+    for n, (system, tracked) in zip(orders, systems):
+        row = None if n in batch else _step(rows[-1], system, tracked)
+        if row is None:
+            ends = batch[n] if n in batch else _homotopy_endpoints([tracked])[0]
+            row = select_solution(_accepted(n, system, ends))
+        rows.append(row)
+    return rows
 
 
 def ladder(
@@ -490,8 +558,9 @@ def ladder(
 ):
     """Selected physical solution at each order n = 1..n_max.
 
-    One ``_homotopy_endpoints`` batch tracks every order's paths
-    (``selected_rows``); ``seed`` and ``n_multistart`` have no effect.
+    Orders 1 and 2 are complete and every order above is tracked from the
+    row below (``selected_rows``); ``seed`` and ``n_multistart`` have no
+    effect.
     """
     [n_max] = solver_orders([n_max])
     return selected_rows(c, range(1, n_max + 1))

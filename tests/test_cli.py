@@ -461,6 +461,24 @@ class TestTable1:
         assert [r[0] for r in rows] == ["[1/3]", "exact"]
 
 
+class TestOrdersPastTen:
+    """The disk's ladder to n = 12: total degree lost order 11's physical root, the climb reaches it."""
+
+    @staticmethod
+    def _rows(argv, tmp_path):
+        out = tmp_path / f"{argv[0]}-{argv[-1]}.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        return [line for line in out.read_text().splitlines() if not line.startswith("#")]
+
+    @pytest.mark.parametrize("argv", [["table1"], ["lambda1", "--shape", DISK]], ids=["table1", "lambda1"])
+    def test_rows_to_order_12(self, argv, tmp_path):
+        # A header, then one row per order; table1 adds its n^-2 and exact rows.
+        ten, twelve = (self._rows([*argv, "--n-max", n], tmp_path) for n in ("10", "12"))
+        assert twelve[: 1 + 10] == ten[: 1 + 10]
+        column = ten[0].split(",").index("im_s")
+        assert [f"{float(row.split(',')[column]):.6f}" for row in twelve[11:13]] == ["2.374574", "2.379658"]
+
+
 class TestMcCommand:
     def test_runs_and_is_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

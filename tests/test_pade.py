@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_fourier_curve
 from heatpade import pade, tracking
 from heatpade.errors import (
     DegenerateDenominator,
@@ -17,7 +19,7 @@ from heatpade.errors import (
     NoSolutionFound,
     UnsupportedOrder,
 )
-from heatpade.geometry import Disk, Ellipse
+from heatpade.geometry import Disk, Ellipse, FourierCurve
 from heatpade.heat_content import ExpansionMode, LargeSSeries, tau_large_s_series
 from heatpade.pade import (
     DOUBLET_GAP,
@@ -324,49 +326,6 @@ class TestSolveInterpolation:
     def test_re_shrinks_with_order(self, disk_ladder):
         res = [abs(sol.closest_pole.real) for sol in disk_ladder]
         assert res[2] < res[1]
-
-
-def _pinned_roots():
-    """Per-order views of two solve-corpus cases, keyed ``shape/n``.
-
-    Each key maps to the case's committed c and its accepted rows at order n:
-    the unit disk in curvature mode to n = 7 and the savo ellipse eps = 0.4 to
-    n = 4.
-    """
-    with open(Path(__file__).parent / "data" / "solve_corpus.json") as fh:
-        cases = json.load(fh)
-    views = {
-        "disk": ({"kind": "disk", "R": 1.0}, "curvature", 7),
-        "ellipse-savo-0.4": ({"kind": "ellipse", "b": 1.0, "eps": 0.4}, "savo", 4),
-    }
-    pinned = {}
-    for name, (shape, mode, n_max) in views.items():
-        (case,) = [c for c in cases if c["shape"] == shape and c["mode"] == mode]
-        for n in range(1, n_max + 1):
-            pinned[f"{name}/{n}"] = (case["c"], case["orders"][n - 1]["accepted"])
-    return pinned
-
-
-class TestPinnedRoots:
-    """Every accepted root, bit for bit, as the solver first produced them.
-
-    The polish settles each real endpoint of the homotopy on its root, so a change to how the paths are tracked must leave these
-    doubles unchanged.  The rows and the c they are solved from are those committed in the solve corpus.
-    """
-
-    @pytest.mark.parametrize("key", list(_pinned_roots()))
-    def test_accepted_set_is_unchanged(self, key):
-        c, accepted = _pinned_roots()[key]
-        n = int(key.split("/")[1])
-        got = [
-            {
-                "p": [v.hex() for v in s.approximant.p],
-                "q": [v.hex() for v in s.approximant.q],
-                "lambda1": s.lambda1.hex() if s.lambda1 is not None else None,
-            }
-            for s in solve_interpolation(LargeSSeries([float.fromhex(v) for v in c]), n)
-        ]
-        assert got == accepted
 
 
 class TestSelection:
@@ -893,23 +852,28 @@ class TestOneExactSystem:
         [(Disk(), ExpansionMode.CURVATURE_APPROX, 7), (Ellipse(b=1.0, eps=0.5), ExpansionMode.SAVO_EXACT, 4)],
     )
     def test_tracked_constants_are_the_exact_ones_rounded_once(self, monkeypatch, shape, mode, n_max):
+        # Every M the ladder tracks: the batch's, and each step's or fallback's.
         c = tau_large_s_series(shape, n_max + 2, mode)
-        homotopy = pade._homotopy_endpoints
+        homotopy, step = pade._homotopy_endpoints, pade._step
         seen = []
 
-        def capture(tracked):
-            seen.append(tracked)
+        def capture_batch(tracked):
+            seen.extend(tracked)
             return homotopy(tracked)
 
-        monkeypatch.setattr(pade, "_homotopy_endpoints", capture)
+        def capture_step(row, system, tracked):
+            seen.append(tracked)
+            return step(row, system, tracked)
+
+        monkeypatch.setattr(pade, "_homotopy_endpoints", capture_batch)
+        monkeypatch.setattr(pade, "_step", capture_step)
         ladder(c, n_max)
-        [tracked] = seen
-        assert len(tracked) == n_max
+        assert sorted({len(got) for got in seen}) == list(range(1, n_max + 1))
         # The arrays in Fractions, apart from the solver's integers over a power of two.
         one = Fraction(1)
         inv = np.array(quotient([one], [one] + [Fraction(v) for v in c.c], n_max + 3), dtype=object)
-        for n, got in enumerate(tracked, start=1):
-            exact, _ = _system_arrays(inv, n)
+        for got in seen:
+            exact, _ = _system_arrays(inv, len(got))
             want = np.array([float(v) for v in exact.flat]).reshape(exact.shape)
             assert got.dtype == complex and np.array_equal(got, want)
 
@@ -983,6 +947,119 @@ class TestOneExactSystem:
         assert [r.approximant for r in rows] == [r.approximant for r in disk_ladder[:2]]
         with pytest.raises(NoSolutionFound, match="at order 3$"):
             ladder(c, 3)
+
+
+def _corpus():
+    with open(Path(__file__).parent / "data" / "solve_corpus.json") as fh:
+        return json.load(fh)
+
+
+def _hex_rows(rows):
+    return [([v.hex() for v in r.approximant.p], [v.hex() for v in r.approximant.q]) for r in rows]
+
+
+def _outcome(solve):
+    """``solve()``'s rows as float hex, or the message of the ``NoSolutionFound`` it raises."""
+    try:
+        return _hex_rows(solve())
+    except NoSolutionFound as exc:
+        return str(exc)
+
+
+def _complete_rows(c, n_max):
+    """Each order's selection among all its roots, order by order, up to the first error."""
+    return [select_solution(solve_interpolation(c, n)) for n in range(1, n_max + 1)]
+
+
+# r = 1 + 0.25 cos 3 phi: 0.25 (3^2 - 1) > 1, so the curve is not convex.
+_NON_CONVEX = FourierCurve((1.0, 0.0, 0.0, 0.25), (0.0, 0.0, 0.0))
+
+
+class TestTrackedRows:
+    """A ladder's orders above 2 are tracked from the row below; total degree is the fallback."""
+
+    @pytest.mark.parametrize(
+        "shape, mode, n_max",
+        [pytest.param(Disk(), ExpansionMode.CURVATURE_APPROX, 9, id="disk")]
+        + [pytest.param(Ellipse(b=1.0, eps=e), mode, n_max, id=f"ellipse-{mode.value}-{e}")
+           for mode, n_max in [(ExpansionMode.CURVATURE_APPROX, 7), (ExpansionMode.SAVO_EXACT, 4)]
+           for e in (0.2, 0.5, 0.8)]
+        + [pytest.param(random_fourier_curve(np.random.default_rng(seed)), ExpansionMode.CURVATURE_APPROX, 6,
+                        id=f"fourier-{seed}") for seed in (0, 1, 2, 3, 4, 13)]
+        + [pytest.param(_NON_CONVEX, ExpansionMode.CURVATURE_APPROX, 6, id="non-convex")]
+        + [pytest.param(Ellipse(b=1.0, eps=0.95), ExpansionMode.CURVATURE_APPROX, 7, id="ellipse-curvature-0.95")],
+    )
+    def test_tracked_rows_are_the_complete_ones(self, shape, mode, n_max):
+        # Row for row the same doubles, or the same first error: the step
+        # fails at order 5 of eps = 0.95 and order 6 of fourier-13, and
+        # total degree then raises for that order.
+        c = tau_large_s_series(shape, n_max + 2, mode)
+        tracked = _outcome(lambda: selected_rows(c, range(1, n_max + 1)))
+        assert tracked == _outcome(lambda: _complete_rows(c, n_max))
+
+    @staticmethod
+    def _paths(monkeypatch, fail_steps=False):
+        """The rows of each ``track`` call; with ``fail_steps`` every one-path step stalls at t = 0."""
+        track = pade.track
+        paths = []
+
+        def counting(at, p):
+            paths.append(len(p))
+            if fail_steps and len(p) == 1:
+                return p.copy(), np.zeros(1), np.ones(1, dtype=bool)
+            return track(at, p)
+
+        monkeypatch.setattr(pade, "track", counting)
+        return paths
+
+    def test_ladder_tracks_one_path_per_order_above_2(self, disk_series, monkeypatch):
+        # Orders 1 and 2 are one batch of 2 + 4 paths, and orders 3 and 4 a
+        # path each: 8 paths, where total degree at every order takes 2 + 4 + 8 + 16 = 30.
+        paths = self._paths(monkeypatch)
+        assert len(ladder(disk_series, 4)) == 4
+        assert paths == [6, 1, 1]
+
+    def test_failed_steps_fall_back_to_total_degree(self, disk_series, monkeypatch):
+        want = _hex_rows(ladder(disk_series, 6))
+        paths = self._paths(monkeypatch, fail_steps=True)
+        assert _hex_rows(ladder(disk_series, 6)) == want
+        assert paths == [6, 1, 8, 1, 16, 1, 32, 1, 64]
+
+    def test_an_order_without_its_predecessor_is_complete(self, disk_series, disk_ladder, monkeypatch):
+        # Order 3 has no order 2 to start from, so it joins order 1's batch;
+        # order 4 is tracked from order 3's row.
+        paths = self._paths(monkeypatch)
+        rows = selected_rows(disk_series, [1, 3, 4])
+        assert paths == [2 + 8, 1]
+        assert _hex_rows(rows[:2]) == _hex_rows([disk_ladder[0], disk_ladder[2]])
+        assert _hex_rows(rows[2:]) == _hex_rows(_complete_rows(disk_series, 4)[3:])
+
+    def test_disk_to_order_10_is_fast_and_unchanged(self):
+        # Total degree took about 6 CPU s for these orders; rows 1..9 are the
+        # solve corpus' disk ladder, and row 10 the total-degree selection.
+        c = tau_large_s_series(Disk(), 12)
+        start = time.process_time()
+        rows = selected_rows(c, range(1, 11))
+        assert time.process_time() - start < 0.5
+        [case] = [case for case in _corpus() if case["shape"] == {"kind": "disk", "R": 1.0}]
+        assert [v.hex() for v in c.c[: case["J"]]] == case["c"]
+        assert _hex_rows(rows[:9]) == [(row["p"], row["q"]) for row in case["ladder"]]
+        assert _hex_rows(rows[9:]) == [(
+            ["0x1.dc94c4abb610cp+24", "0x1.9f6ce8608d7ccp+24", "0x1.a3b94d9d37617p+23",
+             "0x1.2d3286671da3ep+22", "0x1.485c8e8393c91p+20", "0x1.16a4ae61ba62cp+18",
+             "0x1.707dffcef4318p+15", "0x1.745c4875697d6p+12", "0x1.121e9bb8972c7p+9",
+             "0x1.09219d212f6b7p+5"],
+            ["0x1.d6fcaa6705fa6p+27", "0x1.9a8c93312a4b6p+27", "0x1.1fb8c5609d120p+27",
+             "0x1.20dcea85788a1p+26", "0x1.b936dda316d46p+24", "0x1.08ec6c647bc4dp+23",
+             "0x1.fc33bf9e5d958p+20", "0x1.865a140f5c600p+18", "0x1.db6e90bc44c36p+15",
+             "0x1.bf56b9125664fp+12", "0x1.34c2cf5cbd19ep+9", "0x1.19219d212f6b7p+5"],
+        )]
+
+    def test_disk_rows_past_order_10(self):
+        # Total degree loses order 11's physical root: 2 of its 2048 paths
+        # pass the tracker's infinity bound.  The climb reaches it.
+        rows = ladder(tau_large_s_series(Disk(), 14), 12)
+        assert [f"{r.closest_pole.imag:.6f}" for r in rows[10:]] == ["2.374574", "2.379658"]
 
 
 def _doublet(sol, a):
