@@ -19,8 +19,8 @@ order's arrays are Python integers over one power of two.  A
 total-degree homotopy (``_homotopy_endpoints``) on those arrays rounded
 once to doubles follows one path to each root on the tracker of
 ``tracking``, with no randomness and no starting guess.  A ladder
-(``selected_rows``) solves orders 1 and 2 that way, in one batch, and
-climbs to each order above along one path from the row below
+(``selected_rows``) solves order 1 that way and climbs to each order
+above along one path from the row below
 (``_step``), with total degree as the fallback.  A real endpoint
 becomes a solution only when Newton on the exact residuals of the same
 integers reaches a step below 1e-20 (relative to 1 + |p|) within 8
@@ -525,8 +525,8 @@ def solve_interpolation(
 def selected_rows(c: LargeSSeries, orders):
     """The selected physical solution at each of ``orders``, in ascending order.
 
-    Every order is read off one exact series.  An order n <= 2, or one
-    whose predecessor n - 1 is not among ``orders``, is complete: all its
+    Every order is read off one exact series.  An order whose predecessor
+    n - 1 is not among ``orders``, order 1 always, is complete: all its
     roots come from one ``_homotopy_endpoints`` batch, and
     ``select_solution`` picks among them, as in ``solve_interpolation``.
     Every other order is tracked: ``_step`` follows one path from order
@@ -538,7 +538,7 @@ def selected_rows(c: LargeSSeries, orders):
     as when the orders are solved one by one.
     """
     orders, systems = _systems(c, orders)
-    complete = {n: tracked for n, (_, tracked) in zip(orders, systems) if n <= 2 or n - 1 not in orders}
+    complete = {n: tracked for n, (_, tracked) in zip(orders, systems) if n - 1 not in orders}
     batch = dict(zip(complete, _homotopy_endpoints(list(complete.values()))))
     rows = []
     for n, (system, tracked) in zip(orders, systems):
@@ -558,8 +558,8 @@ def ladder(
 ):
     """Selected physical solution at each order n = 1..n_max.
 
-    Orders 1 and 2 are complete and every order above is tracked from the
-    row below (``selected_rows``); ``seed`` and ``n_multistart`` have no
+    Order 1 is complete and every order above is tracked from the row
+    below (``selected_rows``); ``seed`` and ``n_multistart`` have no
     effect.
     """
     [n_max] = solver_orders([n_max])

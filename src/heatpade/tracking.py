@@ -21,15 +21,16 @@ A known limit: a path that runs to infinity like 1/(1 - t) but stays
 below ``_AT_INFINITY`` within ``_END_SLACK`` of t = 1 is reported as a
 stall, since every step there is stretched to t = 1, where H_p is
 singular (H = (1 - t) p - 1 from p = 1 stalls at t = 1 - 1.01e-12 with
-|p| = 9.88e11).  An endgame (ROADMAP item 2(b)) is the fix.
+|p| = 9.92e11).  An endgame (ROADMAP item 2(b)) is the fix.
 """
 
 import numpy as np
 
-_MAX_STEP = 0.1
+_MAX_STEP = 0.2
 _MIN_STEP = 1e-14
-# A step that would leave less than this short of t = 1 ends at t = 1: ten
-# steps of 0.1 sum to 1 - 2^-53, which would cost a last full round.
+# A step that would leave less than this short of t = 1 ends at t = 1: steps
+# summed in doubles can fall short of 1 by a rounding (ten of 0.1 sum to
+# 1 - 2^-53, where five of 0.2 sum to 1.0), which would cost a last full round.
 _END_SLACK = 1e-12
 _CORRECTOR_STEPS = 3
 _CORRECTOR_TOL = 1e-8
