@@ -21,10 +21,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import platform
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from importlib import metadata
 
 import numpy as np
@@ -256,20 +254,11 @@ def cmd_sweep(args):
         raise UsageError(str(exc)) from exc
     # An order beyond the mode's reach fails here, before any cell is solved.
     series = [tau_large_s_series(curve, max(n_list) + 2, args.mode) for curve in curves]
-    # One worker per cell, up to the CPUs this process may run on (taskset caps them).
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(len(series), cpus or 1)
-    cells = (series, [n_list] * len(series))
-    if workers == 1:
-        results = list(map(selected_rows, *cells))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(selected_rows, *cells))
     # The cells are in ascending eps, and each one's rows in ascending n.
     rows = [
         (e, sol.n, sol.lambda1, sol.closest_pole.imag, sol.closest_pole.real)
-        for e, sols in zip(eps_list, results)
-        for sol in sols
+        for e, c in zip(eps_list, series)
+        for sol in selected_rows(c, n_list)
     ]
     return ["eps", "n", "lambda1", "im_s", "re_s"], rows
 

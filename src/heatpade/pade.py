@@ -14,14 +14,16 @@ n equations in the n numerator unknowns p.  Cleared of division they are
 the odd coefficients of P(s) Q(-s): n quadratic forms F_r = p~ M_r p~ / 2,
 with at most 2^n isolated roots.
 Every constant comes from one series, of 1/(s^2 tau) in 1/s, built once
-per solve and exactly: each c_j is a double, so the series and every
-order's arrays are Python integers over one power of two.  A
-total-degree homotopy (``_homotopy_endpoints``) on those arrays rounded
-once to doubles follows one path to each root on the tracker of
-``tracking``, with no randomness and no starting guess.  A ladder
+per solve and exactly: each c_j is a double, so the series and the
+arrays of the highest order, whose leading blocks are every lower
+order's, are Python integers over one power of two.  Those arrays are
+rounded once to doubles, and ``_homotopy_endpoints`` finds every root of
+one order from them, with no randomness and no starting guess: order 1's
+by the quadratic formula, and order n's by a total-degree homotopy that
+follows one path to each root on the tracker of ``tracking``.  A ladder
 (``selected_rows``) solves order 1 that way and climbs to each order
-above along one path from the row below
-(``_step``), with total degree as the fallback.  A real endpoint
+above along one path from the row below (``_step``), with total degree
+as the fallback.  A real endpoint
 becomes a solution only when Newton on the exact residuals of the same
 integers reaches a step below 1e-20 (relative to 1 + |p|) within 8
 steps, and the polished q0 is not 0: the one acceptance rule, so the
@@ -75,13 +77,12 @@ _GAMMA = 0.6 + 0.8j
 _REAL_TOL = 1e-6
 # Highest order the solver takes.  Total degree tracks 2^n paths at
 # order n, so its time and memory about double per order: the disk's
-# order alone takes 2.5 CPU s at n = 10, 6.9 s at n = 11 and 19 s at
+# order alone takes 1.9 CPU s at n = 10, 4.4 s at n = 11 and 14 s at
 # n = 12, and the process peaks at 40, 53 and 81 MB (one core of a
-# 2-core Xeon, single-threaded BLAS).  A batch of mixed orders also
-# gathers each row's tracked array, (N+1)^2 N complex doubles a row.  A
-# ladder tracks one path per order above 2 and pays this only where a
-# step falls back to total degree, which it may at any order.  At
-# n = 40 the start array alone would need 640 TiB.
+# 2-core Xeon, single-threaded BLAS).  A ladder tracks one path per
+# order above 1 and pays this only where a step falls back to total
+# degree, which it may at any order.  At n = 40 the start array alone
+# would need 640 TiB.
 MAX_ORDER = 12
 
 
@@ -243,19 +244,18 @@ def _system_arrays(inv, n: int):
 
 
 def _quadratics(L, p):
-    """F and J at each row of p, from one order's L or from one L per row.
+    """F and J at each row of p, from one order's L.
 
     L[b, (r, a)] = M_r[b, a], so that p~ @ L is G = M p~ with p~ = (p, 1);
     then F = G p~ / 2 and J = G[:, :n].
     """
     pt = np.concatenate([p, np.ones((len(p), 1))], axis=1)
-    G = pt @ L if L.ndim == 2 else np.matmul(pt[:, None, :], L)[:, 0]
-    G = G.reshape(len(p), -1, pt.shape[1])
+    G = (pt @ L).reshape(len(p), -1, pt.shape[1])
     return (G @ pt[:, :, None])[..., 0] / 2, G[..., :-1]
 
 
-def _division_free_system(inv, scale: int, n: int):
-    """The order-n quadratics F(p) and their Jacobian in p: exact, and rounded once for tracking.
+def _division_free_system(M, W, scale: int):
+    """The order-n quadratics F(p), their Jacobian in p and the denominator, exactly.
 
     F is the odd coefficients 1, 3, ..., 2n-1 of P(s) Q(-s), with
     q = W p~ fixed by the large-s conditions: in u = 1/s they say
@@ -266,16 +266,15 @@ def _division_free_system(inv, scale: int, n: int):
     exactly where the small-s conditions hold, as long as q0 != 0; unlike
     d_odd it has no division, so it is n quadratics in p.
 
-    The quadratics are built once as constant arrays (``_system_arrays``):
-    the coefficient of s^(2r+1) in P(s) Q(-s) is F_r = p~ M_r p~ / 2, so
-    with G = M p~ the Jacobian is J = G[:, :n].  Returns ``((at,
-    denominator), M)``.  At p = P / d, integers P over a power of two d,
-    ``at(P, d)`` -> (F, J), each rounded once from its exact integer
-    quotient, and ``denominator(P, d)`` -> q_0..q_(n+1) = W p~ as integers
-    over one integer; M rounded once to complex doubles (+-inf past the
-    double range) is for the tracker.
+    The quadratics are the constant arrays (M, W) of ``_system_arrays``,
+    integers over ``scale``: the coefficient of s^(2r+1) in P(s) Q(-s) is
+    F_r = p~ M_r p~ / 2, so with G = M p~ the Jacobian is J = G[:, :n].
+    Returns ``(at, denominator)``.  At p = P / d, integers P over a power
+    of two d, ``at(P, d)`` -> (F, J), each rounded once from its exact
+    integer quotient, and ``denominator(P, d)`` -> q_0..q_(n+1) = W p~ as
+    integers over one integer.
     """
-    M, W = _system_arrays(inv, n)
+    n = len(M)
 
     def at(P, d):
         # With P~ = (P, d), G = M P~ / (d scale) and F = M P~ . P~ / (2 d^2 scale).
@@ -286,13 +285,7 @@ def _division_free_system(inv, scale: int, n: int):
     def denominator(P, d):
         return W[:-1] @ np.append(P, d), d * scale
 
-    def rounded(v):
-        try:
-            return v / scale
-        except OverflowError:
-            return math.inf if v > 0 else -math.inf if v < 0 else v  # NaN stays NaN
-
-    return (at, denominator), np.vectorize(rounded, otypes=[complex])(M)
+    return at, denominator
 
 
 def _dyadic(values):
@@ -335,70 +328,51 @@ def _polish_extended(system, p0):
     return None
 
 
-def _homotopy_endpoints(tracked):
-    """Finite roots of each order's quadratics, one per homotopy path, from their doubles.
+def _homotopy_endpoints(M):
+    """Finite roots of one order's quadratics from their doubles M: shape (roots, n).
 
-    ``tracked`` holds each order's M from ``_division_free_system``, in
-    ascending order.  At order n the 2^n paths of H = (1 - t) gamma
-    (p_i^2 - 1) + t F(p) start at (+-1, ..., +-1) at t = 0.  With the
-    complex gamma of Morgan's trick every path is regular for t < 1, so
-    the paths reach every isolated root of F at t = 1 (A. Morgan, "Solving
-    Polynomial Systems Using Continuation", 1987).  Every order's paths
-    are one ``tracking.track`` batch of N = max(orders) unknowns: an
-    order-n row has its own M, and its coordinates n..N-1 start at 0 and
-    follow H_j = p_j, so they stay exactly 0.  Only this function maps
-    rows to orders.  An order fails with ``NoSolutionFound`` when one of
-    its rows stalls, or when two of its endpoints coincide within
-    ``_DEDUP_TOL``: a path jumped to another, so its root set would be
-    incomplete.  The other orders are not affected.  Returns, for each
-    order in ascending order, its ``NoSolutionFound`` or the ends of its
-    paths that reached t = 1, shape (roots, N), padding exactly 0.
+    Order 1's F = (a p^2 + 2 b p + c) / 2, M_0 = [[a, b], [b, c]], has the
+    roots r / a and c / r, with r = -(b +- sqrt(b^2 - a c)) and the sign
+    that makes |r| largest, so that no root is lost to cancellation; a
+    root that is not finite, as r / a where a = 0, is a root at infinity.
+    At order n > 1 the 2^n paths of H = (1 - t) gamma (p_i^2 - 1) + t F(p)
+    start at (+-1, ..., +-1) at t = 0.  With the complex gamma of Morgan's
+    trick every path is regular for t < 1, so the paths reach every
+    isolated root of F at t = 1 (A. Morgan, "Solving Polynomial Systems
+    Using Continuation", 1987).  ``NoSolutionFound`` is raised when a path
+    stalls (at order 1, when M is not finite), or when two roots coincide
+    within ``_DEDUP_TOL``: at order n > 1 a path jumped to another, so the
+    root set would be incomplete.
     """
-    orders = [len(M) for M in tracked]
-    k, N = len(orders), orders[-1]
-    # A padded coordinate j has F_j = p_j: M_j pairs p_j with the 1 of p~.
-    Ms = np.zeros((k, N, N + 1, N + 1), dtype=complex)
-    Ms[:, range(N), range(N), N] = Ms[:, range(N), N, range(N)] = 1.0
-    group = np.repeat(np.arange(k), 2 ** np.array(orders))
-    starts = np.zeros((len(group), N), dtype=complex)
-    for g, (n, M) in enumerate(zip(orders, tracked)):
-        Ms[g][np.ix_(range(n), [*range(n), N], [*range(n), N])] = M
-        starts[group == g, :n] = list(itertools.product((1.0, -1.0), repeat=n))
-    # Each M_r is symmetric, so Ls[g] holds order g's M_r[b, a] at [b, (r, a)].
-    Ls = Ms.transpose(0, 2, 1, 3).reshape(k, N + 1, N * (N + 1))
-    # G_j = gamma (p_j^2 - 1) on a row's own coordinates, and on a padded
-    # one G_j = 0 with dG_j = 1, so that H_j = p_j there.
-    pads = (np.arange(N) >= np.array(orders)[:, None]).astype(float)
-
-    def at(rows):
-        # Rows and their orders ascend: one order's rows share its array, a mix gathers them.
-        sel = group[rows[0]] if group[rows[0]] == group[rows[-1]] else group[rows]
-        L, pad, own = Ls[sel], pads[sel], 1.0 - pads[sel]
+    n = len(M)
+    if n == 1:
+        [[a, b], [_, c]] = M[0]
+        with np.errstate(all="ignore"):
+            d = np.sqrt(b * b - a * c)
+            r = -(b + d if abs(b + d) >= abs(b - d) else b - d)
+            roots = np.array([[r / a], [c / r]])
+        ends, stalled = roots[np.isfinite(roots[:, 0])], not np.isfinite(M).all()
+    else:
+        L = M.transpose(1, 0, 2).reshape(n + 1, -1)
 
         def homotopy(p, t):
             F, J = _quadratics(L, p)
-            G = _GAMMA * (p**2 - own)
+            G = _GAMMA * (p**2 - 1.0)
             s, r = t[:, None], 1.0 - t[:, None]
             Hp = s[:, :, None] * J
-            Hp.reshape(len(p), N * N)[:, :: N + 1] += r * (_GAMMA * 2.0 * p + pad)
+            Hp.reshape(len(p), n * n)[:, :: n + 1] += r * (_GAMMA * 2.0 * p)
             return r * G + s * F, Hp, G - F
 
-        return homotopy
-
-    p, t, stalled = track(at, starts)
-    results = []
-    for g, n in enumerate(orders):
-        ends = p[(group == g) & (t >= 1.0)]
-        roots = ends[:, :n]
-        bound = _DEDUP_TOL * (1.0 + np.linalg.norm(roots, axis=1))
-        near = (np.linalg.norm(roots[i + 1 :] - roots[i], axis=1) <= np.maximum(bound[i + 1 :], bound[i])
-                for i in range(len(roots)))
-        if stalled[group == g].any():
-            ends = NoSolutionFound(f"a homotopy path stalled at a finite point at order {n}")
-        elif any(map(np.any, near)):
-            ends = NoSolutionFound(f"two homotopy paths ended at the same root at order {n}")
-        results.append(ends)
-    return results
+        starts = np.array(list(itertools.product((1.0, -1.0), repeat=n)), dtype=complex)
+        p, t, stalled = track(homotopy, starts)
+        ends, stalled = p[t >= 1.0], stalled.any()
+    if stalled:
+        raise NoSolutionFound(f"a homotopy path stalled at a finite point at order {n}")
+    bound = _DEDUP_TOL * (1.0 + np.linalg.norm(ends, axis=1))
+    for i in range(len(ends)):
+        if np.any(np.linalg.norm(ends[i + 1 :] - ends[i], axis=1) <= np.maximum(bound[i + 1 :], bound[i])):
+            raise NoSolutionFound(f"two homotopy paths ended at the same root at order {n}")
+    return ends
 
 
 def solver_orders(orders):
@@ -423,22 +397,30 @@ def solver_orders(orders):
 
 
 def _systems(c: LargeSSeries, orders):
-    """``orders`` checked, and each one's ``_division_free_system``, off one exact series."""
+    """``orders`` checked, and each one's (``_division_free_system``, M tracked), off one exact system.
+
+    ``_system_arrays`` is built once, at the highest order, and its M
+    rounded once to complex doubles (+-inf past the double range) for
+    tracking: every lower order's arrays are leading blocks of these.
+    """
     orders = solver_orders(orders)
     _require_terms(c, orders[-1])
     inv, scale = _inverse_series(c, orders[-1])
-    return orders, [_division_free_system(inv, scale, n) for n in orders]
+    M, W = _system_arrays(inv, orders[-1])
+
+    def rounded(v):
+        try:
+            return v / scale
+        except OverflowError:
+            return math.inf if v > 0 else -math.inf if v < 0 else v  # NaN stays NaN
+
+    tracked = np.vectorize(rounded, otypes=[complex])(M)
+    return orders, [(_division_free_system(M[:n, : n + 1, : n + 1], W[: n + 3, : n + 1], scale),
+                     tracked[:n, : n + 1, : n + 1]) for n in orders]
 
 
 def _accepted(n: int, system, ends):
-    """The real interpolants of order n among ``ends``, rows of complex p: polished and ordered.
-
-    ``ends`` may be a ``NoSolutionFound`` from ``_homotopy_endpoints``,
-    which is raised.
-    """
-    if isinstance(ends, NoSolutionFound):
-        raise ends
-    ends = ends[:, :n]
+    """The real interpolants of order n among ``ends``, rows of complex p: polished and ordered."""
     real = np.abs(ends.imag).max(axis=1) <= _REAL_TOL * (1.0 + np.linalg.norm(ends, axis=1))
     if not real.any():
         raise NoSolutionFound(f"none of the {len(ends)} finite roots of order {n} is real")
@@ -451,7 +433,8 @@ def _accepted(n: int, system, ends):
     if not accepted:
         raise NoSolutionFound(f"none of the {real.sum()} real roots of order {n} polished")
     solutions = [_make_solution(n, x) for x in accepted]
-    return sorted(solutions, key=lambda s: abs(s.closest_pole.real) if s.closest_pole else math.inf)
+    return sorted(solutions, key=lambda s: (abs(s.closest_pole.real) if s.closest_pole else math.inf,
+                                            s.approximant.p))
 
 
 def _step(row: PadeSolution, system, tracked):
@@ -459,13 +442,15 @@ def _step(row: PadeSolution, system, tracked):
 
     P_(n-1)(s) (s + 5n) is order n - 1's interpolant with a pole-zero
     doublet at s = -5n; its first n coefficients p0 start the one path of
-    the Newton homotopy H = gamma (1 - t) (F(p) - F(p0)) + t F(p), with F
+    the Newton homotopy gamma (1 - t) (F(p) - F(p0)) + t F(p), with F
     order n's quadratics on ``tracked``, its M rounded once: coefficient-
     parameter continuation (A. Morgan and A. Sommese, Appl. Math. Comput.
-    29, 1989).  The endpoint is screened, polished and filtered as
-    ``solve_interpolation`` and ``select_solution`` do.  A path that
-    stalls or runs to infinity, and an endpoint that is not a physical
-    row, give None.  The shift 5n is an observation on the disk: smaller
+    29, 1989).  Divided by D = gamma (1 - t) + t, which moves no path, it
+    is H = F(p) - mu F(p0) with mu = gamma (1 - t) / D, so H_p = J and
+    -H_t = mu'(t) F(p0) = -gamma F(p0) / D^2.  The endpoint is screened,
+    polished and filtered as ``solve_interpolation`` and
+    ``select_solution`` do.  A path that stalls or runs to infinity, and
+    an endpoint that is not a physical row, give None.  The shift 5n is an observation on the disk: smaller
     shifts often end on a complex root.
     """
     n = len(tracked)
@@ -474,16 +459,13 @@ def _step(row: PadeSolution, system, tracked):
     with np.errstate(all="ignore"):
         F0 = _quadratics(L, p0)[0]
 
-    def at(rows):
-        def homotopy(p, t):
-            F, J = _quadratics(L, p)
-            G = _GAMMA * (F - F0)
-            s, r = t[:, None], 1.0 - t[:, None]
-            return r * G + s * F, (r * _GAMMA + s)[:, :, None] * J, G - F
+    def homotopy(p, t):
+        F, J = _quadratics(L, p)
+        g = _GAMMA * (1.0 - t[:, None])
+        D = g + t[:, None]
+        return F - g / D * F0, J, -_GAMMA / D**2 * F0
 
-        return homotopy
-
-    ends, t, _ = track(at, p0)
+    ends, t, _ = track(homotopy, p0)
     if t[0] < 1.0:
         return None
     try:
@@ -502,33 +484,32 @@ def solve_interpolation(
 
     The reduced system is n quadratics in the n numerator unknowns p (the
     large-s conditions fix the denominator), so it has at most 2^n
-    isolated roots, and ``_homotopy_endpoints`` finds all of them, here
-    as a batch of one order.  Each endpoint with |Im p| below
-    ``_REAL_TOL`` (1 + |p|) is polished by Newton on exact rational
-    residuals (``_polish_extended``, in dyadic integers), and kept when
-    the polish converges to a point with q0 != 0: F vanishes at the
-    parity conditions only where q0 != 0.  That is the only acceptance
-    rule.  A polished root is the same doubles from any start, so
-    accepted roots that are equal doubles are one root.  They are ordered
-    by ascending |Re| of the closest complex pole (solutions without one
-    come last).  ``NoSolutionFound`` says whether a path failed, no root
-    was real or no real root passed the polish.
+    isolated roots, and ``_homotopy_endpoints`` finds all of them.  Each
+    endpoint with |Im p| below ``_REAL_TOL`` (1 + |p|) is polished by
+    Newton on exact rational residuals (``_polish_extended``, in dyadic
+    integers), and kept when the polish converges to a point with
+    q0 != 0: F vanishes at the parity conditions only where q0 != 0.  That
+    is the only acceptance rule.  A polished root is the same doubles from
+    any start, so accepted roots that are equal doubles are one root.
+    They are ordered by ascending |Re| of the closest complex pole
+    (solutions without one come last), and ties by p.
+    ``NoSolutionFound`` says whether a path failed, no root was real or no
+    real root passed the polish.
 
     The search has no randomness and no starting guess: ``seed`` and
     ``n_multistart`` are accepted for compatibility and have no effect.
     """
     [n], [(system, tracked)] = _systems(c, [n])
-    [ends] = _homotopy_endpoints([tracked])
-    return _accepted(n, system, ends)
+    return _accepted(n, system, _homotopy_endpoints(tracked))
 
 
 def selected_rows(c: LargeSSeries, orders):
     """The selected physical solution at each of ``orders``, in ascending order.
 
-    Every order is read off one exact series.  An order whose predecessor
+    Every order is read off one exact system.  An order whose predecessor
     n - 1 is not among ``orders``, order 1 always, is complete: all its
-    roots come from one ``_homotopy_endpoints`` batch, and
-    ``select_solution`` picks among them, as in ``solve_interpolation``.
+    roots come from ``_homotopy_endpoints``, and ``select_solution`` picks
+    among them, as in ``solve_interpolation``.
     Every other order is tracked: ``_step`` follows one path from order
     n - 1's row.  A tracked row is a physical row of order n, which every
     checked case shows to be the one ``select_solution`` would pick among
@@ -538,14 +519,11 @@ def selected_rows(c: LargeSSeries, orders):
     as when the orders are solved one by one.
     """
     orders, systems = _systems(c, orders)
-    complete = {n: tracked for n, (_, tracked) in zip(orders, systems) if n - 1 not in orders}
-    batch = dict(zip(complete, _homotopy_endpoints(list(complete.values()))))
     rows = []
     for n, (system, tracked) in zip(orders, systems):
-        row = None if n in batch else _step(rows[-1], system, tracked)
+        row = _step(rows[-1], system, tracked) if rows and rows[-1].n == n - 1 else None
         if row is None:
-            ends = batch[n] if n in batch else _homotopy_endpoints([tracked])[0]
-            row = select_solution(_accepted(n, system, ends))
+            row = select_solution(_accepted(n, system, _homotopy_endpoints(tracked)))
         rows.append(row)
     return rows
 

@@ -1,12 +1,12 @@
 """Predictor-corrector tracking of homotopy paths H(p(t), t) = 0 from t = 0 to t = 1.
 
-``track(at, p)`` follows each row of p, a root of H(., 0), and knows
-nothing of where the homotopy comes from: ``at(rows)`` returns the map
-(p, t) -> (H, H_p, -H_t) at each of the live rows (ascending indices
-into p), and is asked again only when rows leave.  Each round is the
-classical four-stage Runge-Kutta predictor (RK4) on dp/dt = -H_p^-1 H_t,
-then ``_CORRECTOR_STEPS`` Newton steps, each stage one batched solve
-(``_solve_rows``: a singular H_p gives its row a NaN step, which fails).
+``track(homotopy, p)`` follows each row of p, a root of H(., 0), and
+knows nothing of where the homotopy comes from: ``homotopy`` is the map
+(p, t) -> (H, H_p, -H_t) at rows of p, each row at its own t.  Each
+round is the classical four-stage Runge-Kutta predictor (RK4) on
+dp/dt = -H_p^-1 H_t, then ``_CORRECTOR_STEPS`` Newton steps, each stage
+one batched solve (``_solve_rows``: a singular H_p gives its row a NaN
+step, which fails).
 RK4 lands closer to the path than an Euler step, so fewer steps fail and
 the step cap can be larger (Bates, Hauenstein, Sommese & Wampler,
 "Numerically Solving Polynomial Systems with Bertini", 2013).  A step
@@ -21,7 +21,7 @@ A known limit: a path that runs to infinity like 1/(1 - t) but stays
 below ``_AT_INFINITY`` within ``_END_SLACK`` of t = 1 is reported as a
 stall, since every step there is stretched to t = 1, where H_p is
 singular (H = (1 - t) p - 1 from p = 1 stalls at t = 1 - 1.01e-12 with
-|p| = 9.92e11).  An endgame (ROADMAP item 2(b)) is the fix.
+|p| = 9.92e11).  An endgame (ROADMAP item 20(c)) is the fix.
 """
 
 import numpy as np
@@ -50,14 +50,13 @@ def _solve_rows(A, b):
         return np.concatenate([_solve_rows(A[i : i + 1], b[i : i + 1]) for i in range(len(b))])
 
 
-def track(at, p):
+def track(homotopy, p):
     """Follow each row of p from t = 0: (ends, t at the ends, each row's stall flag)."""
     p_end, t_end, stalled = np.empty_like(p), np.empty(len(p)), np.zeros(len(p), dtype=bool)
     p, t, h = p.copy(), np.zeros(len(p)), np.full(len(p), _MAX_STEP)
     rows = np.arange(len(p))
-    homotopy = at(rows)
     with np.errstate(all="ignore"):
-        while True:
+        while len(rows):
             dt = np.where(1.0 - t <= h + _END_SLACK, 1.0 - t, h)
             step = dt[:, None]
             # RK4 predictor; each stage solves H_p v = -H_t.
@@ -80,8 +79,4 @@ def track(at, p):
             if done.any():
                 p_end[rows[done]], t_end[rows[done]], stalled[rows[done]] = p[done], t[done], stall[done]
                 rows, p, t, h = rows[~done], p[~done], t[~done], h[~done]
-                if not len(rows):
-                    return p_end, t_end, stalled
-                # Let the old rows' arrays go before ``at`` gathers the live rows' own.
-                del homotopy
-                homotopy = at(rows)
+    return p_end, t_end, stalled

@@ -365,41 +365,18 @@ class TestSweep:
         assert keys == sorted(keys)
         assert len(keys) == 4
 
-    def test_rows_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
-        # One CPU solves the cells inline, two in a process pool of two workers.
-        pools = []
-
-        class RecordingPool(cli.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    def test_rows_are_each_cells_selected_rows(self, tmp_path):
         eps, n_list = [0.1, 0.3, 0.5], [2, 3]
-        runs = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)))
-            out = tmp_path / f"sweep{cpus}.csv"
-            argv = ["sweep", "--eps", ",".join(map(str, eps)), "--n", ",".join(map(str, n_list))]
-            assert main(argv + ["--out", str(out)]) == 0
-            runs.append(read_csv(out)[2])
-        assert pools == [2]
-        assert runs[0] == runs[1]
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--eps", ",".join(map(str, eps)), "--n", ",".join(map(str, n_list))]
+        assert main(argv + ["--out", str(out)]) == 0
         series = [tau_large_s_series(Ellipse(b=1.0, eps=e), max(n_list) + 2) for e in eps]
         expected = [
             (e, sol.n, sol.lambda1, sol.closest_pole.imag, sol.closest_pole.real)
             for e, c in zip(eps, series)
             for sol in selected_rows(c, n_list)
         ]
-        assert [(float(r[0]), int(r[1]), *map(float, r[2:])) for r in runs[0]] == expected
-
-    def test_unknown_cpu_count_solves_inline(self, monkeypatch, capsys):
-        # Without the affinity call, os.cpu_count() counts, and None means one CPU.
-        monkeypatch.delattr(cli.os, "sched_getaffinity")
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
-        assert main(["sweep", "--eps", "0.1,0.3", "--n", "1"]) == 0
-        assert capsys.readouterr().out.count("\n0.") == 2
+        assert [(float(r[0]), int(r[1]), *map(float, r[2:])) for r in read_csv(out)[2]] == expected
 
     def test_savo_order_cap_is_numeric_error(self, capsys):
         code = main(["sweep", "--eps", "0.1", "--n", "5", "--mode", "savo"])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_fourier_curve
+from conftest import fourier_curves, random_fourier_curve
 from heatpade import pade, tracking
 from heatpade.errors import (
     DegenerateDenominator,
@@ -20,7 +20,7 @@ from heatpade.errors import (
     UnsupportedOrder,
 )
 from heatpade.geometry import Disk, Ellipse, FourierCurve
-from heatpade.heat_content import ExpansionMode, LargeSSeries, tau_large_s_series
+from heatpade.heat_content import SAVO_MAX_ORDER, ExpansionMode, LargeSSeries, tau_large_s_series
 from heatpade.pade import (
     DOUBLET_GAP,
     RESIDUAL_ACCEPT,
@@ -44,9 +44,8 @@ from heatpade.series import maclaurin_tau_disk, quotient
 
 
 def _systems(c, orders):
-    """Each order's (exact, tracked) pair from ``_division_free_system``, off one exact series."""
-    inv, scale = pade._inverse_series(c, max(orders))
-    return [pade._division_free_system(inv, scale, n) for n in orders]
+    """Each order's (exact, tracked) pair, off one exact system."""
+    return pade._systems(c, orders)[1]
 
 
 def _exact_system(c, n):
@@ -64,9 +63,9 @@ def _tracked_at(c, n):
     return _quadratics_of(_systems(c, [n])[0][1])
 
 
-def _endpoints(c, orders):
-    """``_homotopy_endpoints`` on each of the ascending ``orders``' tracked doubles."""
-    return _homotopy_endpoints([tracked for _, tracked in _systems(c, orders)])
+def _endpoints(c, n):
+    """``_homotopy_endpoints`` on order n's tracked doubles."""
+    return _homotopy_endpoints(_systems(c, [n])[0][1])
 
 
 def _digits_system(c, n, num):
@@ -551,8 +550,8 @@ class TestExactDerivatives:
         ellipse = tau_large_s_series(Ellipse(b=1.0, eps=0.4), 6, ExpansionMode.SAVO_EXACT)
         count = 0
         for c, orders in ((disk, range(1, 10)), (ellipse, range(1, 5))):
-            for n, ends in zip(orders, _endpoints(c, orders)):
-                ends = ends[:, :n]
+            for n in orders:
+                ends = _endpoints(c, n)
                 size = 1.0 + np.linalg.norm(ends, axis=1)
                 real = ends[np.abs(ends.imag).max(axis=1) <= pade._REAL_TOL * size].real
                 exact = _exact_system(c, n)
@@ -637,7 +636,7 @@ class TestQuadraticForms:
 class TestHomotopy:
     @pytest.mark.parametrize("n, n_real", [(1, 2), (2, 2), (3, 2), (4, 4), (5, 4), (6, 8)])
     def test_every_path_ends_at_a_distinct_root(self, disk_series, n, n_real):
-        [ends] = _endpoints(disk_series, [n])
+        ends = _endpoints(disk_series, n)
         assert ends.shape == (2**n, n)
         assert np.isfinite(ends).all()
         size = 1.0 + np.linalg.norm(ends, axis=1)
@@ -667,8 +666,8 @@ class TestHomotopy:
             assert np.allclose(J[:, :, j], fd, rtol=1e-7, atol=1e-7 * np.max(np.abs(fd)))
 
     @staticmethod
-    def _tracking_calls(c, orders, monkeypatch):
-        """Batched F/J evaluations of one ``_homotopy_endpoints`` run, which must keep every path."""
+    def _tracking_calls(c, n, monkeypatch):
+        """Batched F/J evaluations of one ``_homotopy_endpoints`` run, which must keep every root."""
         quadratics = pade._quadratics
         calls = []
 
@@ -677,104 +676,81 @@ class TestHomotopy:
             return quadratics(*args)
 
         monkeypatch.setattr(pade, "_quadratics", counting)
-        ends = _endpoints(c, orders)
-        assert [len(e) for e in ends] == [2**n for n in orders]
+        assert len(_endpoints(c, n)) == 2**n
         return len(calls)
 
     @pytest.mark.parametrize("n, max_calls", [(4, 332), (7, 966)])
     def test_tracking_work(self, disk_series, monkeypatch, n, max_calls):
         # Each bound is half the F/J evaluations of an Euler predictor
         # with step cap 0.05 (664 at n = 4, 1932 at n = 7).
-        assert 0 < self._tracking_calls(disk_series, [n], monkeypatch) <= max_calls
+        assert 0 < self._tracking_calls(disk_series, n, monkeypatch) <= max_calls
 
-    @pytest.mark.parametrize("n, calls", [(1, 35), (2, 49)], ids=["1", "2"])
+    @pytest.mark.parametrize("n, calls", [(1, 0), (2, 49)], ids=["1", "2"])
     def test_no_round_after_the_last_full_step(self, disk_series, monkeypatch, n, calls):
-        # A round is 4 predictor stages and 3 corrector steps.  At n = 1 no
-        # step fails: five rounds of 0.2 end at t = 1.0 exactly, with no
-        # sixth round.  At n = 2 two of the four paths fail their first step
-        # of 0.2 and go on from 0.1 in steps of 0.1, 0.15, 0.2, 0.2, 0.2 and
-        # a last one of 0.15 to t = 1: seven rounds in all.
-        assert self._tracking_calls(disk_series, [n], monkeypatch) == calls
-
-    def test_ladder_tracks_in_one_batch(self, disk_series, monkeypatch):
-        # A round is 4 predictor stages and 3 corrector steps.  Order by
-        # order, n = 1..4 take 5 + 7 + 24 + 37 = 73 rounds; in one batch
-        # the ladder takes as many as its longest order.
-        calls = self._tracking_calls(disk_series, range(1, 5), monkeypatch)
-        assert calls % 7 == 0 and calls // 7 <= 38
-
-    def test_padded_coordinates_stay_zero(self, disk_series):
-        # A lower order's coordinates past its n start at 0 and follow
-        # H_j = p_j, so every endpoint keeps them exactly 0.
-        ends = _endpoints(disk_series, range(1, 8))
-        for n, e in zip(range(1, 8), ends):
-            assert e.shape == (2**n, 7)
-            assert np.all(e[:, n:] == 0)
-
-    def test_batched_endpoints_are_the_single_order_roots(self, disk_series):
-        # Each order's endpoints in a batch are its roots found alone.
-        for n, e in zip(range(1, 6), _endpoints(disk_series, range(1, 6))):
-            [alone] = _endpoints(disk_series, [n])
-            gap = np.linalg.norm(e[:, :n] - alone, axis=1)
-            assert np.all(gap <= 1e-12 * (1.0 + np.linalg.norm(alone, axis=1)))
+        # A round is 4 predictor stages and 3 corrector steps.  Order 1
+        # tracks no path: its roots come from the quadratic formula.  At
+        # n = 2 two of the four paths fail their first step of 0.2 and go
+        # on from 0.1 in steps of 0.1, 0.15, 0.2, 0.2, 0.2 and a last one
+        # of 0.15 to t = 1: seven rounds in all.
+        assert self._tracking_calls(disk_series, n, monkeypatch) == calls
 
     @staticmethod
-    def _stall_order(monkeypatch, k):
+    def _replace_tracked(monkeypatch, k, replace):
+        """Order k's tracked M becomes ``replace(M)``; every other order's stays."""
+        systems = pade._systems
+
+        def replaced(c, orders):
+            orders, pairs = systems(c, orders)
+            return orders, [(exact, replace(M) if n == k else M) for n, (exact, M) in zip(orders, pairs)]
+
+        monkeypatch.setattr(pade, "_systems", replaced)
+
+    @classmethod
+    def _stall_order(cls, monkeypatch, k):
         """Make every path of order k stall: its tracked F is not finite anywhere."""
-        system = pade._division_free_system
 
-        def broken(inv, scale, n):
-            exact, M = system(inv, scale, n)
-            if n == k:
-                M = M.copy()
-                M[:, n, n] = np.nan  # twice F's constant term
-            return exact, M
+        def broken(M):
+            M = M.copy()
+            M[:, k, k] = np.nan  # twice F's constant term
+            return M
 
-        monkeypatch.setattr(pade, "_division_free_system", broken)
+        cls._replace_tracked(monkeypatch, k, broken)
 
     def test_stall_fails_only_its_own_order(self, disk_series, monkeypatch):
         self._stall_order(monkeypatch, 3)
-        ends = _endpoints(disk_series, range(1, 5))
-        assert isinstance(ends[2], NoSolutionFound)
-        assert str(ends[2]) == "a homotopy path stalled at a finite point at order 3"
-        assert [len(ends[i]) for i in (0, 1, 3)] == [2, 4, 16]
+        with pytest.raises(NoSolutionFound, match="^a homotopy path stalled at a finite point at order 3$"):
+            _endpoints(disk_series, 3)
+        assert [len(_endpoints(disk_series, n)) for n in (1, 2, 4)] == [2, 4, 16]
         with pytest.raises(NoSolutionFound, match="^a homotopy path stalled at a finite point at order 3$"):
             ladder(disk_series, 4)
         assert len(ladder(disk_series, 2)) == 2
 
     def test_singular_jacobian_fails_only_its_own_order(self, disk_series, monkeypatch):
-        # With order 3's tracked M zero, its H_p at t = 1 is
-        # singular, which the batched solve refuses: that row's step is NaN
-        # and fails until the path stalls, and only order 3 fails.
-        want = _endpoints(disk_series, range(1, 5))
-        system = pade._division_free_system
-
-        def zeroed(inv, scale, n):
-            exact, M = system(inv, scale, n)
-            return exact, 0 * M if n == 3 else M
-
-        monkeypatch.setattr(pade, "_division_free_system", zeroed)
-        ends = _endpoints(disk_series, range(1, 5))
-        assert isinstance(ends[2], NoSolutionFound)
-        assert str(ends[2]) == "a homotopy path stalled at a finite point at order 3"
-        assert [len(ends[i]) for i in (0, 1, 3)] == [2, 4, 16]
-        assert all(np.array_equal(ends[i], want[i]) for i in (0, 1, 3))
+        # With order 3's tracked M zero, its H_p at t = 1 is singular,
+        # which the batched solve refuses: a row's step there is NaN and
+        # fails until the path stalls, and only order 3 fails.
+        want = {n: _endpoints(disk_series, n) for n in (1, 2, 4)}
+        self._replace_tracked(monkeypatch, 3, lambda M: 0 * M)
+        with pytest.raises(NoSolutionFound, match="^a homotopy path stalled at a finite point at order 3$"):
+            _endpoints(disk_series, 3)
+        assert all(np.array_equal(_endpoints(disk_series, n), want[n]) for n in (1, 2, 4))
         assert len(ladder(disk_series, 2)) == 2
 
     def test_one_stalled_row_fails_its_order(self, disk_series, monkeypatch):
-        # The tracker flags rows; one stalled row of order 2 (rows 2..5 of
-        # the batch) fails that order alone.
+        # The tracker flags rows; one stalled row of order 2's four fails
+        # that order, and no other.
         track = pade.track
 
-        def one_stall(at, p):
-            ends, t, stalled = track(at, p)
-            stalled[3] = True
+        def one_stall(homotopy, p):
+            ends, t, stalled = track(homotopy, p)
+            if len(p) == 4:
+                stalled[3] = True
             return ends, t, stalled
 
         monkeypatch.setattr(pade, "track", one_stall)
-        ends = _endpoints(disk_series, range(1, 4))
-        assert str(ends[1]) == "a homotopy path stalled at a finite point at order 2"
-        assert [len(ends[i]) for i in (0, 2)] == [2, 8]
+        with pytest.raises(NoSolutionFound, match="^a homotopy path stalled at a finite point at order 2$"):
+            _endpoints(disk_series, 2)
+        assert [len(_endpoints(disk_series, n)) for n in (1, 3)] == [2, 8]
 
     def test_first_failing_order_raises(self, disk_series, monkeypatch):
         # Selection fails at order 2 and a path of order 4 stalls: as when
@@ -816,11 +792,11 @@ class TestHomotopy:
         n = 4
         homotopy = pade._homotopy_endpoints
 
-        def repeated(tracked):
-            [ends] = homotopy(tracked)
+        def repeated(M):
+            ends = homotopy(M)
             size = 1.0 + np.linalg.norm(ends, axis=1)
             real = ends[np.abs(ends.imag).max(axis=1) <= pade._REAL_TOL * size]
-            return [np.vstack([ends, real[:1] * (1.0 + 1e-10)])]
+            return np.vstack([ends, real[:1] * (1.0 + 1e-10)])
 
         want = solve_interpolation(disk_series, n)
         monkeypatch.setattr(pade, "_homotopy_endpoints", repeated)
@@ -829,7 +805,7 @@ class TestHomotopy:
 
     def test_path_past_the_bound_goes_to_infinity(self, disk_series, monkeypatch):
         monkeypatch.setattr(tracking, "_AT_INFINITY", 10.0)
-        [ends] = _endpoints(disk_series, [3])
+        ends = _endpoints(disk_series, 3)
         assert 0 < len(ends) < 8
         assert np.all(np.linalg.norm(ends, axis=1) <= 10.0)
 
@@ -854,20 +830,20 @@ class TestOneExactSystem:
         [(Disk(), ExpansionMode.CURVATURE_APPROX, 7), (Ellipse(b=1.0, eps=0.5), ExpansionMode.SAVO_EXACT, 4)],
     )
     def test_tracked_constants_are_the_exact_ones_rounded_once(self, monkeypatch, shape, mode, n_max):
-        # Every M the ladder tracks: the batch's, and each step's or fallback's.
+        # Every M the ladder solves: order 1's, and each step's or fallback's.
         c = tau_large_s_series(shape, n_max + 2, mode)
         homotopy, step = pade._homotopy_endpoints, pade._step
         seen = []
 
-        def capture_batch(tracked):
-            seen.extend(tracked)
+        def capture_endpoints(tracked):
+            seen.append(tracked)
             return homotopy(tracked)
 
         def capture_step(row, system, tracked):
             seen.append(tracked)
             return step(row, system, tracked)
 
-        monkeypatch.setattr(pade, "_homotopy_endpoints", capture_batch)
+        monkeypatch.setattr(pade, "_homotopy_endpoints", capture_endpoints)
         monkeypatch.setattr(pade, "_step", capture_step)
         ladder(c, n_max)
         assert sorted({len(got) for got in seen}) == list(range(1, n_max + 1))
@@ -973,8 +949,101 @@ def _complete_rows(c, n_max):
     return [select_solution(solve_interpolation(c, n)) for n in range(1, n_max + 1)]
 
 
+def _order_1_by_total_degree(M):
+    """Order 1's roots as total degree finds them: two paths of gamma (1 - t) (p^2 - 1) + t F(p) from +-1."""
+    at = _quadratics_of(M)
+
+    def homotopy(p, t):
+        F, J = at(p)
+        G = pade._GAMMA * (p**2 - 1.0)
+        s, r = t[:, None], 1.0 - t[:, None]
+        return r * G + s * F, s[:, :, None] * J + (r * pade._GAMMA * 2.0 * p)[:, :, None], G - F
+
+    ends, t, stalled = tracking.track(homotopy, np.array([[1.0], [-1.0]], dtype=complex))
+    if stalled.any():
+        raise NoSolutionFound("a homotopy path stalled at a finite point at order 1")
+    ends = ends[t >= 1.0]
+    if len(ends) == 2 and abs(ends[0, 0] - ends[1, 0]) <= pade._DEDUP_TOL * (1.0 + np.abs(ends).max()):
+        raise NoSolutionFound("two homotopy paths ended at the same root at order 1")
+    return ends
+
+
+class TestOrderOne:
+    """Order 1's roots by the quadratic formula, against its two-path total-degree homotopy."""
+
+    @staticmethod
+    def _series():
+        # The corpus' c_1..c_3, which are all order 1 reads, and 300 of them
+        # perturbed, enough to flip signs: about a third have no real root.
+        base = [[float.fromhex(v) for v in case["c"][:3]] for case in _corpus()]
+        rng = np.random.default_rng(44)
+        picks = rng.integers(len(base), size=300)
+        return base + [list(np.array(base[i]) * (1.0 + rng.normal(size=3))) for i in picks]
+
+    def test_formula_gives_the_total_degree_rows(self):
+        outcomes = set()
+        for c in self._series():
+            [(system, M)] = _systems(LargeSSeries(c), [1])
+            got = _outcome(lambda: pade._accepted(1, system, _homotopy_endpoints(M)))
+            assert got == _outcome(lambda: pade._accepted(1, system, _order_1_by_total_degree(M)))
+            outcomes.add(len(got) if isinstance(got, list) else got)
+        assert outcomes == {2, "none of the 2 finite roots of order 1 is real"}
+
+    def test_roots_are_the_formulas(self):
+        M = np.array([[[1.0, -3.0], [-3.0, 2.0]]], dtype=complex)  # p^2 - 6 p + 2
+        r = 3.0 + math.sqrt(7.0)
+        assert np.array_equal(_homotopy_endpoints(M), [[r], [2.0 / r]])
+
+    # The degenerate systems: M_0 = [[a, b], [b, c]], F = (a p^2 + 2 b p + c) / 2.
+    _STALLED = "^a homotopy path stalled at a finite point at order 1$"
+    _SAME_ROOT = "^two homotopy paths ended at the same root at order 1$"
+
+    def test_a_zero_leading_coefficient_leaves_one_root(self):
+        # F = p - 3/2: the other root is at infinity.  Total degree's two
+        # paths both ended at 3/2, which it refused.
+        M = np.array([[[0.0, 1.0], [1.0, -3.0]]], dtype=complex)
+        assert np.array_equal(_homotopy_endpoints(M), [[1.5]])
+        with pytest.raises(NoSolutionFound, match=self._SAME_ROOT):
+            _order_1_by_total_degree(M)
+
+    def test_a_constant_has_no_root(self):
+        # F = 1/2: both roots are at infinity, where total degree stalled.
+        M = np.array([[[0.0, 0.0], [0.0, 1.0]]], dtype=complex)
+        ends = _homotopy_endpoints(M)
+        assert ends.shape == (0, 1)
+        with pytest.raises(NoSolutionFound, match="^none of the 0 finite roots of order 1 is real$"):
+            pade._accepted(1, None, ends)
+        with pytest.raises(NoSolutionFound, match=self._STALLED):
+            _order_1_by_total_degree(M)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 1)], ids=["a", "c"])
+    def test_a_non_finite_system_stalls(self, entry, where):
+        M = np.array([[[1.0, 0.5], [0.5, -1.0]]], dtype=complex)
+        M[(0, *where)] = entry
+        for solve in (_homotopy_endpoints, _order_1_by_total_degree):
+            with pytest.raises(NoSolutionFound, match=self._STALLED):
+                solve(M)
+
+    def test_a_double_root_is_two_paths_at_one_root(self):
+        # F = (p - 2)^2 / 2: total degree stalled at the singular root.
+        M = np.array([[[1.0, -2.0], [-2.0, 4.0]]], dtype=complex)
+        with pytest.raises(NoSolutionFound, match=self._SAME_ROOT):
+            _homotopy_endpoints(M)
+        with pytest.raises(NoSolutionFound, match=self._STALLED):
+            _order_1_by_total_degree(M)
+
+
 # r = 1 + 0.25 cos 3 phi: 0.25 (3^2 - 1) > 1, so the curve is not convex.
 _NON_CONVEX = FourierCurve((1.0, 0.0, 0.0, 0.25), (0.0, 0.0, 0.0))
+
+
+@st.composite
+def _solver_cases(draw):
+    """A random shape and coefficient mode, with the highest order it takes up to 6."""
+    shape = draw(st.one_of(fourier_curves(), st.floats(0.0, 0.95).map(lambda e: Ellipse(b=1.0, eps=e))))
+    mode = draw(st.sampled_from(ExpansionMode))
+    return shape, mode, SAVO_MAX_ORDER - 2 if mode is ExpansionMode.SAVO_EXACT else 6
 
 
 class TestTrackedRows:
@@ -999,37 +1068,51 @@ class TestTrackedRows:
         tracked = _outcome(lambda: selected_rows(c, range(1, n_max + 1)))
         assert tracked == _outcome(lambda: _complete_rows(c, n_max))
 
+    @given(_solver_cases())
+    @example((Ellipse(b=1.0, eps=0.95), ExpansionMode.CURVATURE_APPROX, 6))
+    @example((random_fourier_curve(np.random.default_rng(13)), ExpansionMode.CURVATURE_APPROX, 6))
+    @example((_NON_CONVEX, ExpansionMode.CURVATURE_APPROX, 6))
+    @settings(max_examples=50, deadline=None)
+    def test_tracked_rows_are_the_complete_ones_on_random_shapes(self, case):
+        # As above, on shapes Hypothesis draws; the examples are the cases
+        # above where a step fails, and the non-convex curve.
+        shape, mode, n_max = case
+        c = tau_large_s_series(shape, n_max + 2, mode)
+        tracked = _outcome(lambda: selected_rows(c, range(1, n_max + 1)))
+        assert tracked == _outcome(lambda: _complete_rows(c, n_max))
+
     @staticmethod
     def _paths(monkeypatch, fail_steps=False):
         """The rows of each ``track`` call; with ``fail_steps`` every one-path step stalls at t = 0."""
         track = pade.track
         paths = []
 
-        def counting(at, p):
+        def counting(homotopy, p):
             paths.append(len(p))
             if fail_steps and len(p) == 1:
                 return p.copy(), np.zeros(1), np.ones(1, dtype=bool)
-            return track(at, p)
+            return track(homotopy, p)
 
         monkeypatch.setattr(pade, "track", counting)
         return paths
 
     def test_ladder_tracks_one_path_per_order_above_1(self, disk_series, monkeypatch):
-        # Order 1 is a batch of 2 paths, and orders 2, 3 and 4 a path each:
-        # 5 paths, where total degree at every order takes 2 + 4 + 8 + 16 = 30.
+        # Order 1 tracks no path, and orders 2, 3 and 4 a path each: 3
+        # paths, where total degree at every order takes 2 + 4 + 8 + 16 = 30.
         paths = self._paths(monkeypatch)
         assert len(ladder(disk_series, 4)) == 4
-        assert paths == [2, 1, 1, 1]
+        assert paths == [1, 1, 1]
 
     def test_ladder_work(self, disk_series, monkeypatch):
-        # Batched F/J evaluations: 4 paths of 5 rounds, each round 4
+        # Batched F/J evaluations: 3 paths of 5 rounds, each round 4
         # predictor stages and 3 corrector steps, and F(p0) for each of the
-        # 3 steps.  A batch of orders 1 and 2 at a step cap of 0.1 took 212.
+        # 3 steps.  A batch of orders 1 and 2 at a step cap of 0.1 took 212,
+        # and order 1 by total degree another 35.
         quadratics = pade._quadratics
         calls = []
         monkeypatch.setattr(pade, "_quadratics", lambda *args: calls.append(1) or quadratics(*args))
         assert len(ladder(disk_series, 4)) == 4
-        assert len(calls) <= 4 * 5 * 7 + 3
+        assert len(calls) <= 3 * 5 * 7 + 3
 
     def test_a_lone_order_2_is_complete(self, disk_series, monkeypatch):
         paths = self._paths(monkeypatch)
@@ -1041,21 +1124,21 @@ class TestTrackedRows:
         want = select_solution(solve_interpolation(disk_series, 2))
         paths = self._paths(monkeypatch)
         rows = selected_rows(disk_series, [1, 2])
-        assert paths == [2, 1]
+        assert paths == [1]
         assert _hex_rows(rows[1:]) == _hex_rows([want])
 
     def test_failed_steps_fall_back_to_total_degree(self, disk_series, monkeypatch):
         want = _hex_rows(ladder(disk_series, 6))
         paths = self._paths(monkeypatch, fail_steps=True)
         assert _hex_rows(ladder(disk_series, 6)) == want
-        assert paths == [2, 1, 4, 1, 8, 1, 16, 1, 32, 1, 64]
+        assert paths == [1, 4, 1, 8, 1, 16, 1, 32, 1, 64]
 
     def test_an_order_without_its_predecessor_is_complete(self, disk_series, disk_ladder, monkeypatch):
-        # Order 3 has no order 2 to start from, so it joins order 1's batch;
-        # order 4 is tracked from order 3's row.
+        # Order 3 has no order 2 to start from, so total degree solves it
+        # alone; order 4 is tracked from order 3's row.
         paths = self._paths(monkeypatch)
         rows = selected_rows(disk_series, [1, 3, 4])
-        assert paths == [2 + 8, 1]
+        assert paths == [8, 1]
         assert _hex_rows(rows[:2]) == _hex_rows([disk_ladder[0], disk_ladder[2]])
         assert _hex_rows(rows[2:]) == _hex_rows(_complete_rows(disk_series, 4)[3:])
 

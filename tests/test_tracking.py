@@ -1,5 +1,3 @@
-import weakref
-
 import numpy as np
 
 from heatpade import tracking
@@ -8,16 +6,13 @@ from heatpade import tracking
 _GAMMA = 0.6 + 0.8j
 
 
-def _two_roots(rows, broken=()):
-    """H = (1 - t) gamma (p^2 - 1) + t (p^2 - 4) at rows of one unknown; NaN at ``broken`` rows."""
-
-    def homotopy(p, t):
-        s, G, F = t[:, None], _GAMMA * (p**2 - 1.0), p**2 - 4.0
-        H = (1.0 - s) * G + s * F
-        H[np.isin(rows, broken)] = np.nan
-        return H, ((1.0 - s) * _GAMMA * 2.0 * p + s * 2.0 * p)[:, :, None], G - F
-
-    return homotopy
+def _two_roots(p, t, broken=False):
+    """H = (1 - t) gamma (p^2 - 1) + t (p^2 - 4) at rows of one unknown; ``broken``: NaN at Re p < 0."""
+    s, G, F = t[:, None], _GAMMA * (p**2 - 1.0), p**2 - 4.0
+    H = (1.0 - s) * G + s * F
+    if broken:
+        H[p.real < 0] = np.nan
+    return H, ((1.0 - s) * _GAMMA * 2.0 * p + s * 2.0 * p)[:, :, None], G - F
 
 
 class TestTrack:
@@ -29,46 +24,33 @@ class TestTrack:
         assert np.array_equal(t, [1.0, 1.0])
         assert np.array_equal(stalled, [False, False])
 
-    def test_a_stalling_row_stalls_alone(self):
+    def test_no_round_after_the_last_full_step(self):
+        # A round is 4 predictor stages and 3 corrector steps.  No step
+        # fails: five rounds of 0.2 end at t = 1.0 exactly, with no sixth.
         calls = []
 
-        def at(rows):
-            calls.append(rows.tolist())
-            return _two_roots(rows, broken=[2, 3])
+        def counting(p, t):
+            calls.append(len(p))
+            return _two_roots(p, t)
 
+        tracking.track(counting, np.array([[1.0], [-1.0]], dtype=complex))
+        assert calls == [2] * 5 * 7
+
+    def test_a_stalling_row_stalls_alone(self):
         start = np.array([[1.0], [-1.0], [1.0], [-1.0]], dtype=complex)
-        ends, t, stalled = tracking.track(at, start)
-        assert np.array_equal(stalled, [False, False, True, True])
-        assert np.array_equal(ends[:2], [[2.0], [-2.0]]) and np.array_equal(t[:2], [1.0, 1.0])
-        # A stalled row leaves where it stood, and the homotopy is asked for
-        # again only when rows leave.
-        assert np.array_equal(ends[2:], start[2:]) and np.array_equal(t[2:], [0.0, 0.0])
-        assert calls == [[0, 1, 2, 3], [2, 3]]
-
-    def test_the_old_rows_homotopy_is_released_before_the_next_is_asked_for(self):
-        # A batched homotopy holds arrays gathered per row; two at once would
-        # double the tracker's peak memory.
-        returned = []
-
-        def at(rows):
-            assert all(ref() is None for ref in returned)
-            homotopy = _two_roots(rows, broken=[2, 3])
-            returned.append(weakref.ref(homotopy))
-            return homotopy
-
-        tracking.track(at, np.array([[1.0], [-1.0], [1.0], [-1.0]], dtype=complex))
-        assert len(returned) == 2
+        ends, t, stalled = tracking.track(lambda p, t: _two_roots(p, t, broken=True), start)
+        assert np.array_equal(stalled, [False, True, False, True])
+        assert np.array_equal(ends[[0, 2]], [[2.0], [2.0]]) and np.array_equal(t[[0, 2]], [1.0, 1.0])
+        # A stalled row leaves where it stood.
+        assert np.array_equal(ends[[1, 3]], start[[1, 3]]) and np.array_equal(t[[1, 3]], [0.0, 0.0])
 
     def test_a_path_past_the_bound_leaves_before_t_1_without_a_stall(self):
-        def at(rows):
+        def homotopy(p, t):
             # H = e^(-60 t) p - 1: p = e^(60 t) passes 1e12 near t = 0.46.
-            def homotopy(p, t):
-                e = np.exp(-60.0 * t)[:, None]
-                return e * p - 1.0, np.ones_like(p)[:, :, None] * e[:, :, None], 60.0 * e * p
+            e = np.exp(-60.0 * t)[:, None]
+            return e * p - 1.0, np.ones_like(p)[:, :, None] * e[:, :, None], 60.0 * e * p
 
-            return homotopy
-
-        ends, t, stalled = tracking.track(at, np.array([[1.0]], dtype=complex))
+        ends, t, stalled = tracking.track(homotopy, np.array([[1.0]], dtype=complex))
         assert abs(ends[0, 0]) > tracking._AT_INFINITY
         assert 0.0 < t[0] < 1.0
         assert np.array_equal(stalled, [False])
