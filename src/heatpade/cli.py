@@ -70,12 +70,16 @@ def _j_max(args):
     return args.j_max
 
 
-def _order(value, flag):
-    """The highest solver order, checked before any series is built."""
-    if value < 1:
-        raise UsageError(f"{flag} must be >= 1, got {value}")
-    solver_orders([value])
-    return value
+def _orders(orders, flag):
+    """``solver_orders(orders)`` before any series is built; an order below 1 is a usage error."""
+    if min(orders) < 1:
+        raise UsageError(f"{flag} must be >= 1, got {min(orders)}")
+    return solver_orders(orders)
+
+
+def _rows(curve, orders, mode):
+    """``selected_rows`` at ``orders``, ascending, off the series the highest one needs."""
+    return selected_rows(tau_large_s_series(curve, orders[-1] + 2, mode), orders)
 
 
 def _environment():
@@ -225,17 +229,14 @@ def cmd_tau(args):
 
 def cmd_pade(args):
     curve = _load_curve(args)
-    n = _order(args.n, "--n")
-    c = tau_large_s_series(curve, n + 2, args.mode)
-    [sol] = selected_rows(c, [n])
+    [sol] = _rows(curve, _orders([args.n], "--n"), args.mode)
     return {"solution": _solution_record(sol)}
 
 
 def cmd_lambda1(args):
     curve = _load_curve(args)
-    n_max = _order(args.n_max, "--n-max")
-    c = tau_large_s_series(curve, n_max + 2, args.mode)
-    sols = selected_rows(c, range(1, n_max + 1))
+    [n_max] = _orders([args.n_max], "--n-max")
+    sols = _rows(curve, range(1, n_max + 1), args.mode)
     rows = [
         (sol.n, sol.closest_pole.imag, sol.closest_pole.real, sol.lambda1) for sol in sols
     ]
@@ -244,10 +245,7 @@ def cmd_lambda1(args):
 
 def cmd_sweep(args):
     eps_list = sorted(set(_floats(args.eps, "--eps")))
-    n_list = sorted(set(_ints(args.n, "--n")))
-    if any(n < 1 for n in n_list):
-        raise UsageError("orders must be >= 1")
-    solver_orders(n_list)
+    n_list = _orders(set(_ints(args.n, "--n")), "--n")
     try:
         curves = [Disk(R=args.b) if e == 0.0 else Ellipse(b=args.b, eps=e) for e in eps_list]
     except ValueError as exc:
@@ -264,13 +262,9 @@ def cmd_sweep(args):
 
 
 def cmd_table1(args):
-    n_max = _order(args.n_max, "--n-max")
-    c = tau_large_s_series(Disk(), n_max + 2)
-    sols = selected_rows(c, range(1, n_max + 1))
-    rows = []
-    for sol in sols:
-        d = sol.small_s_coeffs
-        rows.append((f"[{sol.n}/{sol.n + 2}]", d[0], d[1], d[2], d[3], sol.closest_pole.imag))
+    [n_max] = _orders([args.n_max], "--n-max")
+    sols = _rows(Disk(), range(1, n_max + 1), "curvature")
+    rows = [(f"[{sol.n}/{sol.n + 2}]", *sol.small_s_coeffs, sol.closest_pole.imag) for sol in sols]
     if n_max >= 2:
         # Richardson step on the last two rows, assuming Im s_n = L - A / n^2.
         na, nb = n_max - 1, n_max
@@ -306,44 +300,40 @@ def build_parser():
         p.add_argument("--out", help="output file (default: stdout)")
         return p
 
-    p = add("coeffs", cmd_coeffs, "small-time expansion coefficients for a shape")
-    p.add_argument("--shape", required=True, help="shape JSON (path or inline)")
-    p.add_argument("--j-max", type=int, default=6)
+    add("coeffs", cmd_coeffs, "small-time expansion coefficients for a shape")
 
     for name, func in (("survival", cmd_survival), ("tau", cmd_tau)):
         p = add(name, func, f"sampled {name} curve (disk exact or truncated expansion)")
-        p.add_argument("--shape", required=True)
         p.add_argument("--times" if name == "survival" else "--s", required=True)
         p.add_argument("--method", choices=("auto", "exact", "expansion"), default="auto")
-        p.add_argument("--j-max", type=int, default=5)
-        p.add_argument("--mode", choices=("curvature", "savo"), default="curvature")
 
     p = add("pade", cmd_pade, "one rational-interpolation fit at a given order")
-    p.add_argument("--shape", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("curvature", "savo"), default="curvature")
 
     p = add("lambda1", cmd_lambda1, "pole trajectory and lambda_1 estimates for n = 1..N")
-    p.add_argument("--shape", required=True)
     p.add_argument("--n-max", type=int, default=4)
-    p.add_argument("--mode", choices=("curvature", "savo"), default="curvature")
 
     p = add("sweep", cmd_sweep, "lambda_1 over an ellipse eccentricity grid")
     p.add_argument("--eps", required=True, help="comma-separated eccentricities")
     p.add_argument("--n", required=True, help="comma-separated orders")
     p.add_argument("--b", type=float, default=1.0, help="minor semiaxis")
-    p.add_argument("--mode", choices=("curvature", "savo"), default="curvature")
 
     p = add("table1", cmd_table1, "disk small-s coefficients and pole imaginary parts by order")
     p.add_argument("--n-max", type=int, default=4)
 
     p = add("mc", cmd_mc, "Monte-Carlo survival curve")
-    p.add_argument("--shape", required=True)
     p.add_argument("--walkers", type=int, default=10000)
     p.add_argument("--dt", type=float, default=1e-4)
     p.add_argument("--times", required=True)
     p.add_argument("--seed", type=int, default=1)
 
+    # Options that several subcommands share, each declared once.
+    for name in ("coeffs", "survival", "tau", "pade", "lambda1", "mc"):
+        sub.choices[name].add_argument("--shape", required=True, help="shape JSON (path or inline)")
+    for name in ("survival", "tau", "pade", "lambda1", "sweep"):
+        sub.choices[name].add_argument("--mode", choices=("curvature", "savo"), default="curvature")
+    for name, default in (("coeffs", 6), ("survival", 5), ("tau", 5)):
+        sub.choices[name].add_argument("--j-max", type=int, default=default)
     return parser
 
 

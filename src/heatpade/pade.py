@@ -437,8 +437,8 @@ def _accepted(n: int, system, ends):
                                             s.approximant.p))
 
 
-def _step(row: PadeSolution, system, tracked):
-    """Order n's physical row on one path from ``row``, order n - 1's, or None.
+def _step(row: PadeSolution, tracked):
+    """The end point of one path from ``row``, order n - 1's, to order n: shape (0 or 1, n).
 
     P_(n-1)(s) (s + 5n) is order n - 1's interpolant with a pole-zero
     doublet at s = -5n; its first n coefficients p0 start the one path of
@@ -447,11 +447,9 @@ def _step(row: PadeSolution, system, tracked):
     parameter continuation (A. Morgan and A. Sommese, Appl. Math. Comput.
     29, 1989).  Divided by D = gamma (1 - t) + t, which moves no path, it
     is H = F(p) - mu F(p0) with mu = gamma (1 - t) / D, so H_p = J and
-    -H_t = mu'(t) F(p0) = -gamma F(p0) / D^2.  The endpoint is screened,
-    polished and filtered as ``solve_interpolation`` and
-    ``select_solution`` do.  A path that stalls or runs to infinity, and
-    an endpoint that is not a physical row, give None.  The shift 5n is an observation on the disk: smaller
-    shifts often end on a complex root.
+    -H_t = mu'(t) F(p0) = -gamma F(p0) / D^2.  A path that stalls or runs
+    to infinity has no end point.  The shift 5n is an observation on the
+    disk: smaller shifts often end on a complex root.
     """
     n = len(tracked)
     L = tracked.transpose(1, 0, 2).reshape(n + 1, -1)
@@ -466,12 +464,7 @@ def _step(row: PadeSolution, system, tracked):
         return F - g / D * F0, J, -_GAMMA / D**2 * F0
 
     ends, t, _ = track(homotopy, p0)
-    if t[0] < 1.0:
-        return None
-    try:
-        return select_solution(_accepted(n, system, ends))
-    except NoSolutionFound:
-        return None
+    return ends[t >= 1.0]
 
 
 def solve_interpolation(
@@ -508,23 +501,27 @@ def selected_rows(c: LargeSSeries, orders):
 
     Every order is read off one exact system.  An order whose predecessor
     n - 1 is not among ``orders``, order 1 always, is complete: all its
-    roots come from ``_homotopy_endpoints``, and ``select_solution`` picks
-    among them, as in ``solve_interpolation``.
-    Every other order is tracked: ``_step`` follows one path from order
-    n - 1's row.  A tracked row is a physical row of order n, which every
-    checked case shows to be the one ``select_solution`` would pick among
-    all roots, but no path proves it.  Where the step reaches no physical
-    row, total degree solves that order alone, and the climb goes on from
-    the row it selects.  The error raised is the first failing order's,
-    as when the orders are solved one by one.
+    roots come from ``_homotopy_endpoints``.  Every other order is
+    tracked: ``_step`` follows one path from order n - 1's row.  Either
+    way ``_accepted`` screens and polishes the end points and
+    ``select_solution`` picks the row, as in ``solve_interpolation``.  A
+    tracked row is one every checked case shows total degree would pick
+    too, but no path proves it.  Where the step gives no row, total
+    degree solves that order alone.  The error raised is the first
+    failing order's, as when the orders are solved one by one.
     """
     orders, systems = _systems(c, orders)
     rows = []
     for n, (system, tracked) in zip(orders, systems):
-        row = _step(rows[-1], system, tracked) if rows and rows[-1].n == n - 1 else None
-        if row is None:
-            row = select_solution(_accepted(n, system, _homotopy_endpoints(tracked)))
-        rows.append(row)
+        # The row below starts one path; None stands for total degree, the fallback.
+        for below in ([rows[-1]] if rows and rows[-1].n == n - 1 else []) + [None]:
+            ends = _homotopy_endpoints(tracked) if below is None else _step(below, tracked)
+            try:
+                rows.append(select_solution(_accepted(n, system, ends)))
+                break
+            except NoSolutionFound:
+                if below is None:
+                    raise
     return rows
 
 

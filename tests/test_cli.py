@@ -393,6 +393,11 @@ class TestSweep:
         assert main(["sweep", "--eps", eps, "--n", "1", f"--b={b}"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_order_below_one_is_usage_error(self, capsys):
+        # The refusal names the flag, as pade's and lambda1's do.
+        assert main(["sweep", "--eps", "0.2", "--n", "0,3"]) == 2
+        assert capsys.readouterr().err.startswith("error: --n must be >= 1, got 0")
+
     def test_empty_order_list_is_usage_error(self, capsys):
         assert main(["sweep", "--eps", "0.1", "--n", ","]) == 2
         assert capsys.readouterr().err.startswith("error: --n must list")
@@ -544,6 +549,10 @@ class TestUsage:
     def test_empty_list_is_usage_error(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {argv[-2]} must list")
+
+    def test_non_number_in_a_list_is_usage_error(self, capsys):
+        assert main(["survival", "--shape", DISK, "--times", "0.1,abc"]) == 2
+        assert capsys.readouterr().err == "error: expected a comma-separated number list, got '0.1,abc'\n"
 
     @pytest.mark.parametrize("method", ["exact", "expansion"])
     @pytest.mark.parametrize("times", ["-0.1", "0,-0.1", "nan", "inf"])

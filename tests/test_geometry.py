@@ -11,6 +11,7 @@ from conftest import fourier_curves
 from heatpade import geometry
 from heatpade.errors import QuadratureNotConverged
 from heatpade.geometry import (
+    BoundaryCurve,
     Disk,
     Ellipse,
     FourierCurve,
@@ -35,6 +36,10 @@ class TestShapes:
             Ellipse(b=1.0, eps=1.0)
         with pytest.raises(ValueError):
             Ellipse(b=-1.0, eps=0.5)
+
+    def test_fourier_needs_a_constant_term(self):
+        with pytest.raises(ValueError, match="^cos_coeffs must contain at least the constant term$"):
+            FourierCurve(())
 
     def test_ellipse_axes(self):
         e = Ellipse(b=2.0, eps=0.6)
@@ -299,6 +304,13 @@ class TestJsonRoundTrip:
     def test_roundtrip(self, curve):
         assert curve_from_json(curve_to_json(curve)) == curve
 
+    def test_unknown_curve_class_is_refused(self):
+        class Square(BoundaryCurve):
+            pass
+
+        with pytest.raises(TypeError, match="^cannot serialize Square$"):
+            curve_to_json(Square())
+
     def test_from_string_and_file(self, tmp_path):
         spec = {"kind": "ellipse", "b": 1.0, "eps": 0.25}
         assert curve_from_json(json.dumps(spec)) == Ellipse(b=1.0, eps=0.25)
@@ -377,6 +389,10 @@ class TestMeasures:
         # perimeter = 4 a E(eps^2).
         ref = 4.0 * e.a * special.ellipe(e.eps**2)
         assert m.perimeter == pytest.approx(ref, rel=1e-12)
+
+    def test_negative_curvature_power_is_refused(self):
+        with pytest.raises(ValueError, match="^power must be non-negative$"):
+            curvature_power_integral(Disk(), -1)
 
 
 class TestCurvature:

@@ -163,6 +163,10 @@ class TestBuildResiduals:
         with pytest.raises(ValueError):
             build_residuals(LargeSSeries((1.0, 2.0)), 2)
 
+    def test_order_zero_is_refused(self, disk_series):
+        with pytest.raises(ValueError, match="^order must be >= 1$"):
+            build_residuals(disk_series, 0)
+
 
 def _coefficient_lists(approx):
     """Ascending numerator and denominator coefficients, leading 1s included."""
@@ -170,6 +174,13 @@ def _coefficient_lists(approx):
 
 
 class TestRationalSeries:
+    @pytest.mark.parametrize(
+        "p, q", [((), (1.0, 0.5, 0.25)), ((0.0, 1.0), (1.0, 0.5, 0.25)), ((0.0,), (1.0, 0.5))]
+    )
+    def test_wrong_coefficient_counts_are_refused(self, p, q):
+        with pytest.raises(ValueError, match=r"^coefficient counts must be n and n\+2 "):
+            PadeApproximant(n=1, p=p, q=q)
+
     def test_zero_numerator_constant(self):
         # P(s) = s (p0 = 0) over a denominator with q0 = 1: d0 = 0.
         approx = PadeApproximant(n=1, p=(0.0,), q=(1.0, 0.5, 0.25))
@@ -354,6 +365,15 @@ class TestSelection:
         # Without the doublet rule the doublet would win on |Re|.
         assert abs(doublet.closest_pole.real) < abs(genuine.closest_pole.real)
         assert select_solution([doublet, genuine]) is genuine
+
+    def test_only_real_poles_are_dropped(self, disk_ladder):
+        # p0, q0 > 0 and no unstable pole, but Q = (s + 1)(s + 2)(s + 3)
+        # has no complex pole pair to read lambda_1 off.
+        real = _make_solution(1, np.array([4.0, 6.0, 11.0, 6.0]))
+        assert real.closest_pole is None
+        assert select_solution([real, disk_ladder[0]]) is disk_ladder[0]
+        with pytest.raises(NoSolutionFound):
+            select_solution([real])
 
     def test_ladder_rows_are_not_doublets(self, disk_ladder):
         assert all(pole_zero_gap(sol) > 1e-2 for sol in disk_ladder)
@@ -839,9 +859,9 @@ class TestOneExactSystem:
             seen.append(tracked)
             return homotopy(tracked)
 
-        def capture_step(row, system, tracked):
+        def capture_step(row, tracked):
             seen.append(tracked)
-            return step(row, system, tracked)
+            return step(row, tracked)
 
         monkeypatch.setattr(pade, "_homotopy_endpoints", capture_endpoints)
         monkeypatch.setattr(pade, "_step", capture_step)
@@ -1317,6 +1337,17 @@ class TestPronyMoments:
     def test_requires_a_mode(self, m):
         with pytest.raises(ValueError, match="m >= 1"):
             prony_moments(maclaurin_tau_disk(1, 3), m)
+
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            ((1.0, -1.0, 0.5, -0.3), "moments are not those of a positive measure"),
+            ((2.0, 0.0, 2.0, 0.0), "moment eigenvalues are not positive"),
+        ],
+    )
+    def test_moments_of_no_positive_measure_raise(self, d, message):
+        with pytest.raises(IllConditioned, match=f"^{message}$"):
+            prony_moments(d, 2)
 
     def test_ill_conditioned_raises(self):
         d = [float(v) for v in maclaurin_tau_disk(1, 9)]
