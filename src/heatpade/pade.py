@@ -20,10 +20,11 @@ order's, are Python integers over one power of two.  Those arrays are
 rounded once to doubles, and ``_homotopy_endpoints`` finds every root of
 one order from them, with no randomness and no starting guess: order 1's
 by the quadratic formula, and order n's by a total-degree homotopy that
-follows one path to each root on the tracker of ``tracking``.  A ladder
-(``selected_rows``) solves order 1 that way and climbs to each order
-above along one path from the row below (``_step``), with total degree
-as the fallback.  A real endpoint
+follows one path to each root on the tracker of ``tracking``.
+``selected_rows`` solves order 1 that way and climbs to the highest
+requested order, each along one path from the row below (``_step``),
+with total degree as the fallback: a row is the same whatever other
+orders are requested.  A real endpoint
 becomes a solution only when Newton on the exact residuals of the same
 integers reaches a step below 1e-20 (relative to 1 + |p|) within 8
 steps, and the polished q0 is not 0: the one acceptance rule, so the
@@ -79,10 +80,10 @@ _REAL_TOL = 1e-6
 # order n, so its time and memory about double per order: the disk's
 # order alone takes 1.9 CPU s at n = 10, 4.4 s at n = 11 and 14 s at
 # n = 12, and the process peaks at 40, 53 and 81 MB (one core of a
-# 2-core Xeon, single-threaded BLAS).  A ladder tracks one path per
-# order above 1 and pays this only where a step falls back to total
-# degree, which it may at any order.  At n = 40 the start array alone
-# would need 640 TiB.
+# 2-core Xeon, single-threaded BLAS).  Only ``solve_interpolation`` and
+# a failed step, which may fall back to total degree at any order, pay
+# this: ``selected_rows`` tracks one path per order above 1.  At n = 40
+# the start array alone would need 640 TiB.
 MAX_ORDER = 12
 
 
@@ -396,17 +397,16 @@ def solver_orders(orders):
     return orders
 
 
-def _systems(c: LargeSSeries, orders):
-    """``orders`` checked, and each one's (``_division_free_system``, M tracked), off one exact system.
+def _systems(c: LargeSSeries, n: int):
+    """Orders 1..n's (``_division_free_system``, M tracked), off one exact system.
 
-    ``_system_arrays`` is built once, at the highest order, and its M
-    rounded once to complex doubles (+-inf past the double range) for
-    tracking: every lower order's arrays are leading blocks of these.
+    ``_system_arrays`` is built once, at order n, and its M rounded once
+    to complex doubles (+-inf past the double range) for tracking: every
+    lower order's arrays are leading blocks of these.
     """
-    orders = solver_orders(orders)
-    _require_terms(c, orders[-1])
-    inv, scale = _inverse_series(c, orders[-1])
-    M, W = _system_arrays(inv, orders[-1])
+    _require_terms(c, n)
+    inv, scale = _inverse_series(c, n)
+    M, W = _system_arrays(inv, n)
 
     def rounded(v):
         try:
@@ -415,8 +415,8 @@ def _systems(c: LargeSSeries, orders):
             return math.inf if v > 0 else -math.inf if v < 0 else v  # NaN stays NaN
 
     tracked = np.vectorize(rounded, otypes=[complex])(M)
-    return orders, [(_division_free_system(M[:n, : n + 1, : n + 1], W[: n + 3, : n + 1], scale),
-                     tracked[:n, : n + 1, : n + 1]) for n in orders]
+    return [(_division_free_system(M[:k, : k + 1, : k + 1], W[: k + 3, : k + 1], scale),
+             tracked[:k, : k + 1, : k + 1]) for k in range(1, n + 1)]
 
 
 def _accepted(n: int, system, ends):
@@ -492,29 +492,30 @@ def solve_interpolation(
     The search has no randomness and no starting guess: ``seed`` and
     ``n_multistart`` are accepted for compatibility and have no effect.
     """
-    [n], [(system, tracked)] = _systems(c, [n])
+    [n] = solver_orders([n])
+    system, tracked = _systems(c, n)[-1]
     return _accepted(n, system, _homotopy_endpoints(tracked))
 
 
 def selected_rows(c: LargeSSeries, orders):
     """The selected physical solution at each of ``orders``, in ascending order.
 
-    Every order is read off one exact system.  An order whose predecessor
-    n - 1 is not among ``orders``, order 1 always, is complete: all its
-    roots come from ``_homotopy_endpoints``.  Every other order is
-    tracked: ``_step`` follows one path from order n - 1's row.  Either
-    way ``_accepted`` screens and polishes the end points and
-    ``select_solution`` picks the row, as in ``solve_interpolation``.  A
-    tracked row is one every checked case shows total degree would pick
-    too, but no path proves it.  Where the step gives no row, total
-    degree solves that order alone.  The error raised is the first
-    failing order's, as when the orders are solved one by one.
+    Every order from 1 to the highest of ``orders`` is solved, off one
+    exact system, and only the rows of ``orders`` are returned, so a row
+    is the same doubles whatever other orders are requested.  Order 1's
+    roots come from ``_homotopy_endpoints``, and each order above from
+    ``_step``, one path from the row below; where the step gives no row,
+    total degree solves that order alone.  Either way ``_accepted``
+    screens and polishes the end points and ``select_solution`` picks the
+    row, as in ``solve_interpolation``.  A stepped row is one every
+    checked case shows total degree would pick too, but no path proves
+    it.  The error raised is the first failing order's, requested or not.
     """
-    orders, systems = _systems(c, orders)
+    orders = solver_orders(orders)
     rows = []
-    for n, (system, tracked) in zip(orders, systems):
+    for n, (system, tracked) in enumerate(_systems(c, orders[-1]), start=1):
         # The row below starts one path; None stands for total degree, the fallback.
-        for below in ([rows[-1]] if rows and rows[-1].n == n - 1 else []) + [None]:
+        for below in rows[-1:] + [None]:
             ends = _homotopy_endpoints(tracked) if below is None else _step(below, tracked)
             try:
                 rows.append(select_solution(_accepted(n, system, ends)))
@@ -522,7 +523,7 @@ def selected_rows(c: LargeSSeries, orders):
             except NoSolutionFound:
                 if below is None:
                     raise
-    return rows
+    return [rows[n - 1] for n in orders]
 
 
 def ladder(
@@ -533,9 +534,8 @@ def ladder(
 ):
     """Selected physical solution at each order n = 1..n_max.
 
-    Order 1 is complete and every order above is tracked from the row
-    below (``selected_rows``); ``seed`` and ``n_multistart`` have no
-    effect.
+    The rows of ``selected_rows`` at orders 1..n_max; ``seed`` and
+    ``n_multistart`` have no effect.
     """
     [n_max] = solver_orders([n_max])
     return selected_rows(c, range(1, n_max + 1))

@@ -378,6 +378,14 @@ class TestSweep:
         ]
         assert [(float(r[0]), int(r[1]), *map(float, r[2:])) for r in read_csv(out)[2]] == expected
 
+    def test_rows_do_not_depend_on_the_other_orders(self, tmp_path):
+        def rows(n):
+            out = tmp_path / f"sweep-{n}.csv"
+            assert main(["sweep", "--eps", "0.5", "--n", n, "--out", str(out)]) == 0
+            return read_csv(out)[2]
+
+        assert rows("3,5") == [row for row in rows("1,2,3,4,5") if row[1] in ("3", "5")]
+
     def test_savo_order_cap_is_numeric_error(self, capsys):
         code = main(["sweep", "--eps", "0.1", "--n", "5", "--mode", "savo"])
         assert code == 1
@@ -459,6 +467,16 @@ class TestOrdersPastTen:
         assert twelve[: 1 + 10] == ten[: 1 + 10]
         column = ten[0].split(",").index("im_s")
         assert [f"{float(row.split(',')[column]):.6f}" for row in twelve[11:13]] == ["2.374574", "2.379658"]
+
+    def test_a_lone_order_is_the_ladders_row(self, tmp_path):
+        # pade climbs through the orders below, as lambda1 does: order 11
+        # solved alone by total degree had no physical root.
+        out = tmp_path / "pade.json"
+        assert main(["pade", "--shape", DISK, "--n", "11", "--out", str(out)]) == 0
+        im = json.loads(out.read_text())["solution"]["closest_pole"][1]
+        [*_, row] = self._rows(["lambda1", "--shape", DISK, "--n-max", "11"], tmp_path)
+        assert im == float(row.split(",")[1])
+        assert f"{im:.6f}" == "2.374574"
 
 
 class TestMcCommand:

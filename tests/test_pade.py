@@ -45,7 +45,8 @@ from heatpade.series import maclaurin_tau_disk, quotient
 
 def _systems(c, orders):
     """Each order's (exact, tracked) pair, off one exact system."""
-    return pade._systems(c, orders)[1]
+    pairs = pade._systems(c, max(orders))
+    return [pairs[n - 1] for n in orders]
 
 
 def _exact_system(c, n):
@@ -719,9 +720,9 @@ class TestHomotopy:
         """Order k's tracked M becomes ``replace(M)``; every other order's stays."""
         systems = pade._systems
 
-        def replaced(c, orders):
-            orders, pairs = systems(c, orders)
-            return orders, [(exact, replace(M) if n == k else M) for n, (exact, M) in zip(orders, pairs)]
+        def replaced(c, n):
+            return [(exact, replace(M) if order == k else M)
+                    for order, (exact, M) in enumerate(systems(c, n), start=1)]
 
         monkeypatch.setattr(pade, "_systems", replaced)
 
@@ -1134,11 +1135,12 @@ class TestTrackedRows:
         assert len(ladder(disk_series, 4)) == 4
         assert len(calls) <= 3 * 5 * 7 + 3
 
-    def test_a_lone_order_2_is_complete(self, disk_series, monkeypatch):
+    def test_a_lone_order_2_is_stepped_from_order_1(self, disk_series, monkeypatch):
+        want = ladder(disk_series, 2)[1]
         paths = self._paths(monkeypatch)
         [row] = selected_rows(disk_series, [2])
-        assert paths == [4]
-        assert _hex_rows([row]) == _hex_rows(_complete_rows(disk_series, 2)[1:])
+        assert paths == [1]
+        assert _hex_rows([row]) == _hex_rows([want])
 
     def test_order_2_is_tracked_from_order_1(self, disk_series, monkeypatch):
         want = select_solution(solve_interpolation(disk_series, 2))
@@ -1153,14 +1155,22 @@ class TestTrackedRows:
         assert _hex_rows(ladder(disk_series, 6)) == want
         assert paths == [1, 4, 1, 8, 1, 16, 1, 32, 1, 64]
 
-    def test_an_order_without_its_predecessor_is_complete(self, disk_series, disk_ladder, monkeypatch):
-        # Order 3 has no order 2 to start from, so total degree solves it
-        # alone; order 4 is tracked from order 3's row.
+    def test_an_order_without_its_predecessor_is_stepped(self, disk_series, monkeypatch):
+        # Order 2 is not requested, yet it is solved, and order 3 is
+        # stepped from its row: the rows are the ladder's.
+        want = ladder(disk_series, 4)
         paths = self._paths(monkeypatch)
         rows = selected_rows(disk_series, [1, 3, 4])
-        assert paths == [8, 1]
-        assert _hex_rows(rows[:2]) == _hex_rows([disk_ladder[0], disk_ladder[2]])
-        assert _hex_rows(rows[2:]) == _hex_rows(_complete_rows(disk_series, 4)[3:])
+        assert paths == [1, 1, 1]
+        assert _hex_rows(rows) == _hex_rows([want[0], want[2], want[3]])
+
+    def test_a_failing_order_below_the_requested_one_raises(self):
+        # Order 5 of eps = 0.95 has no real root, so order 6 has no row to
+        # climb from.  Solved alone by total degree, order 6 has no root
+        # that passes the physical filter.
+        c = tau_large_s_series(Ellipse(b=1.0, eps=0.95), 8)
+        with pytest.raises(NoSolutionFound, match="^none of the 32 finite roots of order 5 is real$"):
+            selected_rows(c, [6])
 
     def test_disk_to_order_10_is_fast_and_unchanged(self):
         # Total degree took about 6 CPU s for these orders; rows 1..9 are the
