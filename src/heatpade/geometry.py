@@ -19,13 +19,15 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import QuadratureNotConverged
 
 _VALIDATION_SAMPLES = 4096
+# Boundary samples of a FourierCurve's clearance bound.
+_CLEARANCE_SAMPLES = 512
 _QUAD_START = 256
 _QUAD_CAP = 2**20
 _QUAD_RTOL = 1e-12
@@ -47,6 +49,14 @@ class BoundaryCurve:
         """``contains`` on float arrays; the polar test x^2 + y^2 <= r(phi)^2."""
         rb, _, _ = self.radius(np.arctan2(y, x))
         return x * x + y * y <= rb * rb
+
+    def _clearance(self, x, y):
+        """A lower bound on the distance from interior points to the boundary.
+
+        The base class knows none, so it returns 0; a subclass gives a
+        bound a walker can jump by (``mc_oracle``).
+        """
+        return np.zeros(np.shape(x))
 
     def max_radius(self):
         r, _, _ = self.radius(np.linspace(0.0, 2.0 * np.pi, _VALIDATION_SAMPLES, endpoint=False))
@@ -70,6 +80,9 @@ class Disk(BoundaryCurve):
     def _inside(self, x, y):
         return x * x + y * y <= self.R * self.R
 
+    def _clearance(self, x, y):
+        return self.R - np.sqrt(x * x + y * y)
+
 
 @dataclass(frozen=True)
 class Ellipse(BoundaryCurve):
@@ -92,6 +105,12 @@ class Ellipse(BoundaryCurve):
     def _inside(self, x, y):
         # The implicit form (1 - eps^2) x^2 + y^2 <= b^2: no angle, no r' or r''.
         return (1.0 - self.eps**2) * (x * x) + y * y <= self.b * self.b
+
+    def _clearance(self, x, y):
+        # A point on the scaled boundary rho E has the disk of radius
+        # (1 - rho) b around it inside E, since rho E + (1 - rho) B(0, b) is
+        # in the convex E, and rho = sqrt((1 - eps^2) x^2 + y^2) / b.
+        return self.b - np.sqrt((1.0 - self.eps**2) * (x * x) + y * y)
 
     def radius(self, phi):
         phi = np.asarray(phi, dtype=float)
@@ -152,6 +171,26 @@ class FourierCurve(BoundaryCurve):
         c0, rest = self.cos_coeffs[0], self.cos_coeffs[1:] + self.sin_coeffs
         amplitude = sum(abs(c) for c in rest)
         return c0, amplitude, (1 + len(rest)) * 2.0**-50 * (abs(c0) + amplitude)
+
+    def _clearance(self, x, y):
+        # Every boundary point lies within L pi / N of one of N samples
+        # gamma(phi_i), L >= max |gamma'|, so the distance to the nearest
+        # sample, less L pi / N, bounds the distance to the boundary.
+        bx, by, slack = self._boundary_samples
+        dx = x[..., None] - bx
+        dy = y[..., None] - by
+        return np.sqrt(np.min(dx * dx + dy * dy, axis=-1)) - slack
+
+    @cached_property
+    def _boundary_samples(self):
+        """(x_i, y_i, slack) of the _CLEARANCE_SAMPLES points of ``_clearance``."""
+        n = _CLEARANCE_SAMPLES
+        phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        r, _, _ = self.radius(phi)
+        # |gamma'| = sqrt(r^2 + r'^2) <= max r + sum_m m |(c_m, s_m)|.
+        modes = itertools.zip_longest(self.cos_coeffs[1:], self.sin_coeffs, fillvalue=0.0)
+        speed = self.max_radius() + sum(m * math.hypot(c, s) for m, (c, s) in enumerate(modes, 1))
+        return r * np.cos(phi), r * np.sin(phi), speed * math.pi / n
 
     def max_radius(self):
         c0, _, margin = self._amplitude()

@@ -4,15 +4,63 @@ import math
 import numpy as np
 import pytest
 
+from heatpade import mc_oracle
 from heatpade.disk_exact import survival_disk
 from heatpade.geometry import BoundaryCurve, Disk, Ellipse, FourierCurve
 from heatpade.mc_oracle import (
     _MAX_STEPS,
     McConfig,
+    _exit_steps,
+    _exit_time_table,
     _uniform_start,
     _walker_stream,
     simulate_survival,
 )
+
+# The Euler walker that steps every grid step, kept as the reference the
+# jumping walker is held to: each walker's path is drawn and tested in
+# chunks of 2048 steps from its own stream.
+_PATH_CHUNK = 2048
+
+
+def _euler_exit_step(curve, start, sigma, n_steps, rng):
+    """Index of the first step ending outside the domain, or n_steps + 1 if none."""
+    pos = complex(start[0], start[1])
+    buf = np.empty((_PATH_CHUNK, 2))
+    done = 0
+    while done < n_steps:
+        span = min(_PATH_CHUNK, n_steps - done)
+        draws = buf[:span]
+        rng.standard_normal(out=draws)
+        draws *= sigma
+        path = draws.view(np.complex128)[:, 0]
+        np.cumsum(path, out=path)
+        path += pos
+        inside = curve.contains(path.real, path.imag)
+        hit = int(np.argmin(inside))
+        if not inside[hit]:
+            return done + hit + 1
+        pos = path[-1]
+        done += span
+    return n_steps + 1
+
+
+def _euler_survival(curve, cfg):
+    """(t, estimate, stderr) rows of the reference walker."""
+    steps_at = [int(round(t / cfg.dt)) for t in cfg.t_grid]
+    n_steps = max(steps_at)
+    rmax = curve.max_radius()
+    exits = []
+    for i in range(cfg.walkers):
+        rng = _walker_stream(cfg.seed, i)
+        start = _uniform_start(curve, rmax, rng)
+        exits.append(_euler_exit_step(curve, start, math.sqrt(2.0 * cfg.dt), n_steps, rng))
+    exits = np.array(exits)
+    rows = []
+    for t, k in zip(cfg.t_grid, steps_at):
+        s_hat = np.count_nonzero(exits > k) / cfg.walkers
+        rows.append((t, s_hat, math.sqrt(s_hat * (1.0 - s_hat) / cfg.walkers)))
+    return rows
 
 
 class TestMcConfig:
@@ -116,22 +164,24 @@ class TestSimulateSurvival:
 
     def test_walker_prefix_stability(self):
         # Streams are keyed by absolute walker index, so the first k walkers
-        # of a larger run reproduce the smaller run exactly.
+        # of a larger run reproduce the smaller run exactly, although their
+        # batches hold other walkers.
         small = McConfig(walkers=100, dt=1e-3, t_grid=(0.05,), seed=4)
         large = McConfig(walkers=150, dt=1e-3, t_grid=(0.05,), seed=4)
         [(_, s_small, _)] = simulate_survival(Disk(), small)
-        # Count survivors among the first 100 walkers of the large run by
-        # rerunning them individually.
+        exit_steps = _exit_steps(Disk(), large, 50)
+        assert np.count_nonzero(exit_steps[:100] > 50) / 100 == s_small
 
-        from heatpade.mc_oracle import _first_exit_step
-
-        survivors = 0
-        for i in range(100):
-            rng = _walker_stream(4, i)
-            start = _uniform_start(Disk(), 1.0, rng)
-            exit_step = _first_exit_step(Disk(), start, math.sqrt(2e-3), 50, rng)
-            survivors += exit_step > 50
-        assert survivors / 100 == s_small
+    @pytest.mark.parametrize(
+        "curve", [Disk(), Ellipse(b=1.0, eps=0.6), FourierCurve((1.0, 0.15), (0.1,))]
+    )
+    def test_batching_does_not_change_rows(self, curve, monkeypatch):
+        cfg = McConfig(walkers=150, dt=1e-4, t_grid=(0.01, 0.05), seed=8)
+        rows = []
+        for batch in (1, 7, 64):
+            monkeypatch.setattr(mc_oracle, "_BATCH", batch)
+            rows.append(simulate_survival(curve, cfg))
+        assert rows[0] == rows[1] == rows[2]
 
     def test_observation_grid_does_not_shift_draws(self):
         # Adding intermediate observation times must not change the result
@@ -163,20 +213,73 @@ class TestSimulateSurvival:
         assert 0.0 < s < 1.0
 
 
+class TestJumps:
+    @pytest.mark.parametrize("curve", [Disk(), Ellipse(b=1.0, eps=0.6)])
+    def test_law_matches_the_euler_walker(self, curve):
+        # The jumps leave the law of the discretely monitored walk as it
+        # was: on independent seeds, the two walkers agree within 4 stderr.
+        cfg = McConfig(walkers=20000, dt=1e-3, t_grid=(0.02, 0.1), seed=31)
+        jumping = simulate_survival(curve, cfg)
+        stepping = _euler_survival(curve, McConfig(20000, 1e-3, (0.02, 0.1), seed=32))
+        for (_, s1, e1), (_, s2, e2) in zip(jumping, stepping):
+            assert abs(s1 - s2) < 4.0 * math.hypot(e1, e2)
+
+    def test_exit_time_table_moments(self):
+        # E tau_1 = 1/4 and E tau_1^2 = 3/32 from the centre of the unit disk
+        # (E tau = (1 - |x|^2) / 4 solves Laplace u = -1).  The interpolated
+        # law, tau = interp(r), r ~ Exp(1/2), integrated exactly: u is
+        # linear between breakpoints, where 10-point Gauss-Legendre is exact
+        # to rounding; past r = 100 the mass is e^-50.
+        knots_r2, knots_u = _exit_time_table()
+        breaks = np.union1d(knots_r2[knots_r2 < 100.0], np.linspace(0.0, 100.0, 2001))
+        x, w = np.polynomial.legendre.leggauss(10)
+        a, b = breaks[:-1, None], breaks[1:, None]
+        r = 0.5 * (a + b) + 0.5 * (b - a) * x
+        weight = 0.5 * (b - a) * w * 0.5 * np.exp(-0.5 * r)
+        tau = np.interp(r, knots_r2, knots_u)
+        assert np.sum(weight * tau) == pytest.approx(0.25, abs=1e-6)
+        assert np.sum(weight * tau * tau) == pytest.approx(3.0 / 32.0, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            Disk(R=1.3),
+            Ellipse(b=1.0, eps=0.0),
+            Ellipse(b=1.0, eps=0.6),
+            Ellipse(b=0.7, eps=0.95),
+            FourierCurve((1.0, 0.15), (0.1,)),
+            FourierCurve((1.0, 0.1, -0.05, 0.04), (0.08, 0.03)),
+        ],
+    )
+    def test_clearance_disk_lies_inside(self, curve):
+        rng = np.random.default_rng(17)
+        rmax = curve.max_radius()
+        x, y = rng.uniform(-rmax, rmax, size=(2, 4000))
+        keep = curve.contains(x, y)
+        x, y = x[keep], y[keep]
+        radius = np.maximum(curve._clearance(x, y), 0.0)
+        assert np.mean(radius > 0.0) > 0.5  # not the vacuous bound 0
+        angle = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        cx = x[:, None] + radius[:, None] * np.cos(angle)
+        cy = y[:, None] + radius[:, None] * np.sin(angle)
+        assert curve.contains(cx, cy).all()
+
+
 class TestPinnedDraws:
-    # Pinned outputs of the walkers: a change to the draws, the chunking, the
-    # point test or the rounding of the positions shows up here.
-    ONE_CHUNK = McConfig(walkers=400, dt=1e-4, t_grid=(0.01, 0.05), seed=21)
-    # 5000 steps: three chunks, so positions carry over between buffers.
-    THREE_CHUNKS = McConfig(walkers=100, dt=1e-5, t_grid=(0.01, 0.05), seed=21)
+    # Pinned outputs of the walkers: a change to the draws, the jumps, the
+    # step blocks, the point test or the rounding of the positions shows up
+    # here.
+    COARSE = McConfig(walkers=400, dt=1e-4, t_grid=(0.01, 0.05), seed=21)
+    # 5000 steps: walkers jump and step many times before t = 0.05.
+    FINE = McConfig(walkers=100, dt=1e-5, t_grid=(0.01, 0.05), seed=21)
 
     @pytest.mark.parametrize(
         "curve, cfg, expected",
         [
-            (Ellipse(b=1.0, eps=0.6), ONE_CHUNK, (0.8375, 0.5925)),
-            (FourierCurve((1.0, 0.15), (0.1,)), ONE_CHUNK, (0.86, 0.6175)),
-            (Ellipse(b=1.0, eps=0.6), THREE_CHUNKS, (0.71, 0.53)),
-            (FourierCurve((1.0, 0.15), (0.1,)), THREE_CHUNKS, (0.76, 0.51)),
+            (Ellipse(b=1.0, eps=0.6), COARSE, (0.8225, 0.5925)),
+            (FourierCurve((1.0, 0.15), (0.1,)), COARSE, (0.85, 0.6075)),
+            (Ellipse(b=1.0, eps=0.6), FINE, (0.78, 0.47)),
+            (FourierCurve((1.0, 0.15), (0.1,)), FINE, (0.81, 0.54)),
         ],
     )
     def test_estimates(self, curve, cfg, expected):
@@ -194,9 +297,9 @@ class TestPinnedDraws:
             return inside(curve, x, y)
 
         monkeypatch.setattr(Ellipse, "_inside", recording)
-        simulate_survival(Ellipse(b=1.0, eps=0.6), self.THREE_CHUNKS)
+        simulate_survival(Ellipse(b=1.0, eps=0.6), self.FINE)
         assert digest.hexdigest() == (
-            "f2f1ecaea982bdfc0cdf4c1daa7f70ef8b45f5aad801cfd82db1544bbf90c640"
+            "342489c282159a84a8ad9311d54076190f9c93b821356beb9ec43f170c370008"
         )
 
     @pytest.mark.parametrize("eps", [0.0, 0.3, 0.6, 0.95])
