@@ -22,9 +22,8 @@ one order from them, with no randomness and no starting guess: order 1's
 by the quadratic formula, and order n's by a total-degree homotopy that
 follows one path to each root on the tracker of ``tracking``.
 ``selected_rows`` solves order 1 that way and climbs to the highest
-requested order, each along one path from the row below (``_step``),
-with total degree as the fallback: a row is the same whatever other
-orders are requested.  A real endpoint
+requested order, each along one path from the row below (``_step``): a
+row is the same whatever other orders are requested.  A real endpoint
 becomes a solution only when Newton on the exact residuals of the same
 integers reaches a step below 1e-20 (relative to 1 + |p|) within 8
 steps, and the polished q0 is not 0: the one acceptance rule, so the
@@ -80,8 +79,7 @@ _REAL_TOL = 1e-6
 # order n, so its time and memory about double per order: the disk's
 # order alone takes 1.9 CPU s at n = 10, 4.4 s at n = 11 and 14 s at
 # n = 12, and the process peaks at 40, 53 and 81 MB (one core of a
-# 2-core Xeon, single-threaded BLAS).  Only ``solve_interpolation`` and
-# a failed step, which may fall back to total degree at any order, pay
+# 2-core Xeon, single-threaded BLAS).  Only ``solve_interpolation`` pays
 # this: ``selected_rows`` tracks one path per order above 1.  At n = 40
 # the start array alone would need 640 TiB.
 MAX_ORDER = 12
@@ -504,25 +502,24 @@ def selected_rows(c: LargeSSeries, orders):
     exact system, and only the rows of ``orders`` are returned, so a row
     is the same doubles whatever other orders are requested.  Order 1's
     roots come from ``_homotopy_endpoints``, and each order above from
-    ``_step``, one path from the row below; where the step gives no row,
-    total degree solves that order alone.  Either way ``_accepted``
-    screens and polishes the end points and ``select_solution`` picks the
-    row, as in ``solve_interpolation``.  A stepped row is one every
-    checked case shows total degree would pick too, but no path proves
-    it.  The error raised is the first failing order's, requested or not.
+    ``_step``, one path from the row below; ``_accepted`` screens and
+    polishes the end points and ``select_solution`` picks the row, as in
+    ``solve_interpolation``.  A stepped row is one every checked case
+    shows total degree would pick too, but no path proves it.  The first
+    failing order raises, requested or not; above order 1 the error names
+    the step to it and why it gave no row.
     """
     orders = solver_orders(orders)
-    rows = []
-    for n, (system, tracked) in enumerate(_systems(c, orders[-1]), start=1):
-        # The row below starts one path; None stands for total degree, the fallback.
-        for below in rows[-1:] + [None]:
-            ends = _homotopy_endpoints(tracked) if below is None else _step(below, tracked)
-            try:
-                rows.append(select_solution(_accepted(n, system, ends)))
-                break
-            except NoSolutionFound:
-                if below is None:
-                    raise
+    [(system, tracked), *above] = _systems(c, orders[-1])
+    rows = [select_solution(_accepted(1, system, _homotopy_endpoints(tracked)))]
+    for n, (system, tracked) in enumerate(above, start=2):
+        ends = _step(rows[-1], tracked)
+        try:
+            if not len(ends):
+                raise NoSolutionFound("its path stalled or ran to infinity")
+            rows.append(select_solution(_accepted(n, system, ends)))
+        except NoSolutionFound as exc:
+            raise NoSolutionFound(f"the step from order {n - 1} to order {n} failed: {exc}") from exc
     return [rows[n - 1] for n in orders]
 
 

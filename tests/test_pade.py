@@ -742,7 +742,9 @@ class TestHomotopy:
         with pytest.raises(NoSolutionFound, match="^a homotopy path stalled at a finite point at order 3$"):
             _endpoints(disk_series, 3)
         assert [len(_endpoints(disk_series, n)) for n in (1, 2, 4)] == [2, 4, 16]
-        with pytest.raises(NoSolutionFound, match="^a homotopy path stalled at a finite point at order 3$"):
+        # The climb's one path to order 3 stalls too, and its error says so.
+        with pytest.raises(NoSolutionFound, match="^the step from order 2 to order 3 failed: its path "
+                                                  "stalled or ran to infinity$"):
             ladder(disk_series, 4)
         assert len(ladder(disk_series, 2)) == 2
 
@@ -775,7 +777,8 @@ class TestHomotopy:
 
     def test_first_failing_order_raises(self, disk_series, monkeypatch):
         # Selection fails at order 2 and a path of order 4 stalls: as when
-        # the orders are solved one by one, order 2's error is raised.
+        # the orders are solved one by one, order 2's error is raised, and
+        # the climb's names the step to order 2.
         self._stall_order(monkeypatch, 4)
         select = pade.select_solution
 
@@ -785,7 +788,7 @@ class TestHomotopy:
             return select(solutions)
 
         monkeypatch.setattr(pade, "select_solution", refuse_order_2)
-        with pytest.raises(NoSolutionFound, match="^order 2 refused$"):
+        with pytest.raises(NoSolutionFound, match="^the step from order 1 to order 2 failed: order 2 refused$"):
             ladder(disk_series, 4)
         with pytest.raises(NoSolutionFound, match="^order 2 refused$"):
             [refuse_order_2(solve_interpolation(disk_series, n)) for n in range(1, 5)]
@@ -851,7 +854,7 @@ class TestOneExactSystem:
         [(Disk(), ExpansionMode.CURVATURE_APPROX, 7), (Ellipse(b=1.0, eps=0.5), ExpansionMode.SAVO_EXACT, 4)],
     )
     def test_tracked_constants_are_the_exact_ones_rounded_once(self, monkeypatch, shape, mode, n_max):
-        # Every M the ladder solves: order 1's, and each step's or fallback's.
+        # Every M the ladder solves: order 1's, and each step's.
         c = tau_large_s_series(shape, n_max + 2, mode)
         homotopy, step = pade._homotopy_endpoints, pade._step
         seen = []
@@ -940,11 +943,13 @@ class TestOneExactSystem:
             solve_interpolation(tau_large_s_series(Disk(), 14), pade.MAX_ORDER)
 
     def test_only_the_orders_that_read_an_infinite_coefficient_fail(self, disk_series, disk_ladder):
-        # Order n reads c_1..c_(n+2), so an infinite c_5 leaves orders 1 and 2 whole.
+        # Order n reads c_1..c_(n+2), so an infinite c_5 leaves orders 1 and 2
+        # whole; order 3's tracked M is not finite, and its one path stalls.
         c = LargeSSeries(disk_series.c[:4] + (math.inf,) + disk_series.c[5:])
         rows = selected_rows(c, [1, 2])
         assert [r.approximant for r in rows] == [r.approximant for r in disk_ladder[:2]]
-        with pytest.raises(NoSolutionFound, match="at order 3$"):
+        with pytest.raises(NoSolutionFound, match="^the step from order 2 to order 3 failed: its path "
+                                                  "stalled or ran to infinity$"):
             ladder(c, 3)
 
 
@@ -965,9 +970,24 @@ def _outcome(solve):
         return str(exc)
 
 
-def _complete_rows(c, n_max):
-    """Each order's selection among all its roots, order by order, up to the first error."""
-    return [select_solution(solve_interpolation(c, n)) for n in range(1, n_max + 1)]
+def _assert_tracked_rows_are_the_complete_ones(c, n_max):
+    """``selected_rows`` to n_max against each order's selection among all its roots, order by order.
+
+    Up to the first order whose complete solve fails, the rows are the same
+    doubles.  There the climb fails too: at order 1 with the same error,
+    which comes from the same roots, and above it with an error that says
+    the step to that order failed.
+    """
+    tracked = _outcome(lambda: selected_rows(c, range(1, n_max + 1)))
+    complete = []
+    for n in range(1, n_max + 1):
+        got = _outcome(lambda: [select_solution(solve_interpolation(c, n))])
+        if isinstance(got, str):
+            want = re.escape(got) if n == 1 else f"the step from order {n - 1} to order {n} failed: "
+            assert isinstance(tracked, str) and re.match(f"^{want}", tracked), (tracked, got)
+            return
+        complete += got
+    assert tracked == complete
 
 
 def _order_1_by_total_degree(M):
@@ -1068,7 +1088,7 @@ def _solver_cases(draw):
 
 
 class TestTrackedRows:
-    """A ladder's orders above 1 are tracked from the row below; total degree is the fallback."""
+    """A ladder's orders above 1 are tracked from the row below, one path each; a failed step raises."""
 
     @pytest.mark.parametrize(
         "shape, mode, n_max",
@@ -1082,12 +1102,10 @@ class TestTrackedRows:
         + [pytest.param(Ellipse(b=1.0, eps=0.95), ExpansionMode.CURVATURE_APPROX, 7, id="ellipse-curvature-0.95")],
     )
     def test_tracked_rows_are_the_complete_ones(self, shape, mode, n_max):
-        # Row for row the same doubles, or the same first error: the step
-        # fails at order 5 of eps = 0.95 and order 6 of fourier-13, and
-        # total degree then raises for that order.
-        c = tau_large_s_series(shape, n_max + 2, mode)
-        tracked = _outcome(lambda: selected_rows(c, range(1, n_max + 1)))
-        assert tracked == _outcome(lambda: _complete_rows(c, n_max))
+        # Row for row the same doubles, then a failure at the same order:
+        # the step fails at order 5 of eps = 0.95 and order 6 of fourier-13,
+        # where the complete solve of that order fails too.
+        _assert_tracked_rows_are_the_complete_ones(tau_large_s_series(shape, n_max + 2, mode), n_max)
 
     @given(_solver_cases())
     @example((Ellipse(b=1.0, eps=0.95), ExpansionMode.CURVATURE_APPROX, 6))
@@ -1098,9 +1116,7 @@ class TestTrackedRows:
         # As above, on shapes Hypothesis draws; the examples are the cases
         # above where a step fails, and the non-convex curve.
         shape, mode, n_max = case
-        c = tau_large_s_series(shape, n_max + 2, mode)
-        tracked = _outcome(lambda: selected_rows(c, range(1, n_max + 1)))
-        assert tracked == _outcome(lambda: _complete_rows(c, n_max))
+        _assert_tracked_rows_are_the_complete_ones(tau_large_s_series(shape, n_max + 2, mode), n_max)
 
     @staticmethod
     def _paths(monkeypatch, fail_steps=False):
@@ -1149,11 +1165,35 @@ class TestTrackedRows:
         assert paths == [1]
         assert _hex_rows(rows[1:]) == _hex_rows([want])
 
-    def test_failed_steps_fall_back_to_total_degree(self, disk_series, monkeypatch):
-        want = _hex_rows(ladder(disk_series, 6))
+    def test_a_failed_step_raises_at_once(self, disk_series, monkeypatch):
+        # The step to order 2 stalls: its order is named, and no batch of
+        # total-degree paths is tracked for it.
         paths = self._paths(monkeypatch, fail_steps=True)
-        assert _hex_rows(ladder(disk_series, 6)) == want
-        assert paths == [1, 4, 1, 8, 1, 16, 1, 32, 1, 64]
+        with pytest.raises(NoSolutionFound, match="^the step from order 1 to order 2 failed: its path "
+                                                  "stalled or ran to infinity$"):
+            ladder(disk_series, 6)
+        assert paths == [1]
+
+    def test_a_failing_order_costs_one_path(self, monkeypatch):
+        # The step to order 9 of eps = 0.82 ends on a complex root.  Every
+        # order tracks one path, and total degree runs at order 1 alone.
+        c = tau_large_s_series(Ellipse(b=1.0, eps=0.82), 11)
+        paths = self._paths(monkeypatch)
+        homotopy = pade._homotopy_endpoints
+        solved = []
+        monkeypatch.setattr(pade, "_homotopy_endpoints", lambda M: solved.append(len(M)) or homotopy(M))
+        with pytest.raises(NoSolutionFound, match="^the step from order 8 to order 9 failed: none of the 1 finite "
+                                                  "roots of order 9 is real$"):
+            selected_rows(c, range(1, 10))
+        assert paths == [1] * 8 and solved == [1]
+
+    def test_a_filtered_step_names_its_order(self):
+        # The step to order 8 of eps = 0.84 ends on a real root that
+        # polishes, and the physical filter refuses it.
+        c = tau_large_s_series(Ellipse(b=1.0, eps=0.84), 10)
+        with pytest.raises(NoSolutionFound, match="^the step from order 7 to order 8 failed: no accepted solution "
+                                                  "passes the physical filter$"):
+            selected_rows(c, [8])
 
     def test_an_order_without_its_predecessor_is_stepped(self, disk_series, monkeypatch):
         # Order 2 is not requested, yet it is solved, and order 3 is
@@ -1165,11 +1205,11 @@ class TestTrackedRows:
         assert _hex_rows(rows) == _hex_rows([want[0], want[2], want[3]])
 
     def test_a_failing_order_below_the_requested_one_raises(self):
-        # Order 5 of eps = 0.95 has no real root, so order 6 has no row to
-        # climb from.  Solved alone by total degree, order 6 has no root
-        # that passes the physical filter.
+        # The step to order 5 of eps = 0.95 ends on a complex root, so
+        # order 6 has no row to climb from.
         c = tau_large_s_series(Ellipse(b=1.0, eps=0.95), 8)
-        with pytest.raises(NoSolutionFound, match="^none of the 32 finite roots of order 5 is real$"):
+        with pytest.raises(NoSolutionFound, match="^the step from order 4 to order 5 failed: none of the 1 finite "
+                                                  "roots of order 5 is real$"):
             selected_rows(c, [6])
 
     def test_disk_to_order_10_is_fast_and_unchanged(self):
