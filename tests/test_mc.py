@@ -9,18 +9,46 @@ from heatpade.disk_exact import survival_disk
 from heatpade.geometry import BoundaryCurve, Disk, Ellipse, FourierCurve
 from heatpade.mc_oracle import (
     _MAX_STEPS,
+    _ZIGGURAT_R,
     McConfig,
+    _centred,
+    _draw,
+    _draws,
     _exit_steps,
     _exit_time_table,
-    _uniform_start,
-    _walker_stream,
+    _jump_draws,
+    _normals,
+    _slow_normal,
+    _starts,
+    _unit,
     simulate_survival,
 )
 
 # The Euler walker that steps every grid step, kept as the reference the
-# jumping walker is held to: each walker's path is drawn and tested in
-# chunks of 2048 steps from its own stream.
+# jumping walker is held to: each walker's start and path come from its
+# own numpy stream, and its path is drawn and tested in chunks of 2048
+# steps.  It shares no draws with the walkers it checks.
 _PATH_CHUNK = 2048
+
+
+def _keys(seed, walkers):
+    """Keys of the given walkers, derived as ``_exit_steps`` derives them."""
+    seed_key = np.random.SeedSequence(seed).generate_state(1, np.uint64)
+    return _draws(seed_key, np.asarray(walkers, dtype=np.uint64))
+
+
+def _counters(walkers, draws, first=0):
+    """Counters first, first + 1, ... of each of ``walkers`` walkers, shape (walkers, draws)."""
+    return np.broadcast_to(np.arange(first, first + draws, dtype=np.uint64), (walkers, draws))
+
+
+def _uniform_start(curve, rmax, rng):
+    """Rejection-sample one uniform point inside the domain from its bounding box."""
+    while True:
+        pts = rng.uniform(-rmax, rmax, size=(16, 2))
+        keep = np.flatnonzero(curve.contains(pts[:, 0], pts[:, 1]))
+        if keep.size:
+            return pts[keep[0]]
 
 
 def _euler_exit_step(curve, start, sigma, n_steps, rng):
@@ -52,7 +80,7 @@ def _euler_survival(curve, cfg):
     rmax = curve.max_radius()
     exits = []
     for i in range(cfg.walkers):
-        rng = _walker_stream(cfg.seed, i)
+        rng = np.random.default_rng([cfg.seed, i])
         start = _uniform_start(curve, rmax, rng)
         exits.append(_euler_exit_step(curve, start, math.sqrt(2.0 * cfg.dt), n_steps, rng))
     exits = np.array(exits)
@@ -118,25 +146,108 @@ class TestMcConfig:
 class TestWalkerStreams:
     @pytest.mark.parametrize("index", range(10))
     def test_neighbouring_streams_are_distinct_and_uncorrelated(self, index):
-        # A seeding slip that handed every walker one stream would pass every
+        # A keying slip that handed every walker one stream would pass every
         # estimate test; each walker's draws must be its own.
-        a = _walker_stream(7, index).standard_normal(4096)
-        b = _walker_stream(7, index + 1).standard_normal(4096)
+        keys = _keys(7, [index, index + 1])[:, None]
+        a, b = _normals(keys, _counters(2, 4096))
         assert not np.array_equal(a, b)
         assert abs(np.corrcoef(a, b)[0, 1]) < 5.0 / math.sqrt(4096)
+
+    def test_scalar_draw_matches_the_batch(self):
+        # The ziggurat's slow path draws in Python integers, the rest in
+        # uint64 arrays: the two must be one function of (key, counter).
+        rng = np.random.default_rng(3)
+        keys = rng.integers(0, 2**64, size=200, dtype=np.uint64, endpoint=False)
+        counters = rng.integers(0, 2**64, size=200, dtype=np.uint64, endpoint=False)
+        counters[:3] = [0, 1, 2**63 + (5 << 24)]
+        batch = _draws(keys, counters)
+        assert [_draw(int(k), int(c)) for k, c in zip(keys, counters)] == batch.tolist()
+
+    def test_uniform_ends(self):
+        x = np.array([0, 2**11 - 1, 2**64 - 1], dtype=np.uint64)
+        assert _unit(x).tolist() == [0.0, 0.0, 1.0 - 2.0**-53]
+        assert _centred(x).tolist() == [-1.0 + 2.0**-53, -1.0 + 2.0**-53, 1.0 - 2.0**-53]
+
+    @pytest.mark.parametrize("bits", ["top 53", "low 8"])
+    def test_uniforms_pass_chi_square(self, bits):
+        # 10^5 draws of 100 walkers: the uniforms the walk uses (top 53
+        # bits) in 100 bins, and the ziggurat's layer index (low 8 bits).
+        x = _draws(_keys(11, range(100))[:, None], _counters(100, 1000)).ravel()
+        if bits == "top 53":
+            bins, k = np.floor(_unit(x) * 100).astype(np.intp), 100
+        else:
+            bins, k = (x & np.uint64(255)).astype(np.intp), 256
+        expected = x.size / k
+        chi2 = float(np.sum((np.bincount(bins, minlength=k) - expected) ** 2) / expected)
+        assert abs(chi2 - (k - 1)) < 5.0 * math.sqrt(2.0 * (k - 1))
+
+    def test_normal_moments(self):
+        # 10^6 ziggurat normals: mean 0, variance 1 and fourth moment 3
+        # within 5 standard errors, and the mass beyond the base strip's
+        # edge R, which only the slow path's tail draws, within 5 too.
+        n, total, beyond = 10**6, np.zeros(3), 0
+        keys = _keys(19, range(1000))[:, None]
+        for first in range(0, 1000, 100):
+            z = _normals(keys, _counters(1000, 100, first))
+            total += [np.sum(z), np.sum(z**2), np.sum(z**4)]
+            beyond += int(np.count_nonzero(np.abs(z) > _ZIGGURAT_R))
+        m1, m2, m4 = total / n
+        assert abs(m1) < 5.0 / math.sqrt(n)
+        assert abs(m2 - 1.0) < 5.0 * math.sqrt(2.0 / n)
+        assert abs(m4 - 3.0) < 5.0 * math.sqrt(96.0 / n)
+        p = math.erfc(_ZIGGURAT_R / math.sqrt(2.0))
+        assert abs(beyond / n - p) < 5.0 * math.sqrt(p * (1.0 - p) / n)
+
+    def test_slow_path_tail(self):
+        # Layer 0 outside its core draws from the tail beyond R, with u's
+        # sign: E[Z | Z > R] = phi(R) / Q(R) within 5 standard errors.
+        key = int(_keys(23, [0])[0])
+        tail = np.array([_slow_normal(key, c, 0.999 if c % 2 else -0.999, 0) for c in range(20000)])
+        assert np.all(np.abs(tail) > _ZIGGURAT_R)
+        assert np.array_equal(tail > 0, np.arange(20000) % 2 == 1)
+        r = _ZIGGURAT_R
+        mean = math.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi) / (0.5 * math.erfc(r / math.sqrt(2.0)))
+        excess = np.abs(tail)
+        assert abs(excess.mean() - mean) < 5.0 * excess.std() / math.sqrt(excess.size)
+
+    def test_jump_draws_take_the_first_candidate_inside(self):
+        # Only the first candidate is drawn for every jump, the other 14
+        # for those it misses; the pick must be the full block's first hit.
+        walkers = 5000
+        keys = _keys(29, range(walkers))[:, None]
+        first = np.full((walkers, 1), 7 * 32, dtype=np.uint64)
+        g, r2, v = _jump_draws(keys, first)
+        x = _draws(keys, first + np.arange(32, dtype=np.uint64))
+        c = _centred(x[:, :30]).reshape(walkers, 15, 2)
+        c2 = c[..., 0] * c[..., 0] + c[..., 1] * c[..., 1]
+        pick = np.argmax(c2 <= 1.0, axis=1)
+        rows = np.arange(walkers)
+        assert np.mean(c2[:, 0] > 1.0) > 0.15  # the second stage runs
+        assert np.array_equal(g, c[rows, pick]) and np.array_equal(r2, c2[rows, pick])
+        assert np.array_equal(v, _unit(x[:, 31]))
+        angle = np.arctan2(g[:, 1], g[:, 0])
+        assert abs(np.mean(np.cos(angle))) < 5.0 / math.sqrt(2.0 * walkers)
+        assert abs(np.mean(np.sin(angle))) < 5.0 / math.sqrt(2.0 * walkers)
 
 
 class TestUniformStarts:
     def test_points_inside(self):
         curve = Ellipse(b=1.0, eps=0.7)
-        rng = _walker_stream(0, 0)
-        pts = np.array([_uniform_start(curve, curve.max_radius(), rng) for _ in range(200)])
+        pts, blocks = _starts(curve, curve.max_radius(), _keys(0, range(200)))
         assert np.all(curve.contains(pts[:, 0], pts[:, 1]))
+        assert np.all(blocks == 1)
+
+    def test_thin_domain_takes_more_blocks(self):
+        # At eps = 0.99 a candidate lands inside with probability 0.11, so
+        # about 15% of walkers need a second block of 16 candidates.
+        curve = Ellipse(b=1.0, eps=0.99)
+        pts, blocks = _starts(curve, curve.max_radius(), _keys(0, range(200)))
+        assert np.all(curve.contains(pts[:, 0], pts[:, 1]))
+        assert np.all(blocks >= 1) and np.any(blocks > 1)
 
     def test_fills_the_domain(self):
         # Mean squared radius of uniform points in a unit disk is R^2/2.
-        rng = _walker_stream(1, 0)
-        pts = np.array([_uniform_start(Disk(), 1.0, rng) for _ in range(4000)])
+        pts, _ = _starts(Disk(), 1.0, _keys(1, range(4000)))
         r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
         assert np.mean(r2) == pytest.approx(0.5, abs=0.02)
 
@@ -178,10 +289,17 @@ class TestSimulateSurvival:
     def test_batching_does_not_change_rows(self, curve, monkeypatch):
         cfg = McConfig(walkers=150, dt=1e-4, t_grid=(0.01, 0.05), seed=8)
         rows = []
-        for batch in (1, 7, 64):
+        for batch in (1, 7, 64, mc_oracle._BATCH, cfg.walkers + 1):
             monkeypatch.setattr(mc_oracle, "_BATCH", batch)
             rows.append(simulate_survival(curve, cfg))
-        assert rows[0] == rows[1] == rows[2]
+        assert all(r == rows[0] for r in rows[1:])
+
+    def test_seeds_of_any_size(self):
+        # The seed goes through one SeedSequence, which takes any
+        # non-negative integer; a seed cut to 64 bits would alias these two.
+        big = McConfig(walkers=400, dt=1e-3, t_grid=(0.02, 0.05, 0.1), seed=2**70)
+        alias = McConfig(walkers=400, dt=1e-3, t_grid=(0.02, 0.05, 0.1), seed=2**70 - 2**64)
+        assert simulate_survival(Disk(), big) != simulate_survival(Disk(), alias)
 
     def test_observation_grid_does_not_shift_draws(self):
         # Adding intermediate observation times must not change the result
@@ -227,16 +345,17 @@ class TestJumps:
     def test_exit_time_table_moments(self):
         # E tau_1 = 1/4 and E tau_1^2 = 3/32 from the centre of the unit disk
         # (E tau = (1 - |x|^2) / 4 solves Laplace u = -1).  The interpolated
-        # law, tau = interp(r), r ~ Exp(1/2), integrated exactly: u is
-        # linear between breakpoints, where 10-point Gauss-Legendre is exact
-        # to rounding; past r = 100 the mass is e^-50.
-        knots_r2, knots_u = _exit_time_table()
-        breaks = np.union1d(knots_r2[knots_r2 < 100.0], np.linspace(0.0, 100.0, 2001))
+        # law, tau = interp(v, P, U), v uniform on [0, 1), integrated
+        # exactly: tau is linear between knots, where 10-point
+        # Gauss-Legendre is exact to rounding, and the last knot is P = 1.
+        knots_p, knots_u = _exit_time_table()
+        assert knots_p[0] == 0.0 and knots_p[-1] == 1.0 and np.all(np.diff(knots_p) > 0.0)
+        breaks = np.union1d(knots_p, np.linspace(0.0, 1.0, 2001))
         x, w = np.polynomial.legendre.leggauss(10)
         a, b = breaks[:-1, None], breaks[1:, None]
-        r = 0.5 * (a + b) + 0.5 * (b - a) * x
-        weight = 0.5 * (b - a) * w * 0.5 * np.exp(-0.5 * r)
-        tau = np.interp(r, knots_r2, knots_u)
+        v = 0.5 * (a + b) + 0.5 * (b - a) * x
+        weight = 0.5 * (b - a) * w
+        tau = np.interp(v, knots_p, knots_u)
         assert np.sum(weight * tau) == pytest.approx(0.25, abs=1e-6)
         assert np.sum(weight * tau * tau) == pytest.approx(3.0 / 32.0, abs=1e-6)
 
@@ -276,10 +395,10 @@ class TestPinnedDraws:
     @pytest.mark.parametrize(
         "curve, cfg, expected",
         [
-            (Ellipse(b=1.0, eps=0.6), COARSE, (0.8225, 0.5925)),
-            (FourierCurve((1.0, 0.15), (0.1,)), COARSE, (0.85, 0.6075)),
-            (Ellipse(b=1.0, eps=0.6), FINE, (0.78, 0.47)),
-            (FourierCurve((1.0, 0.15), (0.1,)), FINE, (0.81, 0.54)),
+            (Ellipse(b=1.0, eps=0.6), COARSE, (0.8075, 0.5925)),
+            (FourierCurve((1.0, 0.15), (0.1,)), COARSE, (0.7925, 0.545)),
+            (Ellipse(b=1.0, eps=0.6), FINE, (0.8, 0.63)),
+            (FourierCurve((1.0, 0.15), (0.1,)), FINE, (0.76, 0.52)),
         ],
     )
     def test_estimates(self, curve, cfg, expected):
@@ -299,7 +418,7 @@ class TestPinnedDraws:
         monkeypatch.setattr(Ellipse, "_inside", recording)
         simulate_survival(Ellipse(b=1.0, eps=0.6), self.FINE)
         assert digest.hexdigest() == (
-            "342489c282159a84a8ad9311d54076190f9c93b821356beb9ec43f170c370008"
+            "a8de069667f2c9afabdffd34fa8d150d12e77072195a4b9b9dffe6fe3fff3f49"
         )
 
     @pytest.mark.parametrize("eps", [0.0, 0.3, 0.6, 0.95])
