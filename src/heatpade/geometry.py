@@ -26,8 +26,10 @@ import numpy as np
 from .errors import QuadratureNotConverged
 
 _VALIDATION_SAMPLES = 4096
-# Boundary samples of a FourierCurve's clearance bound.
+# Boundary samples of a FourierCurve's clearance bound, and the points it
+# takes at once, which caps its temporaries at 512 KB each.
 _CLEARANCE_SAMPLES = 512
+_CLEARANCE_CHUNK = 128
 _QUAD_START = 256
 _QUAD_CAP = 2**20
 _QUAD_RTOL = 1e-12
@@ -177,9 +179,17 @@ class FourierCurve(BoundaryCurve):
         # gamma(phi_i), L >= max |gamma'|, so the distance to the nearest
         # sample, less L pi / N, bounds the distance to the boundary.
         bx, by, slack = self._boundary_samples
-        dx = x[..., None] - bx
-        dy = y[..., None] - by
-        return np.sqrt(np.min(dx * dx + dy * dy, axis=-1)) - slack
+        x, y = np.broadcast_arrays(x, y)
+        xs, ys = np.ravel(x), np.ravel(y)
+        d2 = np.empty(xs.size)
+        for i in range(0, xs.size, _CLEARANCE_CHUNK):
+            dx = xs[i : i + _CLEARANCE_CHUNK, None] - bx
+            dy = ys[i : i + _CLEARANCE_CHUNK, None] - by
+            dx *= dx
+            dy *= dy
+            dx += dy
+            d2[i : i + _CLEARANCE_CHUNK] = dx.min(axis=1)
+        return np.sqrt(d2).reshape(x.shape) - slack
 
     @cached_property
     def _boundary_samples(self):

@@ -27,26 +27,27 @@ in the disk ends inside the domain, and by the strong Markov property
 the exit point is uniform on the circle and independent of the exit
 time.  So the estimator keeps the law of the Euler walk, its bias
 included.  Only walkers near the boundary take grid steps, in blocks
-tested with ``contains``.  The walk takes no vectorised transcendental
-function: the exit time comes from a uniform through a table and
-``np.interp``, the jump's direction from rejection in the square, a
-square root and a division, and the steps' normals from a ziggurat
-whose rare slow path is scalar ``math``; so no bit depends on the SIMD
-kernels numpy picks at run time.
+tested with ``contains``.  Every variate is a normal from one ziggurat
+of 1024 layers whose rare slow path is scalar ``math``.  A jump takes a
+normal pair g: its direction g / |g| is uniform and independent of
+|g|^2, and 1 - exp(-|g|^2 / 2) is uniform, so the exit time comes from
+|g|^2 through a table and ``np.interp``.  The walk takes no vectorised
+transcendental function, so no bit depends on the SIMD kernels numpy
+picks at run time.
 
 Cost model (disk, dt = 1e-5 up to t = 0.1, 4000 walkers, seed 0; 2-core
 x86-64 VM, numpy 2.4, fastest of repeated runs): a walker makes 4.8
-rounds, about 3.8 jumps and 1.0 blocks, and is tested at 31 points, 16
+rounds, about 3.8 jumps and 1.0 blocks, and is tested at 32 points, 16
 of them to draw its start, where the Euler walker took 5813 steps.  It
-costs about 11 us, 1.2 us of it for its key and start.  Up to _BATCH
+costs about 4.5 us, 0.5 us of it for its key and start.  Up to _BATCH
 walkers share each round's numpy calls, and a walker that finishes makes
-room for the next, so the batch stays full until the last walkers.  A
-jump draws 3 numbers, and 28 more when its first candidate misses the
-disk (1 time in 5); a block draws 32 normals, 1.5% of which take the
-scalar slow path at a few us each.  A curve without a clearance bound
-(the base class) steps every walker, 16 steps per round at about
-0.18 us a step, several times the Euler walker's cost per step in
-chunks of 2048; the three shapes of the CLI have bounds.
+room for the next, so the batch stays full until the last walkers.  The
+live walkers are two arrays, one of integers and one of floats, that
+one mask filters each round.  A jump draws 2 normals and a block 32;
+0.43% of normals take the scalar slow path at a few us each.  A curve
+without a clearance bound (the base class) steps every walker, 16 steps
+per round at about 0.1 us a step, about twice the Euler walker's cost
+per step in chunks of 2048; the three shapes of the CLI have bounds.
 """
 
 from __future__ import annotations
@@ -107,8 +108,6 @@ _ADMIT = 256
 _BLOCK = 16
 # A walker jumps when its clearance is at least this many step deviations.
 _JUMP_CLEARANCE = 4.0
-# Candidate directions a jump tries, in slots 0-29; slot 31 draws tau_1.
-_CANDIDATES = 15
 
 # splitmix64's increment and output multipliers (Steele, Lea & Flood,
 # "Fast splittable pseudorandom number generators", OOPSLA 2014).
@@ -120,8 +119,10 @@ _MASK = 2**64 - 1
 # _EXTRA + (c << 24) + i, apart from every block's counters, which stay
 # far below 2^39 (a walker makes fewer than 2^32 rounds in _MAX_STEPS).
 _EXTRA = 1 << 63
-# Right edge of the ziggurat's base strip, for 256 layers (Doornik, ZIGNOR).
-_ZIGGURAT_R = 3.6541528853610088
+# The ziggurat's layers, picked by a draw's low 10 bits, and the right edge
+# of its base strip, for which the layers' recursion closes at X_1024 = 0.
+_LAYERS = 1024
+_ZIGGURAT_R = 4.038849846109505
 
 
 def _draws(keys, counters):
@@ -145,11 +146,6 @@ def _draw(key: int, counter: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
-
-
-def _unit(x):
-    """Uniforms on [0, 1), multiples of 2^-53, from the top 53 bits of draws."""
-    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def _centred(x):
@@ -180,45 +176,22 @@ def _starts(curve: BoundaryCurve, rmax: float, keys):
     return starts, blocks
 
 
-def _jump_draws(keys, first):
-    """Direction candidate and tau_1 uniform of jumps whose blocks start at ``first``.
-
-    Candidate j is the point (slot 2j, slot 2j + 1) of [-1, 1]^2, and a
-    jump takes the first of its _CANDIDATES that lies in the unit disk;
-    slot 31 is tau_1's uniform.  Returns (g, |g|^2, uniform), with
-    |g|^2 > 1 where no candidate lies in the disk.  Every jump draws its
-    first candidate; only those it misses draw the others.
-    """
-    x = _draws(keys, first + np.array([0, 1, _SLOTS - 1], dtype=np.uint64))
-    g = _centred(x[:, :2])
-    r2 = g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]
-    miss = np.flatnonzero(r2 > 1.0)
-    if miss.size:
-        more = _draws(keys[miss], first[miss] + np.arange(2, 2 * _CANDIDATES, dtype=np.uint64))
-        more = _centred(more).reshape(miss.size, _CANDIDATES - 1, 2)
-        more_r2 = more[..., 0] * more[..., 0] + more[..., 1] * more[..., 1]
-        pick = np.argmax(more_r2 <= 1.0, axis=1)
-        rows = np.arange(miss.size)
-        g[miss], r2[miss] = more[rows, pick], more_r2[rows, pick]
-    return g, r2, _unit(x[:, 2])
-
-
 @lru_cache(maxsize=None)
 def _ziggurat():
-    """Edges X_0..X_256 and ratios X_(i+1) / X_i of the 256-layer normal ziggurat.
+    """Edges X_0..X_1024 and ratios X_(i+1) / X_i of the _LAYERS-layer normal ziggurat.
 
     Marsaglia & Tsang's layers ("The ziggurat method for generating random
     variables", J. Stat. Softw. 5, 2000) of equal area V under
     f(x) = exp(-x^2 / 2), in Doornik's symmetric form (ZIGNOR, 2005):
     layer 0 is the rectangle [0, R] x [0, f(R)] with the tail beyond R,
-    V / f(R) wide, and X_256 = 0.  V is that layer's area, from erfc.
+    V / f(R) wide, and X_1024 = 0.  V is that layer's area, from erfc.
     Python lists, for ``_slow_normal``.
     """
     r = _ZIGGURAT_R
     f = math.exp(-0.5 * r * r)
     v = r * f + math.sqrt(0.5 * math.pi) * math.erfc(r / math.sqrt(2.0))
     edges = [v / f, r]
-    for _ in range(2, 256):
+    for _ in range(2, _LAYERS):
         edges.append(math.sqrt(-2.0 * math.log(v / edges[-1] + f)))
         f = math.exp(-0.5 * edges[-1] * edges[-1])
     edges.append(0.0)
@@ -234,13 +207,14 @@ def _ziggurat_arrays():
 def _normals(keys, counters):
     """Standard normals from the draws (keys, counters), one draw each.
 
-    A draw's low 8 bits pick a layer i and its top 53 bits a centred
-    uniform u; u X_i is the normal when |u| < X_(i+1) / X_i, which holds
-    for 98.5% of draws.  The others take ``_slow_normal``.
+    A draw's low 10 bits pick a layer i and its top 53 bits a centred
+    uniform u, so the two share no bit; u X_i is the normal when
+    |u| < X_(i+1) / X_i, which holds for 99.57% of draws.  The others
+    take ``_slow_normal``.
     """
     x = _draws(keys, counters)
     edges, ratios = _ziggurat_arrays()
-    layer = (x & np.uint64(255)).astype(np.intp)
+    layer = (x & np.uint64(_LAYERS - 1)).astype(np.intp)
     u = _centred(x)
     z = u * edges[layer]
     slow = ~(np.abs(u) < ratios[layer])
@@ -277,29 +251,31 @@ def _slow_normal(key: int, counter: int, u: float, layer: int) -> float:
             return x
         d = _draw(key, extra + 1)
         extra += 2
-        layer, u = d & 255, (d >> 11) * 2.0**-52 - (1.0 - 2.0**-53)
+        layer, u = d & (_LAYERS - 1), (d >> 11) * 2.0**-52 - (1.0 - 2.0**-53)
         if abs(u) < ratios[layer]:
             return u * edges[layer]
 
 
 @lru_cache(maxsize=None)
 def _exit_time_table():
-    """Knots (P, U) of the unit disk's exit time tau_1 from its centre.
+    """Knots (R2, U) of the unit disk's exit time tau_1 from its centre.
 
     P(tau_1 > u) = sum_k 2 / (z_k J1(z_k)) exp(-z_k^2 u) over the J0 zeros
-    z_k, and P_i = P(tau_1 <= U_i), so ``np.interp(V, P, U)`` with V
-    uniform on [0, 1) draws tau_1 by inversion.  The U_i are 1/1024 apart
-    on [0.01, 1], which holds 99.5% of the mass, then geometric with ratio
-    1.005 up to the first P_i that rounds to 1 (u = 6.56, where
-    P(tau_1 > u) is below V's step 2^-53); the interpolated law's first two
-    moments are 1/4 and 3/32 to 4e-7.  P(tau_1 < 0.01) is about 3e-11.
-    Terms with z_k^2 u > 50 are below e^-50 and left out.
+    z_k, P_i = P(tau_1 <= U_i) and R2_i = -2 log(1 - P_i).  For a normal
+    pair g, 1 - exp(-|g|^2 / 2) is uniform, so ``np.interp(|g|^2, R2, U)``
+    draws tau_1 by inversion, independent of g's direction.  The U_i are
+    1/1024 apart on [0.01, 1], which holds 99.5% of the mass, then
+    geometric with ratio 1.005 up to the last P_i below 1 (R2 = 73.5 at
+    u = 6.39; |g|^2 passes it with probability about 1e-16 and then reads
+    the last U_i); the interpolated law's first two moments are 1/4 and
+    3/32 less 4.1e-7 and 6.2e-8.  P(tau_1 < 0.01) is about 3e-11.  Terms
+    with z_k^2 u > 50 are below e^-50 and left out.
     """
     zeros = [j0_zero(k) for k in range(1, 25)]
     weights = [2.0 / (z * _bessel_j01(z)[1]) for z in zeros]
     grid = [0.01 + i / 1024 for i in range(1014)]
     grid += [1.005**i for i in range(400)]
-    ps, us = [0.0], [0.0]
+    r2s, us = [0.0], [0.0]
     for u in grid:
         terms = [1.0]
         for w, z in zip(weights, zeros):
@@ -307,46 +283,53 @@ def _exit_time_table():
                 break
             terms.append(-w * math.exp(-z * z * u))
         p = math.fsum(terms)
-        if p > ps[-1]:
-            ps.append(p)
-            us.append(u)
         if p >= 1.0:
             break
-    return np.array(ps), np.array(us)
+        r2 = -2.0 * math.log1p(-p)
+        if r2 > r2s[-1]:
+            r2s.append(r2)
+            us.append(u)
+    return np.array(r2s), np.array(us)
 
 
-def _round(curve: BoundaryCurve, keys, pos, clock, blocks, dt: float, n_steps: int):
-    """One round of live walkers; returns each one's exit step, n_steps + 1 if none.
+def _round(curve: BoundaryCurve, ints, floats, exit_step, dt: float, n_steps: int):
+    """One round of the live walkers; returns the mask of those still live.
 
+    ``ints`` holds each live walker's (index, key, next block) and
+    ``floats`` its (x, y, clock), both updated in place; a walker absorbed
+    this round has its exit step written into ``exit_step`` at its index.
     The walker is the Euler walk, absorbed at the first step that ends
     outside the domain, with its clock kept in steps.  A walker whose
     clearance d is at least _JUMP_CLEARANCE step deviations jumps to the
-    exit point of the disk B(p, d), uniform on its circle, and its clock
-    gains that disk's exit time d^2 tau_1 / dt: every step that ends
-    inside the disk ends inside the domain, and by the strong Markov
-    property the walk goes on from the exit point as from a start.  The
-    jump's direction is the first of its candidate points in the square
-    [-1, 1]^2 that lies in the unit disk, over its norm; if none does, the
-    walker stays put this round.  Any other walker takes _BLOCK grid
+    exit point of the disk B(p, d), and its clock gains that disk's exit
+    time d^2 tau_1 / dt: every step that ends inside the disk ends inside
+    the domain, and by the strong Markov property the walk goes on from
+    the exit point as from a start.  The jump reads the normal pair g of
+    its block's slots 0 and 1: it moves by d g / |g|, uniform on the
+    circle, and tau_1 comes from |g|^2, which is independent of g / |g|,
+    through ``_exit_time_table``.  Any other walker takes _BLOCK grid
     steps, the first of them from its clock to the next grid time, and is
-    tested at each.  Each walker reads its next block of draws; ``pos``,
-    ``clock`` and ``blocks`` are updated in place.
+    tested at each.  A walker stays live until it is absorbed or its clock
+    reaches n_steps.
     """
+    walker, keys, blocks = ints
+    x, y, clock = floats
     sigma = math.sqrt(2.0 * dt)
-    exit_step = np.full(keys.size, n_steps + 1, dtype=np.int64)
-    d = curve._clearance(pos[:, 0], pos[:, 1])
+    d = curve._clearance(x, y)
     far = d >= _JUMP_CLEARANCE * sigma
     first = blocks[:, None] * np.uint64(_SLOTS)
     blocks += np.uint64(1)
+    live = np.ones(walker.size, dtype=bool)
 
     walkers = np.flatnonzero(far)
     if walkers.size:
-        g, r2, v = _jump_draws(keys[walkers, None], first[walkers])
-        hit = r2 <= 1.0
-        walkers, df = walkers[hit], d[walkers[hit]]
-        tau = np.interp(v[hit], *_exit_time_table())
-        pos[walkers] += (df / np.sqrt(r2[hit]))[:, None] * g[hit]
-        clock[walkers] += df * df * tau / dt
+        g = _normals(keys[walkers, None], first[walkers] + np.arange(2, dtype=np.uint64))
+        r2 = g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]
+        dw = d[walkers]
+        step = dw / np.sqrt(r2)
+        x[walkers] += step * g[:, 0]
+        y[walkers] += step * g[:, 1]
+        clock[walkers] += dw * dw * np.interp(r2, *_exit_time_table()) / dt
 
     walkers = np.flatnonzero(~far)
     if walkers.size:
@@ -357,17 +340,19 @@ def _round(curve: BoundaryCurve, keys, pos, clock, blocks, dt: float, n_steps: i
         path *= sigma
         path[:, 0] *= np.sqrt(k0 - s)[:, None]
         np.cumsum(path, axis=1, out=path)
-        path += pos[walkers, None, :]
+        path += floats[:2, walkers].T[:, None, :]
         inside = curve.contains(path[..., 0], path[..., 1])
         last = np.minimum(_BLOCK - 1, n_steps - k0).astype(np.int64)
         inside[np.arange(_BLOCK) > last[:, None]] = True  # steps past n_steps
         hit = np.argmin(inside, axis=1)
         rows = np.arange(walkers.size)
         absorbed = ~inside[rows, hit]
-        exit_step[walkers[absorbed]] = k0[absorbed].astype(np.int64) + hit[absorbed]
-        pos[walkers] = path[rows, last]
+        exit_step[walker[walkers[absorbed]]] = k0[absorbed].astype(np.int64) + hit[absorbed]
+        live[walkers[absorbed]] = False
+        floats[:2, walkers] = path[rows, last].T
         clock[walkers] = k0 + last
-    return exit_step
+    live &= clock < n_steps
+    return live
 
 
 def _exit_steps(curve: BoundaryCurve, cfg: McConfig, n_steps: int):
@@ -383,23 +368,20 @@ def _exit_steps(curve: BoundaryCurve, cfg: McConfig, n_steps: int):
         return exit_step
     rmax = curve.max_radius()
     seed_key = np.random.SeedSequence(cfg.seed).generate_state(1, np.uint64)
-    # The live walkers' index, key, position, clock and next block.
-    live = [np.empty(0, np.int64), np.empty(0, np.uint64), np.empty((0, 2)), np.empty(0), np.empty(0, np.uint64)]
+    # The live walkers' (index, key, next block) and (x, y, clock), one column each.
+    ints, floats = np.empty((3, 0), np.uint64), np.empty((3, 0))
     admitted = 0
-    while admitted < cfg.walkers or live[0].size:
-        room = min(_BATCH - live[0].size, _ADMIT, cfg.walkers - admitted)
-        new = np.arange(admitted, admitted + room)
-        if new.size:
-            keys = _draws(seed_key, new.astype(np.uint64))
+    while admitted < cfg.walkers or ints.shape[1]:
+        room = min(_BATCH - ints.shape[1], _ADMIT, cfg.walkers - admitted)
+        if room:
+            new = np.arange(admitted, admitted + room, dtype=np.uint64)
+            keys = _draws(seed_key, new)
             starts, blocks = _starts(curve, rmax, keys)
-            fresh = [new, keys, starts, np.zeros(new.size), blocks]
-            live = [np.concatenate(pair) for pair in zip(live, fresh)]
-            admitted += new.size
-        walker, keys, pos, clock, blocks = live
-        exits = _round(curve, keys, pos, clock, blocks, cfg.dt, n_steps)
-        done = (exits <= n_steps) | (clock >= n_steps)
-        exit_step[walker[done]] = exits[done]
-        live = [a[~done] for a in live]
+            ints = np.concatenate([ints, [new, keys, blocks]], axis=1)
+            floats = np.concatenate([floats, np.vstack([starts.T, np.zeros(room)])], axis=1)
+            admitted += room
+        live = _round(curve, ints, floats, exit_step, cfg.dt, n_steps)
+        ints, floats = ints[:, live], floats[:, live]
     return exit_step
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from heatpade import mc_oracle
 from heatpade.disk_exact import survival_disk
 from heatpade.geometry import BoundaryCurve, Disk, Ellipse, FourierCurve
 from heatpade.mc_oracle import (
+    _LAYERS,
     _MAX_STEPS,
     _ZIGGURAT_R,
     McConfig,
@@ -16,11 +18,11 @@ from heatpade.mc_oracle import (
     _draws,
     _exit_steps,
     _exit_time_table,
-    _jump_draws,
     _normals,
+    _round,
     _slow_normal,
     _starts,
-    _unit,
+    _ziggurat,
     simulate_survival,
 )
 
@@ -35,6 +37,11 @@ def _keys(seed, walkers):
     """Keys of the given walkers, derived as ``_exit_steps`` derives them."""
     seed_key = np.random.SeedSequence(seed).generate_state(1, np.uint64)
     return _draws(seed_key, np.asarray(walkers, dtype=np.uint64))
+
+
+def _top53(x):
+    """Uniforms on [0, 1), multiples of 2^-53, from the top 53 bits of draws."""
+    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def _counters(walkers, draws, first=0):
@@ -165,18 +172,20 @@ class TestWalkerStreams:
 
     def test_uniform_ends(self):
         x = np.array([0, 2**11 - 1, 2**64 - 1], dtype=np.uint64)
-        assert _unit(x).tolist() == [0.0, 0.0, 1.0 - 2.0**-53]
+        assert _top53(x).tolist() == [0.0, 0.0, 1.0 - 2.0**-53]
         assert _centred(x).tolist() == [-1.0 + 2.0**-53, -1.0 + 2.0**-53, 1.0 - 2.0**-53]
 
-    @pytest.mark.parametrize("bits", ["top 53", "low 8"])
+    @pytest.mark.parametrize("bits", ["top 53", "low 8", "low 10"])
     def test_uniforms_pass_chi_square(self, bits):
         # 10^5 draws of 100 walkers: the uniforms the walk uses (top 53
-        # bits) in 100 bins, and the ziggurat's layer index (low 8 bits).
+        # bits) in 100 bins, and the low bits, of which the ziggurat's
+        # layer index takes 10.
         x = _draws(_keys(11, range(100))[:, None], _counters(100, 1000)).ravel()
         if bits == "top 53":
-            bins, k = np.floor(_unit(x) * 100).astype(np.intp), 100
+            bins, k = np.floor(_top53(x) * 100).astype(np.intp), 100
         else:
-            bins, k = (x & np.uint64(255)).astype(np.intp), 256
+            k = 2 ** int(bits.split()[1])
+            bins = (x & np.uint64(k - 1)).astype(np.intp)
         expected = x.size / k
         chi2 = float(np.sum((np.bincount(bins, minlength=k) - expected) ** 2) / expected)
         assert abs(chi2 - (k - 1)) < 5.0 * math.sqrt(2.0 * (k - 1))
@@ -210,24 +219,31 @@ class TestWalkerStreams:
         excess = np.abs(tail)
         assert abs(excess.mean() - mean) < 5.0 * excess.std() / math.sqrt(excess.size)
 
-    def test_jump_draws_take_the_first_candidate_inside(self):
-        # Only the first candidate is drawn for every jump, the other 14
-        # for those it misses; the pick must be the full block's first hit.
-        walkers = 5000
-        keys = _keys(29, range(walkers))[:, None]
-        first = np.full((walkers, 1), 7 * 32, dtype=np.uint64)
-        g, r2, v = _jump_draws(keys, first)
-        x = _draws(keys, first + np.arange(32, dtype=np.uint64))
-        c = _centred(x[:, :30]).reshape(walkers, 15, 2)
-        c2 = c[..., 0] * c[..., 0] + c[..., 1] * c[..., 1]
-        pick = np.argmax(c2 <= 1.0, axis=1)
-        rows = np.arange(walkers)
-        assert np.mean(c2[:, 0] > 1.0) > 0.15  # the second stage runs
-        assert np.array_equal(g, c[rows, pick]) and np.array_equal(r2, c2[rows, pick])
-        assert np.array_equal(v, _unit(x[:, 31]))
-        angle = np.arctan2(g[:, 1], g[:, 0])
-        assert abs(np.mean(np.cos(angle))) < 5.0 / math.sqrt(2.0 * walkers)
-        assert abs(np.mean(np.sin(angle))) < 5.0 / math.sqrt(2.0 * walkers)
+    def test_ziggurat_recursion_closes(self):
+        # From R the layers' recursion must end at the axis: 1025 edges,
+        # X_1024 = 0, and the top layer [0, X_1023] x [f(X_1023), 1] of the
+        # same area V as the others.
+        edges, _ = _ziggurat()
+        r = _ZIGGURAT_R
+        v = r * math.exp(-0.5 * r * r) + math.sqrt(0.5 * math.pi) * math.erfc(r / math.sqrt(2.0))
+        assert len(edges) == _LAYERS + 1 and edges[-1] == 0.0
+        top = edges[-2] * (1.0 - math.exp(-0.5 * edges[-2] * edges[-2]))
+        assert top == pytest.approx(v, rel=1e-10)
+
+    def test_slow_path_share(self, monkeypatch):
+        # 10^6 draws: with 1024 layers the share outside the cores is
+        # sum_i (1 - X_(i+1) / X_i) / 1024 = 0.43%.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _slow_normal(*args)
+
+        monkeypatch.setattr(mc_oracle, "_slow_normal", counting)
+        keys = _keys(37, range(1000))[:, None]
+        for first in range(0, 1000, 100):
+            _normals(keys, _counters(1000, 100, first))
+        assert 0.0030 <= len(calls) / 10**6 <= 0.0055
 
 
 class TestUniformStarts:
@@ -345,19 +361,47 @@ class TestJumps:
     def test_exit_time_table_moments(self):
         # E tau_1 = 1/4 and E tau_1^2 = 3/32 from the centre of the unit disk
         # (E tau = (1 - |x|^2) / 4 solves Laplace u = -1).  The interpolated
-        # law, tau = interp(v, P, U), v uniform on [0, 1), integrated
-        # exactly: tau is linear between knots, where 10-point
-        # Gauss-Legendre is exact to rounding, and the last knot is P = 1.
-        knots_p, knots_u = _exit_time_table()
-        assert knots_p[0] == 0.0 and knots_p[-1] == 1.0 and np.all(np.diff(knots_p) > 0.0)
-        breaks = np.union1d(knots_p, np.linspace(0.0, 1.0, 2001))
+        # law, tau = interp(r, R2, U) with r = |g|^2 of density e^(-r/2) / 2,
+        # integrated: tau is linear between knots, where 10-point
+        # Gauss-Legendre is exact but for the smooth density, and past the
+        # last knot tau is the last U.
+        knots_r2, knots_u = _exit_time_table()
+        assert knots_r2[0] == 0.0 and knots_u[0] == 0.0 and np.all(np.diff(knots_r2) > 0.0)
+        breaks = np.union1d(knots_r2, np.linspace(0.0, knots_r2[-1], 2001))
         x, w = np.polynomial.legendre.leggauss(10)
         a, b = breaks[:-1, None], breaks[1:, None]
-        v = 0.5 * (a + b) + 0.5 * (b - a) * x
-        weight = 0.5 * (b - a) * w
-        tau = np.interp(v, knots_p, knots_u)
-        assert np.sum(weight * tau) == pytest.approx(0.25, abs=1e-6)
-        assert np.sum(weight * tau * tau) == pytest.approx(3.0 / 32.0, abs=1e-6)
+        r = 0.5 * (a + b) + 0.5 * (b - a) * x
+        weight = 0.25 * (b - a) * w * np.exp(-0.5 * r)
+        tau = np.interp(r, knots_r2, knots_u)
+        tail = math.exp(-0.5 * knots_r2[-1])
+        assert tail < 1e-15
+        m1 = np.sum(weight * tau) + tail * knots_u[-1]
+        m2 = np.sum(weight * tau * tau) + tail * knots_u[-1] ** 2
+        assert m1 == pytest.approx(0.25, abs=1e-6)
+        assert m2 == pytest.approx(3.0 / 32.0, abs=1e-6)
+
+    def test_jump_moves_by_the_normal_pair(self):
+        # Walkers at the centre of the unit disk are all far from its
+        # boundary: one round moves each by exactly d g / |g| and its clock
+        # by d^2 tau_1 / dt, g the normals of its block's slots 0 and 1 and
+        # tau_1 = interp(|g|^2, R2, U); the directions are uniform.
+        walkers, dt = 5000, 1e-3
+        keys = _keys(29, range(walkers))
+        ints = np.stack([np.arange(walkers, dtype=np.uint64), keys, np.full(walkers, 7, np.uint64)])
+        floats = np.zeros((3, walkers))
+        floats[2] = 0.5
+        exit_step = np.full(walkers, 10**6 + 1, dtype=np.int64)
+        live = _round(Disk(), ints, floats, exit_step, dt, 10**6)
+        assert live.all() and np.all(exit_step == 10**6 + 1) and np.all(ints[2] == 8)
+        g = _normals(keys[:, None], _counters(walkers, 2, 7 * 32))
+        r2 = g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]
+        step = 1.0 / np.sqrt(r2)
+        assert np.array_equal(floats[0], step * g[:, 0])
+        assert np.array_equal(floats[1], step * g[:, 1])
+        assert np.array_equal(floats[2], 0.5 + np.interp(r2, *_exit_time_table()) / dt)
+        angle = np.arctan2(g[:, 1], g[:, 0])
+        assert abs(np.mean(np.cos(angle))) < 5.0 / math.sqrt(2.0 * walkers)
+        assert abs(np.mean(np.sin(angle))) < 5.0 / math.sqrt(2.0 * walkers)
 
     @pytest.mark.parametrize(
         "curve",
@@ -383,6 +427,37 @@ class TestJumps:
         cy = y[:, None] + radius[:, None] * np.sin(angle)
         assert curve.contains(cx, cy).all()
 
+    @pytest.mark.parametrize(
+        "curve", [FourierCurve((1.0, 0.15), (0.1,)), FourierCurve((1.0, 0.1, -0.05, 0.04), (0.08, 0.03))]
+    )
+    def test_fourier_clearance_is_the_direct_minimum(self, curve):
+        # The bound is taken over chunks of walkers; the minimum is exact,
+        # so it equals the one-pass formula bit for bit.
+        rng = np.random.default_rng(41)
+        rmax = curve.max_radius()
+        x, y = rng.uniform(-rmax, rmax, size=(2, 6000))
+        keep = curve.contains(x, y)
+        x, y = x[keep][:3000], y[keep][:3000]
+        assert x.size == 3000
+        bx, by, slack = curve._boundary_samples
+        dx, dy = x[:, None] - bx, y[:, None] - by
+        direct = np.sqrt(np.min(dx * dx + dy * dy, axis=-1)) - slack
+        assert np.array_equal(curve._clearance(x, y), direct)
+
+    def test_fourier_clearance_memory(self):
+        # A full pool's call (1024 walkers) took 16 MB of temporaries in one
+        # pass over the 512 samples.
+        curve = FourierCurve((1.0, 0.15), (0.1,))
+        x, y = np.random.default_rng(43).uniform(-0.5, 0.5, size=(2, 1024))
+        curve._clearance(x[:2], y[:2])
+        tracemalloc.start()
+        try:
+            curve._clearance(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+
 
 class TestPinnedDraws:
     # Pinned outputs of the walkers: a change to the draws, the jumps, the
@@ -395,10 +470,10 @@ class TestPinnedDraws:
     @pytest.mark.parametrize(
         "curve, cfg, expected",
         [
-            (Ellipse(b=1.0, eps=0.6), COARSE, (0.8075, 0.5925)),
-            (FourierCurve((1.0, 0.15), (0.1,)), COARSE, (0.7925, 0.545)),
-            (Ellipse(b=1.0, eps=0.6), FINE, (0.8, 0.63)),
-            (FourierCurve((1.0, 0.15), (0.1,)), FINE, (0.76, 0.52)),
+            (Ellipse(b=1.0, eps=0.6), COARSE, (0.84, 0.5975)),
+            (FourierCurve((1.0, 0.15), (0.1,)), COARSE, (0.7875, 0.545)),
+            (Ellipse(b=1.0, eps=0.6), FINE, (0.79, 0.6)),
+            (FourierCurve((1.0, 0.15), (0.1,)), FINE, (0.7, 0.55)),
         ],
     )
     def test_estimates(self, curve, cfg, expected):
@@ -418,7 +493,7 @@ class TestPinnedDraws:
         monkeypatch.setattr(Ellipse, "_inside", recording)
         simulate_survival(Ellipse(b=1.0, eps=0.6), self.FINE)
         assert digest.hexdigest() == (
-            "a8de069667f2c9afabdffd34fa8d150d12e77072195a4b9b9dffe6fe3fff3f49"
+            "76b624d59cef3c843c4f209b2c4e7e601b8499b8e6a622782bef241600387a61"
         )
 
     @pytest.mark.parametrize("eps", [0.0, 0.3, 0.6, 0.95])
